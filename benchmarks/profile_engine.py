@@ -86,7 +86,7 @@ def profile_cprofile(n_requests: int, n_events: int) -> None:
 
     profiler = cProfile.Profile()
     profiler.enable()
-    _engine_run(n_events, sink=False)
+    _engine_run(n_events, variant="engine-events")
     profiler.disable()
     _print_cprofile(profiler, f"cProfile: raw dispatch ({n_events} events)")
 

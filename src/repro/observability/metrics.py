@@ -13,10 +13,24 @@ cover everything else.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ValidationError
+
+
+@functools.lru_cache(maxsize=None)
+def _bucket_bounds(log_min: float, bpd: int, index: int) -> Tuple[float, float]:
+    """``[lower, upper)`` of bucket ``index``, memoized per geometry.
+
+    Quantile and threshold queries walk every non-empty bucket on every
+    call; the cache spares them two ``**`` per bucket while keeping the
+    exact scalar expressions, so bounds stay bit-identical.
+    """
+    lower = 10.0 ** (log_min + index / bpd)
+    upper = 10.0 ** (log_min + (index + 1) / bpd)
+    return lower, upper
 
 
 class Histogram:
@@ -142,9 +156,7 @@ class Histogram:
 
     def bucket_bounds(self, index: int) -> Tuple[float, float]:
         """``[lower, upper)`` value bounds of bucket ``index``."""
-        lower = 10.0 ** (self._log_min + index / self._bpd)
-        upper = 10.0 ** (self._log_min + (index + 1) / self._bpd)
-        return lower, upper
+        return _bucket_bounds(self._log_min, self._bpd, index)
 
     def buckets(self) -> List[Tuple[float, float, int]]:
         """Sorted non-empty ``(lower, upper, count)`` triples (zeros first)."""

@@ -16,9 +16,10 @@ one run into fixed-width windows and keeps, per window:
 Everything stored is a raw *accumulable* (counts and time integrals),
 so :meth:`Timeline.merge` is exact bucket-wise addition — cross-worker
 and cross-shard aggregation loses nothing. Construction is vectorized:
-:func:`time_in_windows` resolves interval/window overlaps with sorted
-prefix sums (``O((n + K) log n)``, no per-event Python loop and no
-``n x K`` matrix), which is how the numpy backends
+:func:`time_in_windows` resolves interval/window overlaps from
+searchsorted cuts and per-window slice sums of the ordered endpoints
+(``O(n + K log n)`` on time-ordered input, no per-event Python loop, no
+``n x K`` matrix and no n-sized copy), which is how the numpy backends
 (:mod:`~repro.simulation.fastpath`,
 :mod:`~repro.simulation.fastpath_system`) afford telemetry at millions
 of keys per second. The event engine records through the lightweight
@@ -130,6 +131,18 @@ def _resolve_windows(
     return start, width, count
 
 
+def _ordered(points: np.ndarray) -> np.ndarray:
+    """``points`` in non-decreasing order, sorted only when they are not.
+
+    Backends hand over arrays that are usually time-ordered already
+    (FIFO finish times, cumulative-sum arrivals); one O(n) comparison
+    spares them the O(n log n) sort and its copy.
+    """
+    if points.size > 1 and not (points[1:] >= points[:-1]).all():
+        return np.sort(points)
+    return points
+
+
 def time_in_windows(
     starts: np.ndarray, ends: np.ndarray, edges: np.ndarray
 ) -> np.ndarray:
@@ -138,26 +151,46 @@ def time_in_windows(
     Uses the prefix-integral identity
     ``F(t) = sum_i min(t, ends_i) - sum_i min(t, starts_i)``
     (the cumulative interval-time before ``t``): the per-window overlap
-    is ``F(e_{k+1}) - F(e_k)``. Two sorts plus searchsorted at the
-    ``K + 1`` edges — no interval-by-window matrix.
+    is ``F(e_{k+1}) - F(e_k)``. With ``b(t)`` the number of points at or
+    below ``t``, that difference is the sum of the ends in
+    ``(e_k, e_{k+1}]`` minus the sum of the starts there, plus
+    ``t * (b_starts(t) - b_ends(t))`` evaluated between the two edges.
+    On ordered inputs that is ``K + 1`` searchsorted cuts and ``K``
+    contiguous slice sums per array — ``O(n + K log n)`` with no n-sized
+    copy; unordered inputs are sorted first.
     """
     starts = np.asarray(starts, dtype=float)
-    ends = np.maximum(np.asarray(ends, dtype=float), starts)
+    ends = np.asarray(ends, dtype=float)
     edges = np.asarray(edges, dtype=float)
+    if (ends < starts).any():
+        ends = np.maximum(ends, starts)
 
-    def cumulative(points: np.ndarray) -> np.ndarray:
-        ordered = np.sort(points)
-        prefix = np.concatenate(([0.0], np.cumsum(ordered)))
+    def crossings(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        ordered = _ordered(points)
         below = np.searchsorted(ordered, edges, side="right")
-        return prefix[below] + edges * (ordered.size - below)
+        sums = np.array(
+            [ordered[lo:hi].sum() for lo, hi in zip(below[:-1], below[1:])]
+        )
+        return below, sums
 
-    return np.diff(cumulative(ends) - cumulative(starts))
+    below_start, start_sums = crossings(starts)
+    below_end, end_sums = crossings(ends)
+    # t * (intervals open at t), the min(t, .) terms of F at each edge.
+    open_time = edges * (below_start - below_end)
+    return (end_sums - start_sums) + np.diff(open_time)
 
 
 def _counts(times: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Events per window (last window closed on the right, like run end)."""
-    counts, _ = np.histogram(np.asarray(times, dtype=float), bins=edges)
-    return counts.astype(float)
+    """Events per window with ``np.histogram`` semantics.
+
+    Windows are closed on the left, the last one also on the right (run
+    end); points outside the span are dropped. Counts are differences of
+    searchsorted cuts into the ordered times.
+    """
+    ordered = _ordered(np.asarray(times, dtype=float))
+    cuts = np.searchsorted(ordered, edges, side="left")
+    cuts[-1] = np.searchsorted(ordered, edges[-1], side="right")
+    return np.diff(cuts).astype(float)
 
 
 @dataclasses.dataclass

@@ -214,8 +214,13 @@ def _simulate_pass(
         within = cumulative - np.repeat(before_batch, sizes)
         sojourn = np.repeat(waits, sizes) + within
 
+        # A request's keys at this server form one contiguous batch, so
+        # its maximum is a segmented reduction; the result folds into
+        # the stage maxima shared with the other servers.
+        batch_max = np.maximum.reduceat(sojourn, starts)
+        server_max[nonzero] = np.maximum(server_max[nonzero], batch_max)
+        combo_max[nonzero] = np.maximum(combo_max[nonzero], batch_max)
         request_of_key = np.repeat(nonzero, sizes)
-        np.maximum.at(server_max, request_of_key, sojourn)
         if attribution:
             attr_request.append(request_of_key)
             attr_sojourn.append(sojourn)
@@ -235,9 +240,8 @@ def _simulate_pass(
                 miss_arrival.append(completion[missed])
                 miss_server_sojourn.append(sojourn[missed])
             # Hits resolve at the server; misses get their database
-            # sojourn added below. Taking the server-only max here is
+            # sojourn added below. Taking the server-only max above is
             # safe — the miss contribution can only be larger.
-        np.maximum.at(combo_max, request_of_key, sojourn)
 
     if miss_request:
         request_of_miss = np.concatenate(miss_request)
@@ -447,7 +451,7 @@ def simulate_system_requests(
     for services, completions in zip(
         result.server_services, result.server_completions
     ):
-        done = completions <= cutoff
+        done = _finished_between(completions, -np.inf, cutoff)
         utilizations.append(float(services[done].sum()) / cutoff)
     run_timeline = None
     if spec is not None:
@@ -458,24 +462,23 @@ def simulate_system_requests(
             if warmup_requests
             else 0.0
         )
-        stages = {}
-        for j in range(shares_arr.size):
-            arr = result.server_arrivals[j]
-            fin = result.server_completions[j]
-            svc = result.server_services[j]
-            in_window = (fin > t0) & (fin <= cutoff)
-            stages[f"server.{j}"] = (
-                arr[in_window],
-                fin[in_window] - svc[in_window],
-                fin[in_window],
+        stages = {
+            f"server.{j}": _jobs_finished_between(
+                result.server_arrivals[j],
+                result.server_services[j],
+                result.server_completions[j],
+                t0,
+                cutoff,
             )
+            for j in range(shares_arr.size)
+        }
         if miss_ratio > 0.0 and database_rate is not None:
-            fin = result.db_completion
-            in_window = (fin > t0) & (fin <= cutoff)
-            stages["database"] = (
-                result.db_arrival[in_window],
-                fin[in_window] - result.db_service[in_window],
-                fin[in_window],
+            stages["database"] = _jobs_finished_between(
+                result.db_arrival,
+                result.db_service,
+                result.db_completion,
+                t0,
+                cutoff,
             )
         run_timeline = Timeline.from_events(
             start=t0,
@@ -517,6 +520,36 @@ def simulate_system_requests(
         timeline=run_timeline,
         attribution=attribution_set,
     )
+
+
+def _finished_between(finish: np.ndarray, t0: float, cutoff: float):
+    """Index of the jobs with ``t0 < finish <= cutoff``.
+
+    FIFO stages finish their jobs in order, so this is a contiguous
+    slice found by two searchsorted cuts — no mask and no copy. Should
+    float rounding ever break the order, it falls back to a mask.
+    """
+    if finish.size > 1 and not (finish[1:] >= finish[:-1]).all():
+        return (finish > t0) & (finish <= cutoff)
+    lo, hi = np.searchsorted(finish, (t0, cutoff), side="right")
+    return slice(int(lo), int(hi))
+
+
+def _jobs_finished_between(
+    arrival: np.ndarray,
+    service: np.ndarray,
+    finish: np.ndarray,
+    t0: float,
+    cutoff: float,
+):
+    """``(arrival, service_start, finish)`` of one stage's jobs that
+    finish in ``(t0, cutoff]`` — the timeline's per-job input."""
+    done = _finished_between(finish, t0, cutoff)
+    arrival, finish = arrival[done], finish[done]
+    start = finish - service[done]
+    # Clamp the -1 ulp float dust so no service starts before arrival.
+    np.maximum(start, arrival, out=start)
+    return arrival, start, finish
 
 
 def _coerce_attribution(option: object) -> Optional[AttributionSink]:

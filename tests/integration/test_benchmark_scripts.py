@@ -1,0 +1,34 @@
+"""Smoke tests for the profiling scripts under ``benchmarks/``.
+
+CI runs ``benchmarks/profile_engine.py --quick``; these calls run the
+same code paths at tiny sizes so a signature change in the benchmark
+helpers it imports fails tier-1 instead of the CI step.
+"""
+
+from pathlib import Path
+
+import pytest
+
+BENCHMARKS_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
+
+
+@pytest.fixture
+def profile_engine(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS_DIR))
+    import profile_engine
+
+    return profile_engine
+
+
+def test_profile_cprofile_tiny(profile_engine, capsys):
+    profile_engine.profile_cprofile(n_requests=20, n_events=2_000)
+    out = capsys.readouterr().out
+    assert "cProfile: closed loop (20 requests)" in out
+    assert "cProfile: raw dispatch (2000 events)" in out
+
+
+def test_profile_categories_tiny(profile_engine, capsys):
+    profile_engine.profile_categories(n_requests=20)
+    out = capsys.readouterr().out
+    assert "Engine profile by callback category" in out
+    assert "events/s" in out

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError, ValidationError
 from repro.observability import Timeline
@@ -13,6 +15,7 @@ from repro.observability.timeline import (
     StageSeries,
     TimelineBuilder,
     TimelineSpec,
+    _counts,
     time_in_windows,
 )
 
@@ -393,3 +396,145 @@ class TestStageSeries:
     def test_from_dict_missing_key(self):
         with pytest.raises(ConfigError):
             StageSeries.from_dict({"arrivals": [1.0]})
+
+
+# ----------------------------------------------------------------------
+# Window accounting properties. The accounting skips its sort when the
+# input is already ordered, so inputs are drawn sorted, unsorted and
+# nearly sorted (adjacent swaps, 1-ulp inversions), with points on the
+# window edges, one ulp off them and outside the span.
+# ----------------------------------------------------------------------
+
+ARRANGEMENTS = ("sorted", "unsorted", "swapped", "ulp-inversion")
+
+
+@st.composite
+def window_edges(draw):
+    """Edges built the way :attr:`Timeline.edges` builds them."""
+    start = draw(st.floats(-100.0, 100.0))
+    width = draw(st.floats(1e-3, 10.0))
+    count = draw(st.integers(1, 8))
+    return start + width * np.arange(count + 1)
+
+
+@st.composite
+def arranged_points(draw, edges, size):
+    lo, hi = float(edges[0]), float(edges[-1])
+    span = hi - lo
+    on_edge = st.sampled_from(edges.tolist())
+    value = st.one_of(
+        st.floats(lo - span / 2, hi + span / 2),
+        on_edge,
+        on_edge.map(lambda e: float(np.nextafter(e, np.inf))),
+        on_edge.map(lambda e: float(np.nextafter(e, -np.inf))),
+    )
+    points = np.array(
+        draw(st.lists(value, min_size=size, max_size=size)), dtype=float
+    )
+    arrangement = draw(st.sampled_from(ARRANGEMENTS))
+    if arrangement != "unsorted":
+        points = np.sort(points)
+    if points.size > 1 and arrangement == "swapped":
+        for i in draw(st.lists(st.integers(0, points.size - 2), max_size=4)):
+            points[[i, i + 1]] = points[[i + 1, i]]
+    if points.size > 1 and arrangement == "ulp-inversion":
+        i = draw(st.integers(0, points.size - 2))
+        points[i + 1] = np.nextafter(points[i], -np.inf)
+    return points
+
+
+@st.composite
+def windowed_points(draw, n_arrays=1):
+    """``(edges, array, ...)``: equal-size arrays, empty and single
+    element included."""
+    edges = draw(window_edges())
+    size = draw(st.integers(0, 24))
+    arrays = [draw(arranged_points(edges, size)) for _ in range(n_arrays)]
+    return (edges, *arrays)
+
+
+def fsum_overlap(starts, ends, edges):
+    """Brute-force per-window overlap, each window summed exactly."""
+    ends = np.maximum(ends, starts)
+    return np.array(
+        [
+            math.fsum(
+                np.maximum(np.minimum(ends, b) - np.maximum(starts, a), 0.0)
+            )
+            for a, b in zip(edges[:-1], edges[1:])
+        ]
+    )
+
+
+def assert_overlap_close(got, starts, ends, edges):
+    exact = fsum_overlap(starts, ends, edges)
+    # Absolute floor: a few roundings of n points at the data's scale.
+    scale = max(np.abs(edges).max(), np.abs(starts).max(initial=0.0),
+                np.abs(ends).max(initial=0.0))
+    floor = 4.0 * np.finfo(float).eps * max(starts.size, 1) * scale
+    assert np.all(np.abs(got - exact) <= 1e-9 * np.abs(exact) + floor), (
+        got,
+        exact,
+    )
+
+
+class TestWindowAccountingProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(windowed_points())
+    def test_counts_equal_numpy_histogram(self, drawn):
+        edges, times = drawn
+        expected, _ = np.histogram(times, bins=edges)
+        np.testing.assert_array_equal(_counts(times, edges), expected)
+
+    @settings(max_examples=50, deadline=None)
+    @given(windowed_points(n_arrays=3))
+    def test_stage_series_counts_equal_numpy_histogram(self, drawn):
+        edges, arrival, start, finish = drawn
+        series = StageSeries.from_jobs(arrival, start, finish, edges)
+        np.testing.assert_array_equal(
+            series.arrivals, np.histogram(arrival, bins=edges)[0]
+        )
+        np.testing.assert_array_equal(
+            series.completions, np.histogram(finish, bins=edges)[0]
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(windowed_points(n_arrays=2))
+    def test_time_in_windows_matches_fsum(self, drawn):
+        edges, starts, ends = drawn
+        got = time_in_windows(starts, ends, edges)
+        assert_overlap_close(got, starts, ends, edges)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        windowed_points(),
+        st.lists(st.floats(0.0, 5.0), min_size=24, max_size=24),
+        st.lists(st.floats(0.0, 5.0), min_size=24, max_size=24),
+    )
+    def test_fifo_jobs_match_fsum(self, drawn, waits, services):
+        """Ordered FIFO-shaped jobs, the fastpath-system input: busy and
+        wait time both match the exact per-window integrals."""
+        edges, arrival = drawn
+        arrival = np.sort(arrival)
+        start = arrival + np.asarray(waits[: arrival.size])
+        finish = start + np.asarray(services[: arrival.size])
+        series = StageSeries.from_jobs(arrival, start, finish, edges)
+        assert_overlap_close(series.busy_time, start, finish, edges)
+        assert_overlap_close(series.wait_time, arrival, start, edges)
+
+    @settings(max_examples=40, deadline=None)
+    @given(windowed_points(n_arrays=2))
+    def test_latency_histograms_follow_completion_windows(self, drawn):
+        edges, born, completed = drawn
+        timeline = Timeline.from_events(
+            start=edges[0],
+            end=edges[-1],
+            request_born=born,
+            request_completed=completed,
+            request_total=np.abs(completed - born),
+            spec=TimelineSpec(n_windows=edges.size - 1),
+        )
+        expected, _ = np.histogram(completed, bins=timeline.edges)
+        np.testing.assert_array_equal(
+            [hist.count for hist in timeline.latency], expected
+        )
