@@ -31,7 +31,10 @@ def main() -> None:
     mu_s = kps(80)
     mean_rate = kps(48)      # 60% mean utilization: "looks safe"
     amplitude = 0.35         # +-35% daily swing -> 81% at peak
-    period = 60.0            # compressed "day" for the simulation
+    # Compressed "day" for the simulation. One second is still ~800x the
+    # queue's relaxation time at peak, so each phase is quasi-static,
+    # and 10 days stay under half a million keys (seconds, not minutes).
+    period = 1.0
 
     cliff = cliff_utilization(0.0)  # Poisson process here, xi = 0
     print(f"Server: muS = 80 Kps, mean load 48 Kps (60%), "

@@ -130,13 +130,24 @@ class GeneralizedPareto(Distribution):
         which is far more robust than adaptive quadrature for the slowly
         decaying heavy tail. Falls back to quadrature if ``hyperu``
         returns a non-finite value (extreme parameter corners).
+
+        Below ``xi = 1e-6`` the series in ``xi`` is used instead: there
+        ``hyperu`` needs seconds per call (``2 - a`` is about ``-1/xi``)
+        while the series is exact to ``O(xi^3)``, far below double
+        precision. Expanding ``S(t) = exp(-log1p(xi t/scale)/xi)`` to
+        second order and integrating term by term gives, with
+        ``r = 1 / (1 + s * scale)``::
+
+            E[exp(-s T)] = r - (1 - r) xi r^2 (1 + xi r (3 r - 2)) + O(xi^3)
         """
         if s < 0:
             raise ValidationError(f"LST argument must be >= 0, got {s}")
         if s == 0:
             return 1.0
-        if self._xi == 0.0:
-            return 1.0 / (1.0 + s * self._scale)
+        xi = self._xi
+        if xi < 1e-6:
+            r = 1.0 / (1.0 + s * self._scale)
+            return r - (1.0 - r) * xi * r * r * (1.0 + xi * r * (3.0 * r - 2.0))
         from scipy import special
 
         beta = self._scale / self._xi

@@ -8,6 +8,7 @@ from scipy import integrate
 
 from repro.distributions import Exponential, GeneralizedPareto
 from repro.errors import ValidationError
+from repro.queueing import delta_for_utilization
 
 
 class TestParameterization:
@@ -84,6 +85,24 @@ class TestLaplace:
             lambda t: math.exp(-s * t) * dist.pdf(t), 0, np.inf, limit=400
         )
         assert dist.laplace(s) == pytest.approx(brute, rel=1e-7)
+
+    @pytest.mark.parametrize("xi", [5e-10, 1e-8, 9e-7])
+    @pytest.mark.parametrize("s", [0.01, 0.5, 2.0, 50.0])
+    def test_small_shape_series_matches_quadrature(self, xi, s):
+        # hyperu needs seconds per call at these shapes (and is off by
+        # ~1e-9); the O(xi^3) series is exact to double precision.
+        dist = GeneralizedPareto(1.0, xi)
+        brute, _ = integrate.quad(
+            lambda t: math.exp(-s * t) * dist.pdf(t), 0, np.inf, limit=400
+        )
+        assert dist.laplace(s) == pytest.approx(brute, rel=1e-12)
+
+    def test_small_shape_root_is_near_poisson(self):
+        # Through hyperu this root solve took over two minutes; the
+        # delta of a near-exponential gap is rho + O(xi).
+        assert delta_for_utilization(5.2e-10, 0.103) == pytest.approx(
+            0.103, abs=1e-8
+        )
 
     def test_laplace_at_zero(self):
         assert GeneralizedPareto(1.0, 0.3).laplace(0.0) == 1.0
