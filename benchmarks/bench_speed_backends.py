@@ -7,7 +7,7 @@ whole-system vectorized twin) on one stable fig-11-style point, plus the
 dispatch microbench, and writes ``BENCH_speed.json`` at the repo root:
 
     {"<backend>": {"keys_per_sec": ..., "wall_s": ..., "n_keys": ...},
-     "engine-events": {"events_per_sec": ..., "scheduler": ...}, ...}
+     "engine-events": {"events_per_sec": ..., "wall_s": ...}, ...}
 
 ``n_keys`` is the total number of key lookups the run pushed through the
 pipeline (requests x N); ``keys_per_sec`` is the throughput the paper's
@@ -45,7 +45,6 @@ import numpy as np
 from repro.experiments import Scenario
 from repro.observability.attribution import AttributionSink
 from repro.simulation import Simulator
-from repro.simulation.scheduler import resolve_scheduler_name
 from repro.units import kps, msec, usec
 
 from helpers import print_series
@@ -65,7 +64,7 @@ MIN_SPEEDUP = 10.0
 #: one tuple append per job; all window math is deferred to run end).
 MIN_TIMELINE_RATIO = 0.9
 
-#: Raw engine dispatch-rate floors (events/sec, default scheduler).
+#: Raw engine dispatch-rate floors (events/sec).
 #: Batched dispatch drains homogeneous event runs without per-event
 #: scheduler traffic, so the bare engine must clear 1M events/s; with a
 #: per-event timeline-style sink appending ``(now, index)`` the floor
@@ -247,7 +246,6 @@ def measure_engine(
     drift that independent best-of walls would not (a sink run catching
     one fast frequency window must not fail the attribution budget).
     """
-    scheduler = resolve_scheduler_name(None)
     rounds: Dict[str, list] = {name: [] for name in ENGINE_VARIANTS}
     for _ in range(max(repeats, 3)):
         for name in ENGINE_VARIANTS:
@@ -259,7 +257,6 @@ def measure_engine(
             "events_per_sec": best["n_events"] / best["wall_s"],
             "wall_s": best["wall_s"],
             "n_events": best["n_events"],
-            "scheduler": scheduler,
         }
     results["engine-events+attr"]["attr_sink_ratio"] = max(
         (sunk["wall_s"] / attr["wall_s"])
@@ -348,15 +345,9 @@ def report(
     if engine:
         print_series(
             "Raw engine dispatch (events/sec, higher is better)",
-            ["variant", "events_per_sec", "wall_s", "n_events", "scheduler"],
+            ["variant", "events_per_sec", "wall_s", "n_events"],
             [
-                [
-                    name,
-                    row["events_per_sec"],
-                    row["wall_s"],
-                    row["n_events"],
-                    row["scheduler"],
-                ]
+                [name, row["events_per_sec"], row["wall_s"], row["n_events"]]
                 for name, row in engine.items()
             ],
         )

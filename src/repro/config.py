@@ -138,8 +138,6 @@ class ExperimentConfig:
         observability=None,
         *,
         keep_request_log: bool = False,
-        scheduler=None,
-        rng_window=None,
     ) -> MemcachedSystemSimulator:
         """Closed-loop simulator for this configuration.
 
@@ -148,9 +146,6 @@ class ExperimentConfig:
         :class:`~repro.observability.Observability` bundle to collect
         traces/metrics/profiles for the run; ``keep_request_log=True``
         records per-request completions for transient analysis.
-        ``scheduler`` and ``rng_window`` are engine perf knobs (see
-        :class:`~repro.simulation.MemcachedSystemSimulator`); both leave
-        seeded results bit-identical.
         """
         request_rate = self.total_key_rate() / self.n_keys
         return MemcachedSystemSimulator(
@@ -165,8 +160,6 @@ class ExperimentConfig:
             faults=self.fault_schedule(),
             policy=self.request_policy(),
             keep_request_log=keep_request_log,
-            scheduler=scheduler,
-            rng_window=rng_window,
         )
 
     # ------------------------------------------------------------------

@@ -8,7 +8,6 @@ stream splitting.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
@@ -18,23 +17,10 @@ from ..errors import ValidationError
 RngLike = Union[None, int, np.random.Generator, np.random.SeedSequence]
 
 
-def _default_window() -> int:
-    """Window size for pre-drawn RNG batches (``REPRO_RNG_WINDOW`` overrides)."""
-    raw = os.environ.get("REPRO_RNG_WINDOW", "")
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            value = 0
-        if value >= 1:
-            return value
-    return 4096
-
-
-#: Default number of values pre-drawn per refill by :class:`RandomWindow`.
-#: Purely a perf knob: results are invariant to the window size because
-#: each window consumes its own dedicated stream in order.
-DEFAULT_RNG_WINDOW = _default_window()
+#: Number of values pre-drawn per refill by :class:`RandomWindow`.
+#: Results are invariant to the window size because each window
+#: consumes its own dedicated stream in order.
+DEFAULT_RNG_WINDOW = 4096
 
 
 class RandomWindow:

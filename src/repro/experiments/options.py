@@ -107,20 +107,6 @@ def _validate_observability(value: object) -> Optional[str]:
     )
 
 
-def _validate_scheduler(value: object) -> Optional[str]:
-    if value is None or isinstance(value, str):
-        return None
-    return f"scheduler must be a backend name (str), got {type(value).__name__}"
-
-
-def _validate_rng_window(value: object) -> Optional[str]:
-    if value is None:
-        return None
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        return f"rng_window must be a positive int, got {value!r}"
-    return None
-
-
 # ----------------------------------------------------------------------
 # CLI assembly hooks (argparse namespaces, duck-typed via getattr).
 # ----------------------------------------------------------------------
@@ -185,16 +171,6 @@ BACKEND_OPTIONS: Dict[str, Tuple[BackendOption, ...]] = {
         ),
         _TIMELINE,
         _ATTRIBUTION,
-        BackendOption(
-            "scheduler",
-            "event scheduler backend (heap/calendar/compiled)",
-            validate=_validate_scheduler,
-        ),
-        BackendOption(
-            "rng_window",
-            "pre-drawn RNG window size (perf knob, bit-identical)",
-            validate=_validate_rng_window,
-        ),
     ),
     "fastpath": (
         BackendOption(

@@ -191,19 +191,9 @@ class Scenario:
     def tail_model(self):
         return self.to_config().tail_model()
 
-    def simulator(
-        self,
-        observability=None,
-        *,
-        keep_request_log: bool = False,
-        scheduler: Optional[str] = None,
-        rng_window: Optional[int] = None,
-    ):
+    def simulator(self, observability=None, *, keep_request_log: bool = False):
         return self.to_config().simulator(
-            observability=observability,
-            keep_request_log=keep_request_log,
-            scheduler=scheduler,
-            rng_window=rng_window,
+            observability=observability, keep_request_log=keep_request_log
         )
 
     # ------------------------------------------------------------------
@@ -235,8 +225,6 @@ class Scenario:
         *,
         timeline: object = None,
         attribution: object = None,
-        scheduler: Optional[str] = None,
-        rng_window: Optional[int] = None,
     ) -> SimulationResult:
         """Closed-loop discrete-event simulation of this scenario.
 
@@ -246,18 +234,17 @@ class Scenario:
         per-request stage attribution. When no ``observability`` bundle
         is supplied a minimal bundle carrying just the requested
         collectors is created so the hot path stays uninstrumented
-        otherwise. ``scheduler`` selects the engine's scheduler backend
-        and ``rng_window`` the pre-draw window size — both are perf
-        knobs that leave seeded results bit-identical.
+        otherwise. A sink added to a supplied bundle is sized by the
+        bundle's ``slowest_k``.
         """
         wants_timeline = (
             timeline is not None and TimelineSpec.coerce(timeline) is not None
         )
         if wants_timeline or attribution:
             from ..observability import (
-                AttributionSink,
                 Observability,
                 TimelineBuilder,
+                coerce_attribution,
             )
 
             if observability is None:
@@ -273,21 +260,10 @@ class Scenario:
                         TimelineSpec.coerce(timeline)
                     )
                 if attribution and observability.attribution is None:
-                    observability.attribution = (
-                        attribution
-                        if isinstance(attribution, AttributionSink)
-                        else AttributionSink(
-                            max_records=attribution
-                            if isinstance(attribution, int)
-                            and not isinstance(attribution, bool)
-                            else 100_000
-                        )
+                    observability.attribution = coerce_attribution(
+                        attribution, slowest_k=observability.slowest_k
                     )
-        system = self.simulator(
-            observability=observability,
-            scheduler=scheduler,
-            rng_window=rng_window,
-        )
+        system = self.simulator(observability=observability)
         results = system.run(
             n_requests=self.n_requests, warmup_requests=self.warmup_requests
         )

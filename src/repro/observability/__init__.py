@@ -34,6 +34,7 @@ from .attribution import (
     AttributionSink,
     TailAttribution,
     analytic_reference,
+    coerce_attribution,
     residual_slack,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -100,23 +101,14 @@ class Observability:
         self.timeline: Optional[TimelineBuilder] = (
             TimelineBuilder(spec) if spec is not None else None
         )
+        #: Size of the slowest-request sets, kept so collectors added
+        #: to the bundle later are sized like the ones built here.
+        self.slowest_k = slowest_k
         # Per-request latency provenance: True -> default sink, an int
         # -> reservoir capacity, or a pre-built AttributionSink.
-        if isinstance(attribution, AttributionSink):
-            self.attribution: Optional[AttributionSink] = attribution
-        elif isinstance(attribution, bool) or attribution is None:
-            self.attribution = (
-                AttributionSink(slowest_k=slowest_k) if attribution else None
-            )
-        elif isinstance(attribution, int):
-            self.attribution = AttributionSink(
-                max_records=attribution, slowest_k=slowest_k
-            )
-        else:
-            raise TypeError(
-                "attribution must be None, a bool, an int capacity, or an "
-                f"AttributionSink, got {type(attribution).__name__}"
-            )
+        self.attribution: Optional[AttributionSink] = coerce_attribution(
+            attribution, slowest_k=slowest_k
+        )
 
     @property
     def enabled(self) -> bool:

@@ -602,6 +602,28 @@ class AttributionSink:
         )
 
 
+def coerce_attribution(
+    option: object, *, slowest_k: int = 10
+) -> Optional[AttributionSink]:
+    """The sink an ``attribution=`` option asks for.
+
+    ``None``/``False`` -> off; ``True`` -> a default sink; an int -> a
+    sink with that reservoir capacity; an :class:`AttributionSink` is
+    used as given. ``slowest_k`` sizes the sinks built here. Anything
+    else raises :class:`TypeError`.
+    """
+    if isinstance(option, AttributionSink):
+        return option
+    if option is None or isinstance(option, bool):
+        return AttributionSink(slowest_k=slowest_k) if option else None
+    if isinstance(option, int):
+        return AttributionSink(max_records=option, slowest_k=slowest_k)
+    raise TypeError(
+        "attribution must be None, a bool, an int capacity, or an "
+        f"AttributionSink, got {type(option).__name__}"
+    )
+
+
 def analytic_reference(estimate) -> Dict[str, float]:
     """The analytic per-group expectation (the ``estimate`` column).
 

@@ -70,24 +70,9 @@ def provenance() -> Dict[str, object]:
 
     Run reports, experiment checkpoints, timeline exports and benchmark
     artifacts all carry this block, so a perf or telemetry number can
-    always be traced to the exact code that produced it. Beyond the
-    code version, it records the engine-speed knobs in effect — the
-    resolved scheduler backend (and whether it is the pure-python or
-    compiled implementation) and the RNG pre-draw window size — so perf
-    numbers are comparable across artifacts. Both knobs leave seeded
-    results bit-identical.
+    always be traced to the exact code that produced it.
     """
-    from ..distributions import DEFAULT_RNG_WINDOW
-    from ..simulation.scheduler import resolve_scheduler_name
-
-    backend = resolve_scheduler_name(None)
-    return {
-        "repro_version": __version__,
-        "git_sha": git_sha(),
-        "scheduler_backend": backend,
-        "scheduler_kind": "compiled" if backend == "compiled" else "python",
-        "rng_window": DEFAULT_RNG_WINDOW,
-    }
+    return {"repro_version": __version__, "git_sha": git_sha()}
 
 
 def provenance_comment() -> str:

@@ -36,7 +36,6 @@ class DatabaseSim(ServerSim):
         metrics: Optional[MetricsRegistry] = None,
         rate_factor: Optional[Callable[[float], float]] = None,
         trace: Optional[list] = None,
-        rng_window: Optional[int] = None,
     ) -> None:
         super().__init__(
             sim,
@@ -47,7 +46,6 @@ class DatabaseSim(ServerSim):
             metrics=metrics,
             rate_factor=rate_factor,
             trace=trace,
-            rng_window=rng_window,
         )
 
     @classmethod

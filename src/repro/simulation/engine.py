@@ -1,21 +1,18 @@
 """Discrete-event simulation engine.
 
 A deliberately small, dependency-free core: a monotonic clock and a
-pluggable event scheduler (binary heap, slotted calendar queue, or a
-compiled calendar queue — see :mod:`repro.simulation.scheduler`).
+binary-heap event scheduler (see :mod:`repro.simulation.scheduler`).
 Components (arrival processes, servers, the database) schedule
 callbacks; the engine guarantees deterministic ordering — events at
-equal times fire in scheduling order — so seeded runs are exactly
-reproducible, *independent of the scheduler backend*: every backend
-pops in the same ``(time, seq)`` total order.
+equal times fire in scheduling order, the ``(time, seq)`` total order —
+so seeded runs are exactly reproducible.
 
 Two scheduling shapes exist:
 
 * :meth:`Simulator.schedule` — one callback at one time, returning an
-  :class:`EventHandle` for cancellation. Cancelled events are either
-  removed eagerly (calendar backends) or compacted in bulk once they
-  outnumber live entries (heap backend), so cancel-heavy policies
-  (hedging with cancel-on-winner) keep the queue bounded.
+  :class:`EventHandle` for cancellation. Cancelled events are
+  compacted in bulk once they outnumber live entries, so cancel-heavy
+  policies (hedging with cancel-on-winner) keep the queue bounded.
 * :meth:`Simulator.schedule_batch` — a *homogeneous batch*: one
   callback fired once per pre-computed time, in order. The batch holds
   a single scheduler entry that is re-armed as it drains, so a window
@@ -144,14 +141,9 @@ class BatchHandle:
 class Simulator:
     """Event loop: schedule callbacks on the simulated clock and run."""
 
-    def __init__(
-        self,
-        *,
-        profiler: Optional[object] = None,
-        scheduler: Optional[str] = None,
-    ) -> None:
+    def __init__(self, *, profiler: Optional[object] = None) -> None:
         self._now = 0.0
-        self._scheduler = make_scheduler(scheduler)
+        self._scheduler = make_scheduler()
         self._counter = itertools.count()
         self._processed = 0
         # Live (scheduled, not yet fired or cancelled) event count,
@@ -175,14 +167,9 @@ class Simulator:
         return self._live
 
     @property
-    def scheduler_backend(self) -> str:
-        """Resolved scheduler backend name (``heap``/``calendar``/``compiled``)."""
-        return self._scheduler.name
-
-    @property
     def scheduler_entries(self) -> int:
         """Entries held by the scheduler, *including* dead (cancelled)
-        entries the heap backend has not collected yet — the quantity
+        entries the heap has not collected yet — the quantity
         the compaction contract bounds."""
         return self._scheduler.entries
 

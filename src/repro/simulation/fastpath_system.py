@@ -51,7 +51,7 @@ import numpy as np
 
 from ..errors import SimulationError, StabilityError, ValidationError
 from ..faults import FaultSchedule
-from ..observability.attribution import AttributionSet, AttributionSink
+from ..observability.attribution import AttributionSet, coerce_attribution
 from ..observability.timeline import Timeline, TimelineSpec
 from .fastpath import lindley_waits
 
@@ -402,7 +402,7 @@ def simulate_system_requests(
     # that transient faithfully. Only the Memcached tier — where
     # stationarity is the modeling claim — rejects rho >= 1.
 
-    attribution_sink = _coerce_attribution(attribution)
+    attribution_sink = coerce_attribution(attribution)
     n_total = warmup_requests + n_requests
     kwargs = dict(
         shares_arr=shares_arr,
@@ -552,15 +552,3 @@ def _jobs_finished_between(
     return arrival, start, finish
 
 
-def _coerce_attribution(option: object) -> Optional[AttributionSink]:
-    """``None``/``False`` -> off; ``True`` -> defaults; int -> capacity."""
-    if isinstance(option, AttributionSink):
-        return option
-    if option is None or isinstance(option, bool):
-        return AttributionSink() if option else None
-    if isinstance(option, int):
-        return AttributionSink(max_records=option)
-    raise TypeError(
-        "attribution must be None, a bool, an int capacity, or an "
-        f"AttributionSink, got {type(option).__name__}"
-    )

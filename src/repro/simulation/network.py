@@ -24,8 +24,6 @@ class NetworkSim:
         sim: Simulator,
         delay: Distribution,
         rng: Optional[np.random.Generator] = None,
-        *,
-        rng_window: Optional[int] = None,
     ) -> None:
         self._sim = sim
         self._delay = delay
@@ -39,9 +37,7 @@ class NetworkSim:
             self._window: Optional[RandomWindow] = None
         else:
             self._constant = None
-            self._window = RandomWindow.from_distribution(
-                delay, self._rng, size=rng_window
-            )
+            self._window = RandomWindow.from_distribution(delay, self._rng)
         self._delivered = 0
 
     @classmethod

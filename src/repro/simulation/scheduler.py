@@ -1,43 +1,18 @@
-"""Pluggable event schedulers for the discrete-event engine.
+"""The event scheduler for the discrete-event engine.
 
 The engine needs one data structure: a priority queue of
 ``(time, seq, obj)`` entries popped in ``(time, seq)`` order, where
-``obj`` is an opaque event record carrying a ``cancelled`` flag. Three
-interchangeable backends implement it:
-
-* :class:`HeapScheduler` — the original binary heap (C ``heapq``).
-  Cancellation is lazy (dead tuples stay until popped) with *threshold
-  compaction*: when dead entries outnumber live ones the heap is
-  rebuilt, so cancel-heavy workloads (hedging with cancel-on-winner)
-  keep the queue bounded by ``O(live)`` instead of ``O(scheduled)``.
-* :class:`CalendarQueue` — a slotted calendar queue (Brown 1988):
-  events hash into time buckets of width ``w``; push and pop are O(1)
-  amortized instead of O(log n), and cancellation is *eager* — the
-  entry is removed from its bucket immediately, so hedge cancellations
-  never accumulate at all.
-* a compiled calendar queue — the same algorithm as a C shared library
-  built on demand with the system compiler and driven through
-  ``ctypes``. Selected at import with graceful fallback: no compiler,
-  a failed build, or ``REPRO_NO_COMPILED=1`` silently degrade to the
-  pure-python backends, and results are bit-identical either way
-  (every backend pops in the same ``(time, seq)`` total order).
-
-Backend selection: ``resolve_scheduler_name`` maps the user-facing
-names (``auto``/``heap``/``calendar``/``compiled``) to an available
-backend, honoring the ``REPRO_SCHEDULER`` environment variable for
-``auto``. The resolved name and its kind (python/compiled) are stamped
-into :func:`repro.observability.provenance` artifacts.
+``obj`` is an opaque event record carrying a ``cancelled`` flag.
+:class:`HeapScheduler` implements it as a binary heap (C ``heapq``).
+Cancellation is lazy (dead tuples stay until popped) with *threshold
+compaction*: when dead entries outnumber live ones the heap is rebuilt,
+so cancel-heavy workloads (hedging with cancel-on-winner) keep the
+queue bounded by ``O(live)`` instead of ``O(scheduled)``.
 """
 
 from __future__ import annotations
 
-import bisect
-import ctypes
 import heapq
-import os
-import subprocess
-import sys
-import tempfile
 from typing import List, Optional, Tuple
 
 from ..errors import ValidationError
@@ -45,15 +20,9 @@ from ..errors import ValidationError
 #: Dead entries tolerated before a heap compaction is considered.
 COMPACT_MIN_DEAD = 64
 
-#: User-facing scheduler names.
-SCHEDULER_NAMES = ("auto", "heap", "calendar", "compiled")
-
 
 class HeapScheduler:
     """Binary-heap scheduler with threshold compaction of cancelled entries."""
-
-    name = "heap"
-    kind = "python"
 
     __slots__ = ("_heap", "_dead")
 
@@ -109,568 +78,14 @@ class HeapScheduler:
         self._dead = 0
 
 
-class CalendarQueue:
-    """Slotted calendar queue with deterministic ``(time, seq)`` ordering.
+def make_scheduler(name: None = None) -> HeapScheduler:
+    """The engine's scheduler: a fresh :class:`HeapScheduler`.
 
-    Entries are stored *key-negated* — ``(-time, -seq, obj)`` — in
-    ascending sorted bucket lists, so the next event of a bucket sits at
-    the *end* and is popped in O(1); mid-bucket insertions use
-    ``bisect.insort`` (C memmove). Bucket count and width adapt to the
-    live event population: the structure doubles when occupancy exceeds
-    two entries per bucket and halves below one per two buckets, with
-    the width re-estimated from the live time span so one "year" of
-    buckets covers roughly the scheduled horizon.
-
-    Cancellation is eager: :meth:`discard` locates the entry by its
-    ``(time, seq)`` key and deletes it from its bucket, so cancelled
-    hedge attempts and retry timers never linger.
+    There is one backend, so there is nothing to select; ``name`` must
+    be ``None``.
     """
-
-    name = "calendar"
-    kind = "python"
-
-    __slots__ = ("_buckets", "_n", "_mask", "_width", "_cur", "_year_end", "_size")
-
-    def __init__(self, *, n_buckets: int = 16, width: float = 1e-3) -> None:
-        if n_buckets < 2 or n_buckets & (n_buckets - 1):
-            raise ValidationError(
-                f"n_buckets must be a power of two >= 2, got {n_buckets}"
-            )
-        if width <= 0.0:
-            raise ValidationError(f"width must be > 0, got {width}")
-        self._n = n_buckets
-        self._mask = n_buckets - 1
-        self._width = float(width)
-        self._buckets: List[list] = [[] for _ in range(n_buckets)]
-        self._cur = 0  # virtual bucket index of the read position
-        self._year_end = float(width)  # (cur + 1) * width
-        self._size = 0
-
-    @property
-    def entries(self) -> int:
-        return self._size
-
-    @property
-    def bucket_count(self) -> int:
-        return self._n
-
-    @property
-    def width(self) -> float:
-        return self._width
-
-    def push(self, time: float, seq: int, obj: object) -> None:
-        vb = int(time / self._width)
-        if vb < self._cur:
-            # Same-bucket-as-now insertion that rounds below the read
-            # position (time >= now is validated by the engine).
-            vb = self._cur
-        bucket = self._buckets[vb & self._mask]
-        entry = (-time, -seq, obj)
-        if bucket and bucket[-1] < entry:
-            bucket.append(entry)  # earliest-yet in this bucket: O(1)
-        else:
-            bisect.insort(bucket, entry)
-        self._size += 1
-        if self._size > 2 * self._n:
-            self._resize(self._n * 2)
-
-    def _locate_head(self) -> Optional[list]:
-        """Advance the read position to the bucket holding the next event."""
-        if self._size == 0:
-            return None
-        scanned = 0
-        while True:
-            bucket = self._buckets[self._cur & self._mask]
-            if bucket and -bucket[-1][0] < self._year_end:
-                return bucket
-            self._cur += 1
-            self._year_end = (self._cur + 1) * self._width
-            scanned += 1
-            if scanned >= self._n:
-                # A whole empty year: jump straight to the global
-                # minimum instead of spinning through sparse time.
-                best = None
-                for candidate in self._buckets:
-                    if candidate and (best is None or candidate[-1] > best[-1]):
-                        best = candidate
-                assert best is not None  # _size > 0
-                self._cur = int(-best[-1][0] / self._width)
-                self._year_end = (self._cur + 1) * self._width
-                return best
-
-    def pop(self) -> Optional[tuple]:
-        bucket = self._locate_head()
-        if bucket is None:
-            return None
-        neg_time, neg_seq, obj = bucket.pop()
-        self._size -= 1
-        if self._size * 2 < self._n and self._n > 16:
-            self._resize(self._n // 2)
-        return (-neg_time, -neg_seq, obj)
-
-    def peek(self) -> Optional[Tuple[float, int]]:
-        bucket = self._locate_head()
-        if bucket is None:
-            return None
-        neg_time, neg_seq, _ = bucket[-1]
-        return (-neg_time, -neg_seq)
-
-    def discard(self, time: float, seq: int, obj: object) -> None:
-        """Eagerly remove a cancelled entry from its bucket."""
-        vb = int(time / self._width)
-        if vb < self._cur:
-            vb = self._cur
-        bucket = self._buckets[vb & self._mask]
-        key = (-time, -seq)
-        index = bisect.bisect_left(bucket, key)
-        if index < len(bucket) and bucket[index][:2] == key:
-            del bucket[index]
-            self._size -= 1
-            return
-        # The entry must be present (the engine discards each live
-        # handle at most once); reaching here means the bucket map is
-        # inconsistent with the push path.
+    if name is not None:
         raise ValidationError(
-            f"calendar queue entry (t={time}, seq={seq}) not found"
+            f"there is one event scheduler (the binary heap); got {name!r}"
         )
-
-    def compact(self) -> None:
-        """Eager removal leaves nothing to compact; kept for interface parity."""
-
-    def _resize(self, n_buckets: int) -> None:
-        entries = [entry for bucket in self._buckets for entry in bucket]
-        times = [-entry[0] for entry in entries]
-        lo, hi = min(times), max(times)
-        span = hi - lo
-        if span > 0.0 and len(entries) > 1:
-            # Aim for ~4 bucket widths between adjacent events so one
-            # year of buckets covers the horizon with slack.
-            self._width = max(span / len(entries) * 4.0, 1e-12)
-        self._n = n_buckets
-        self._mask = n_buckets - 1
-        self._buckets = [[] for _ in range(n_buckets)]
-        for entry in entries:
-            self._buckets[int(-entry[0] / self._width) & self._mask].append(entry)
-        for bucket in self._buckets:
-            bucket.sort()
-        self._cur = int(lo / self._width)
-        self._year_end = (self._cur + 1) * self._width
-
-
-# ----------------------------------------------------------------------
-# Compiled backend: the same calendar queue as a C shared library.
-# ----------------------------------------------------------------------
-
-_C_SOURCE = r"""
-#include <stdlib.h>
-#include <string.h>
-
-typedef struct {
-    double t;
-    long long seq;
-    int slot;
-} cq_entry;
-
-typedef struct {
-    cq_entry *data;   /* sorted descending by (t, seq): next event last */
-    int count;
-    int cap;
-} cq_bucket;
-
-typedef struct {
-    cq_bucket *buckets;
-    int nbuckets;     /* power of two */
-    int mask;
-    double width;
-    long long cur;    /* virtual bucket of the read position */
-    double year_end;  /* (cur + 1) * width */
-    long long size;
-} cq;
-
-static int entry_before(const cq_entry *a, const cq_entry *b) {
-    /* a fires strictly before b in (t, seq) order */
-    if (a->t != b->t) return a->t < b->t;
-    return a->seq < b->seq;
-}
-
-void *cq_new(void) {
-    cq *q = (cq *)calloc(1, sizeof(cq));
-    if (!q) return NULL;
-    q->nbuckets = 16;
-    q->mask = 15;
-    q->width = 1e-3;
-    q->cur = 0;
-    q->year_end = q->width;
-    q->size = 0;
-    q->buckets = (cq_bucket *)calloc(q->nbuckets, sizeof(cq_bucket));
-    if (!q->buckets) { free(q); return NULL; }
-    return q;
-}
-
-void cq_destroy(void *h) {
-    cq *q = (cq *)h;
-    if (!q) return;
-    for (int i = 0; i < q->nbuckets; i++) free(q->buckets[i].data);
-    free(q->buckets);
-    free(q);
-}
-
-static int bucket_insert(cq_bucket *b, cq_entry e) {
-    if (b->count == b->cap) {
-        int cap = b->cap ? b->cap * 2 : 8;
-        cq_entry *data = (cq_entry *)realloc(b->data, cap * sizeof(cq_entry));
-        if (!data) return -1;
-        b->data = data;
-        b->cap = cap;
-    }
-    /* binary search: data sorted descending, the next event at the end */
-    int lo = 0, hi = b->count;
-    while (lo < hi) {
-        int mid = (lo + hi) / 2;
-        if (entry_before(&e, &b->data[mid])) lo = mid + 1;
-        else hi = mid;
-    }
-    memmove(&b->data[lo + 1], &b->data[lo], (b->count - lo) * sizeof(cq_entry));
-    b->data[lo] = e;
-    b->count++;
-    return 0;
-}
-
-static void cq_rebuild(cq *q, int nbuckets);
-
-int cq_push(void *h, double t, long long seq, int slot) {
-    cq *q = (cq *)h;
-    long long vb = (long long)(t / q->width);
-    if (vb < q->cur) vb = q->cur;
-    cq_entry e; e.t = t; e.seq = seq; e.slot = slot;
-    if (bucket_insert(&q->buckets[vb & q->mask], e) != 0) return -1;
-    q->size++;
-    if (q->size > 2 * (long long)q->nbuckets && q->nbuckets < (1 << 24))
-        cq_rebuild(q, q->nbuckets * 2);
-    return 0;
-}
-
-static cq_bucket *locate_head(cq *q) {
-    if (q->size == 0) return NULL;
-    int scanned = 0;
-    for (;;) {
-        cq_bucket *b = &q->buckets[q->cur & q->mask];
-        if (b->count && b->data[b->count - 1].t < q->year_end) return b;
-        q->cur++;
-        q->year_end = (double)(q->cur + 1) * q->width;
-        if (++scanned >= q->nbuckets) {
-            /* empty year: jump to the global minimum */
-            cq_entry *best = NULL;
-            for (int i = 0; i < q->nbuckets; i++) {
-                cq_bucket *c = &q->buckets[i];
-                if (c->count) {
-                    cq_entry *head = &c->data[c->count - 1];
-                    if (!best || entry_before(head, best)) best = head;
-                }
-            }
-            q->cur = (long long)(best->t / q->width);
-            q->year_end = (double)(q->cur + 1) * q->width;
-            return &q->buckets[q->cur & q->mask];
-        }
-    }
-}
-
-int cq_pop(void *h, double *t_out, long long *seq_out) {
-    cq *q = (cq *)h;
-    cq_bucket *b = locate_head(q);
-    if (!b) return -1;
-    cq_entry e = b->data[--b->count];
-    q->size--;
-    if (t_out) *t_out = e.t;
-    if (seq_out) *seq_out = e.seq;
-    if (q->size * 2 < (long long)q->nbuckets && q->nbuckets > 16)
-        cq_rebuild(q, q->nbuckets / 2);
-    return e.slot;
-}
-
-int cq_peek(void *h, double *t_out, long long *seq_out) {
-    cq *q = (cq *)h;
-    cq_bucket *b = locate_head(q);
-    if (!b) return -1;
-    cq_entry *e = &b->data[b->count - 1];
-    if (t_out) *t_out = e->t;
-    if (seq_out) *seq_out = e->seq;
-    return e->slot;
-}
-
-int cq_remove(void *h, double t, long long seq) {
-    cq *q = (cq *)h;
-    long long vb = (long long)(t / q->width);
-    if (vb < q->cur) vb = q->cur;
-    cq_bucket *b = &q->buckets[vb & q->mask];
-    cq_entry key; key.t = t; key.seq = seq; key.slot = -1;
-    int lo = 0, hi = b->count;
-    while (lo < hi) {
-        int mid = (lo + hi) / 2;
-        if (entry_before(&key, &b->data[mid])) lo = mid + 1;
-        else hi = mid;
-    }
-    /* lo is the first index whose entry fires no later than key */
-    if (lo < b->count && b->data[lo].t == t && b->data[lo].seq == seq) {
-        int slot = b->data[lo].slot;
-        memmove(&b->data[lo], &b->data[lo + 1],
-                (b->count - lo - 1) * sizeof(cq_entry));
-        b->count--;
-        q->size--;
-        return slot;
-    }
-    return -1;
-}
-
-long long cq_size(void *h) {
-    return ((cq *)h)->size;
-}
-
-static void cq_rebuild(cq *q, int nbuckets) {
-    long long total = q->size;
-    cq_entry *all = (cq_entry *)malloc((total ? total : 1) * sizeof(cq_entry));
-    if (!all) return;  /* stay at the current geometry */
-    long long k = 0;
-    double lo = 0.0, hi = 0.0;
-    for (int i = 0; i < q->nbuckets; i++) {
-        cq_bucket *b = &q->buckets[i];
-        for (int j = 0; j < b->count; j++) {
-            cq_entry e = b->data[j];
-            if (k == 0 || e.t < lo) lo = e.t;
-            if (k == 0 || e.t > hi) hi = e.t;
-            all[k++] = e;
-        }
-        free(b->data);
-        b->data = NULL; b->count = 0; b->cap = 0;
-    }
-    cq_bucket *buckets = (cq_bucket *)calloc(nbuckets, sizeof(cq_bucket));
-    if (!buckets) { free(all); return; }
-    free(q->buckets);
-    q->buckets = buckets;
-    q->nbuckets = nbuckets;
-    q->mask = nbuckets - 1;
-    if (total > 1 && hi > lo) {
-        double width = (hi - lo) / (double)total * 4.0;
-        q->width = width > 1e-12 ? width : 1e-12;
-    }
-    for (long long i = 0; i < total; i++)
-        bucket_insert(&q->buckets[(long long)(all[i].t / q->width) & q->mask],
-                      all[i]);
-    free(all);
-    q->cur = (long long)(lo / q->width);
-    q->year_end = (double)(q->cur + 1) * q->width;
-}
-"""
-
-_compiled_lib: Optional[object] = None
-_compiled_checked = False
-
-
-def _find_compiler() -> Optional[str]:
-    import shutil
-
-    for name in ("cc", "gcc", "clang"):
-        path = shutil.which(name)
-        if path:
-            return path
-    return None
-
-
-def _load_compiled_library() -> Optional[object]:
-    """Build (once per interpreter) and load the C calendar queue.
-
-    Returns ``None`` — and remembers the answer — when the platform has
-    no usable compiler, the build fails, or ``REPRO_NO_COMPILED`` is
-    set. Every caller must treat ``None`` as "use the python backend".
-    """
-    global _compiled_lib, _compiled_checked
-    if _compiled_checked:
-        return _compiled_lib
-    _compiled_checked = True
-    if os.environ.get("REPRO_NO_COMPILED"):
-        return None
-    if sys.platform == "win32":  # no portable cc driver invocation
-        return None
-    compiler = _find_compiler()
-    if compiler is None:
-        return None
-    try:
-        build_dir = tempfile.mkdtemp(prefix="repro-cq-")
-        c_path = os.path.join(build_dir, "cqueue.c")
-        so_path = os.path.join(build_dir, "cqueue.so")
-        with open(c_path, "w") as fh:
-            fh.write(_C_SOURCE)
-        result = subprocess.run(
-            [compiler, "-O2", "-shared", "-fPIC", "-o", so_path, c_path],
-            capture_output=True,
-            timeout=120,
-        )
-        if result.returncode != 0:
-            return None
-        lib = ctypes.CDLL(so_path)
-    except (OSError, subprocess.SubprocessError, ValueError):
-        return None
-    lib.cq_new.restype = ctypes.c_void_p
-    lib.cq_destroy.argtypes = [ctypes.c_void_p]
-    lib.cq_push.argtypes = [
-        ctypes.c_void_p,
-        ctypes.c_double,
-        ctypes.c_longlong,
-        ctypes.c_int,
-    ]
-    lib.cq_push.restype = ctypes.c_int
-    for fn in (lib.cq_pop, lib.cq_peek):
-        fn.argtypes = [
-            ctypes.c_void_p,
-            ctypes.POINTER(ctypes.c_double),
-            ctypes.POINTER(ctypes.c_longlong),
-        ]
-        fn.restype = ctypes.c_int
-    lib.cq_remove.argtypes = [
-        ctypes.c_void_p,
-        ctypes.c_double,
-        ctypes.c_longlong,
-    ]
-    lib.cq_remove.restype = ctypes.c_int
-    lib.cq_size.argtypes = [ctypes.c_void_p]
-    lib.cq_size.restype = ctypes.c_longlong
-    _compiled_lib = lib
-    return lib
-
-
-def compiled_scheduler_available() -> bool:
-    """Whether the compiled calendar queue can be (or was) built here."""
-    return _load_compiled_library() is not None
-
-
-class CompiledCalendarQueue:
-    """ctypes wrapper around the C calendar queue.
-
-    Event objects cannot cross the C boundary, so entries carry an
-    integer *slot* into a Python-side table; a freelist recycles slots
-    so long runs do not grow the table beyond the live event count.
-    """
-
-    name = "compiled"
-    kind = "compiled"
-
-    __slots__ = (
-        "_lib",
-        "_handle",
-        "_slots",
-        "_free",
-        "_t_out",
-        "_seq_out",
-        "__weakref__",
-    )
-
-    def __init__(self) -> None:
-        lib = _load_compiled_library()
-        if lib is None:
-            raise ValidationError(
-                "compiled scheduler unavailable (no compiler or build failed)"
-            )
-        self._lib = lib
-        self._handle = lib.cq_new()
-        if not self._handle:
-            raise MemoryError("cq_new failed")
-        self._slots: List[object] = []
-        self._free: List[int] = []
-        self._t_out = ctypes.c_double()
-        self._seq_out = ctypes.c_longlong()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter teardown
-        handle = getattr(self, "_handle", None)
-        if handle:
-            self._lib.cq_destroy(handle)
-            self._handle = None
-
-    @property
-    def entries(self) -> int:
-        return int(self._lib.cq_size(self._handle))
-
-    def push(self, time: float, seq: int, obj: object) -> None:
-        if self._free:
-            slot = self._free.pop()
-            self._slots[slot] = obj
-        else:
-            slot = len(self._slots)
-            self._slots.append(obj)
-        if self._lib.cq_push(self._handle, time, seq, slot) != 0:
-            raise MemoryError("cq_push failed")  # pragma: no cover
-
-    def pop(self) -> Optional[tuple]:
-        slot = self._lib.cq_pop(
-            self._handle, ctypes.byref(self._t_out), ctypes.byref(self._seq_out)
-        )
-        if slot < 0:
-            return None
-        obj = self._slots[slot]
-        self._slots[slot] = None
-        self._free.append(slot)
-        return (self._t_out.value, self._seq_out.value, obj)
-
-    def peek(self) -> Optional[Tuple[float, int]]:
-        slot = self._lib.cq_peek(
-            self._handle, ctypes.byref(self._t_out), ctypes.byref(self._seq_out)
-        )
-        if slot < 0:
-            return None
-        return (self._t_out.value, self._seq_out.value)
-
-    def discard(self, time: float, seq: int, obj: object) -> None:
-        slot = self._lib.cq_remove(self._handle, time, seq)
-        if slot < 0:
-            raise ValidationError(
-                f"compiled calendar queue entry (t={time}, seq={seq}) not found"
-            )
-        self._slots[slot] = None
-        self._free.append(slot)
-
-    def compact(self) -> None:
-        """Eager removal leaves nothing to compact; interface parity."""
-
-
-# ----------------------------------------------------------------------
-# Selection.
-# ----------------------------------------------------------------------
-
-
-def resolve_scheduler_name(name: Optional[str] = None) -> str:
-    """Map a requested scheduler to the backend that will actually run.
-
-    ``None``/``"auto"`` honor ``REPRO_SCHEDULER`` when set and default
-    to ``heap`` (C ``heapq`` — the fastest correct backend on typical
-    queue sizes). ``"compiled"`` degrades to ``calendar`` when no
-    compiled library can be built. Results are scheduler-invariant, so
-    the fallback only changes speed, never output.
-    """
-    if name is None or name == "auto":
-        name = os.environ.get("REPRO_SCHEDULER", "heap") or "heap"
-        if name == "auto":
-            name = "heap"
-    if name not in ("heap", "calendar", "compiled"):
-        raise ValidationError(
-            f"unknown scheduler {name!r}; expected one of {SCHEDULER_NAMES}"
-        )
-    if name == "compiled" and not compiled_scheduler_available():
-        return "calendar"
-    return name
-
-
-def make_scheduler(name: Optional[str] = None):
-    """Build the scheduler backend for ``name`` (after resolution)."""
-    resolved = resolve_scheduler_name(name)
-    if resolved == "heap":
-        return HeapScheduler()
-    if resolved == "calendar":
-        return CalendarQueue()
-    return CompiledCalendarQueue()
-
-
-def available_schedulers() -> Tuple[str, ...]:
-    """Backends that can run on this machine, fallbacks resolved."""
-    names: List[str] = ["heap", "calendar"]
-    if compiled_scheduler_available():
-        names.append("compiled")
-    return tuple(names)
+    return HeapScheduler()

@@ -78,7 +78,6 @@ class ServerSim:
         rate_factor: Optional[RateFactor] = None,
         pause_until: Optional[PauseUntil] = None,
         trace: Optional[list] = None,
-        rng_window: Optional[int] = None,
     ) -> None:
         self._sim = sim
         self._service = service
@@ -87,9 +86,7 @@ class ServerSim:
         # draw per refill instead of one Generator call per job. The
         # sample_window contract keeps the value sequence bit-identical
         # to the scalar calls it replaced, for every window size.
-        self._service_window = RandomWindow.from_distribution(
-            service, rng, size=rng_window
-        )
+        self._service_window = RandomWindow.from_distribution(service, rng)
         self.name = name
         self._on_complete = on_complete
         # Timeline sink: ``(arrival, service_start, finish)`` per served

@@ -63,18 +63,12 @@ class BernoulliMissModel:
     amortizes the Generator call overhead across the window.
     """
 
-    def __init__(
-        self,
-        miss_ratio: float,
-        rng: np.random.Generator,
-        *,
-        rng_window: Optional[int] = None,
-    ) -> None:
+    def __init__(self, miss_ratio: float, rng: np.random.Generator) -> None:
         if not 0.0 <= miss_ratio <= 1.0:
             raise ValidationError(f"miss_ratio must be in [0, 1], got {miss_ratio}")
         self._r = miss_ratio
         self._rng = rng
-        self._window = RandomWindow.uniform(rng, size=rng_window)
+        self._window = RandomWindow.uniform(rng)
 
     def lookup(self, server_index: int, key: str) -> bool:
         return self._window.get() >= self._r
@@ -203,16 +197,6 @@ class MemcachedSystemSimulator:
     keep_request_log:
         Record one :class:`~repro.faults.RequestRecord` per completed
         request (post-warmup) for transient trajectory analysis.
-    scheduler:
-        Event-scheduler backend (``heap``/``calendar``/``compiled`` or
-        ``auto``; see :mod:`repro.simulation.scheduler`). Purely a perf
-        knob — every backend pops events in the same deterministic
-        order, so seeded results are scheduler-invariant.
-    rng_window:
-        Values pre-drawn per RNG window refill (default
-        :data:`repro.distributions.DEFAULT_RNG_WINDOW`). Also purely a
-        perf knob: every windowed stream has a dedicated generator, so
-        results are invariant to the window size.
     """
 
     def __init__(
@@ -230,8 +214,6 @@ class MemcachedSystemSimulator:
         faults: Optional[FaultSchedule] = None,
         policy: Optional[RequestPolicy] = None,
         keep_request_log: bool = False,
-        scheduler: Optional[str] = None,
-        rng_window: Optional[int] = None,
     ) -> None:
         if n_keys_per_request < 1:
             raise ValidationError(
@@ -274,12 +256,8 @@ class MemcachedSystemSimulator:
         )
         self._attr_append = self._attr.append if self._attr is not None else None
 
-        if rng_window is not None and rng_window < 1:
-            raise ValidationError(f"rng_window must be >= 1, got {rng_window}")
-        self._rng_window = rng_window
         self.sim = Simulator(
-            profiler=observability.profiler if observability is not None else None,
-            scheduler=scheduler,
+            profiler=observability.profiler if observability is not None else None
         )
         master = make_rng(seed)
         (
@@ -321,7 +299,6 @@ class MemcachedSystemSimulator:
                     if self._timeline is not None
                     else None
                 ),
-                rng_window=rng_window,
                 **fault_hooks(j),
             )
             for j in range(cluster.n_servers)
@@ -346,7 +323,6 @@ class MemcachedSystemSimulator:
                     if self._timeline is not None
                     else None
                 ),
-                rng_window=rng_window,
             )
             if needs_db
             else None
@@ -354,7 +330,7 @@ class MemcachedSystemSimulator:
         self._cache: CacheBackend = (
             cache_backend
             if cache_backend is not None
-            else BernoulliMissModel(miss_ratio, rng_miss, rng_window=rng_window)
+            else BernoulliMissModel(miss_ratio, rng_miss)
         )
         self._shares = np.asarray(cluster.shares, dtype=float)
         # Routing draws are windowed when the shares are constant over
@@ -362,7 +338,7 @@ class MemcachedSystemSimulator:
         # they keep the scalar multinomial call (same stream either way).
         if faults is None or not faults.has_share_shifts:
             self._routing_window: Optional[RandomWindow] = RandomWindow.multinomial(
-                self._rng_routing, self._n_keys, self._shares, size=rng_window
+                self._rng_routing, self._n_keys, self._shares
             )
         else:
             self._routing_window = None
@@ -371,9 +347,6 @@ class MemcachedSystemSimulator:
         # for the whole window). The gap values consume the same stream
         # as the per-event scalar draws they replaced, and ties against
         # other events are measure-zero, so seeded runs are unchanged.
-        self._arrival_window = (
-            rng_window if rng_window is not None else DEFAULT_RNG_WINDOW
-        )
         self._next_request_id = 0
         self._generated_keys = 0
         self._misses = 0
@@ -448,7 +421,7 @@ class MemcachedSystemSimulator:
         callback draws the next window.
         """
         gaps = self._rng_requests.exponential(
-            1.0 / self._request_rate, self._arrival_window
+            1.0 / self._request_rate, DEFAULT_RNG_WINDOW
         ).tolist()
         t = self.sim.now
         times = []
@@ -460,7 +433,7 @@ class MemcachedSystemSimulator:
     def _spawn_request(self, index: int) -> None:
         if self._accepting:
             self._launch_request()
-            if index + 1 == self._arrival_window:
+            if index + 1 == DEFAULT_RNG_WINDOW:
                 self._schedule_request_window()
 
     def _effective_shares(self, now: float) -> np.ndarray:

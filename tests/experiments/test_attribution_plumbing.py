@@ -16,6 +16,7 @@ import pytest
 from repro.errors import ValidationError
 from repro.experiments import Grid, Scenario, Suite, run_suite
 from repro.experiments.runner import CellResult
+from repro.observability import Observability
 from repro.observability.attribution import STAGES, AttributionSink
 from repro.simulation.results import SimulationResult
 from repro.units import usec
@@ -62,6 +63,19 @@ class TestScenarioOption:
         attr = scenario().run("simulate", attribution=64).attribution
         assert attr.count == 300
         assert attr.n_retained == 64
+
+    def test_sink_added_to_bundle_uses_bundle_slowest_k(self):
+        bundle = Observability(trace=False, metrics=False, slowest_k=3)
+        result = scenario().simulate(observability=bundle, attribution=True)
+        assert len(result.attribution.slowest) == 3
+
+    @pytest.mark.parametrize("bad", ["yes", 2.5])
+    def test_bundle_path_rejects_what_the_bundle_rejects(self, bad):
+        with pytest.raises(TypeError):
+            Observability(trace=False, metrics=False, attribution=bad)
+        bundle = Observability(trace=False, metrics=False)
+        with pytest.raises(TypeError):
+            scenario().simulate(observability=bundle, attribution=bad)
 
     def test_combines_with_timeline(self):
         result = scenario().run(

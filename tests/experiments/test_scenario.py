@@ -249,6 +249,18 @@ class TestDispatch:
         b = small_scenario().run("fastpath-system")
         assert a == b
 
+    @pytest.mark.parametrize(
+        "option, value", [("scheduler", "heap"), ("rng_window", 7)]
+    )
+    def test_removed_engine_knobs_fail_loudly(self, option, value):
+        # The engine has one scheduler and a fixed RNG window; the old
+        # knobs must be rejected by the registry, not silently dropped.
+        with pytest.raises(ValidationError) as err:
+            small_scenario().run("simulate", **{option: value})
+        message = str(err.value)
+        assert f"does not accept option {option!r}" in message
+        assert "valid options: ['attribution', 'observability', 'timeline']" in message
+
 
 class TestFaultPolicyDispatch:
     def test_estimate_rejects_faults(self):

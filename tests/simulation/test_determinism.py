@@ -1,12 +1,11 @@
-"""Determinism contract for the engine-speed knobs.
+"""Determinism contract for the batched event engine.
 
-The batched event engine ships three perf levers — the scheduler
-backend (heap / calendar / compiled), the RNG pre-draw window size, and
-batched arrival dispatch — and all of them promise to leave seeded
-results *bit-identical*. These tests pin that promise with golden
-fingerprints: a sha256 over the raw latency samples of every stage
-recorder, captured on the pre-batching engine. Any scheduler backend or
-window size that shifts a single float by one ulp changes the hash.
+The engine pre-draws random values a window at a time and dispatches
+request arrivals as event batches, and both promise to leave seeded
+results *bit-identical* to per-event scalar draws. These tests pin that
+promise with golden fingerprints: a sha256 over the raw latency samples
+of every stage recorder, captured on the pre-batching engine. A change
+that shifts a single float by one ulp changes the hash.
 
 The goldens cover the representative hard cases: warmup resets, the
 full fault schedule (including a share shift, which disables routing
@@ -28,16 +27,7 @@ from repro.faults import (
 )
 from repro.policies import RequestPolicy
 from repro.simulation import MemcachedSystemSimulator
-from repro.simulation.scheduler import compiled_scheduler_available
 from repro.units import kps, msec, usec
-
-SCHEDULERS = ["heap", "calendar"] + (
-    ["compiled"] if compiled_scheduler_available() else []
-)
-
-#: Windows bracketing the default 4096: degenerate (scalar draws), odd
-#: (refills never align with request windows), and the default.
-WINDOWS = [1, 7, 4096]
 
 
 def fingerprint(**overrides):
@@ -85,7 +75,7 @@ def fault_schedule():
 
 #: Golden fingerprints captured on the pre-batching engine (per-event
 #: heap scheduler, scalar RNG draws). The batched engine must reproduce
-#: them bit-for-bit under every scheduler backend and window size.
+#: them bit-for-bit.
 GOLDENS = {
     "plain": ("9296fbe15c890815", 2010, 30),
     "bigger": ("c59488e2c5630964", 11000, 222),
@@ -117,24 +107,6 @@ class TestGoldenFingerprints:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_default_path_matches_golden(self, case):
         assert fingerprint(**CASES[case]) == GOLDENS[case]
-
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    @pytest.mark.parametrize("case", ["plain", "hedge"])
-    def test_scheduler_invariant(self, case, scheduler):
-        assert fingerprint(scheduler=scheduler, **CASES[case]) == GOLDENS[case]
-
-    @pytest.mark.parametrize("window", WINDOWS)
-    @pytest.mark.parametrize("case", ["plain", "faults"])
-    def test_window_invariant(self, case, window):
-        assert fingerprint(rng_window=window, **CASES[case]) == GOLDENS[case]
-
-    def test_all_knobs_together(self):
-        assert (
-            fingerprint(
-                scheduler=SCHEDULERS[-1], rng_window=17, **CASES["bigger"]
-            )
-            == GOLDENS["bigger"]
-        )
 
 
 class TestHedgeHeavyBoundedScheduler:

@@ -4,8 +4,8 @@ A batch is one scheduler entry re-armed as it drains; the engine's
 ``run`` loop additionally fires consecutive batch elements inline with
 no scheduler traffic. These tests pin the semantics that make that
 optimization invisible: interleaving with single events in exact
-``(time, seq)`` order across every scheduler backend and the ``step``
-path, cancellation from outside and from inside the batch callback,
+``(time, seq)`` order on both the ``run`` and the ``step`` path,
+cancellation from outside and from inside the batch callback,
 event budgets, and the cooperative ``stop`` used by completion-driven
 runs.
 """
@@ -14,18 +14,11 @@ import pytest
 
 from repro.errors import SimulationError, ValidationError
 from repro.simulation import Simulator
-from repro.simulation.scheduler import compiled_scheduler_available
-
-SCHEDULERS = ["heap", "calendar"] + (
-    ["compiled"] if compiled_scheduler_available() else []
-)
-
-scheduler_params = pytest.mark.parametrize("scheduler", SCHEDULERS)
 
 
-def interleaved_sim(scheduler):
+def interleaved_sim():
     """One batch racing single events, with ties on both sides."""
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     order = []
     sim.schedule_batch(
         [0.1, 0.2, 0.2, 0.3], lambda i: order.append((f"b{i}", sim.now))
@@ -46,23 +39,22 @@ EXPECTED = [
 ]
 
 
-@scheduler_params
 class TestInterleaving:
-    def test_batch_and_singles_fire_in_order(self, scheduler):
-        sim, order = interleaved_sim(scheduler)
+    def test_batch_and_singles_fire_in_order(self):
+        sim, order = interleaved_sim()
         sim.run()
         assert order == EXPECTED
         assert sim.events_processed == 7
         assert sim.pending_events == 0
 
-    def test_step_path_matches_run_path(self, scheduler):
-        sim, order = interleaved_sim(scheduler)
+    def test_step_path_matches_run_path(self):
+        sim, order = interleaved_sim()
         while sim.step():
             pass
         assert order == EXPECTED
 
-    def test_run_until_splits_a_batch(self, scheduler):
-        sim, order = interleaved_sim(scheduler)
+    def test_run_until_splits_a_batch(self):
+        sim, order = interleaved_sim()
         sim.run_until(0.2)
         assert [tag for tag, _ in order] == ["b0", "a", "b1", "b2", "c"]
         assert sim.now == 0.2
@@ -115,10 +107,9 @@ class TestBatchSemantics:
             sim.schedule_batch([1.0, 0.5], lambda i: None)
 
 
-@scheduler_params
 class TestBatchCancellation:
-    def test_external_cancel_stops_remaining(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+    def test_external_cancel_stops_remaining(self):
+        sim = Simulator()
         fired = []
         handle = sim.schedule_batch([1.0, 2.0, 3.0], fired.append)
         sim.schedule_at(1.5, handle.cancel)
@@ -128,8 +119,8 @@ class TestBatchCancellation:
         assert handle.remaining == 0
         assert sim.pending_events == 0
 
-    def test_self_cancel_mid_drain(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+    def test_self_cancel_mid_drain(self):
+        sim = Simulator()
         fired = []
         handle = None
 
@@ -143,8 +134,8 @@ class TestBatchCancellation:
         assert fired == [0, 1]
         assert sim.pending_events == 0
 
-    def test_double_cancel_is_noop(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+    def test_double_cancel_is_noop(self):
+        sim = Simulator()
         handle = sim.schedule_batch([1.0, 2.0], lambda i: None)
         handle.cancel()
         handle.cancel()
@@ -205,19 +196,18 @@ class TestStop:
         assert fired == ["a"]
 
 
-@scheduler_params
 class TestCancelledEventCollection:
     """The cancelled-event leak regression (hedge-heavy workloads)."""
 
-    def test_mass_cancel_keeps_scheduler_bounded(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+    def test_mass_cancel_keeps_scheduler_bounded(self):
+        sim = Simulator()
         peak = 0
         for k in range(20_000):
             handle = sim.schedule(1.0 + k * 1e-6, lambda: None)
             handle.cancel()
             peak = max(peak, sim.scheduler_entries)
-        # Eager backends hold zero dead entries; the heap keeps at most
-        # the compaction threshold's worth.
+        # The heap keeps at most the compaction threshold's worth of
+        # dead entries.
         assert sim.scheduler_entries <= 128
         assert peak <= 256
         assert sim.pending_events == 0

@@ -1,38 +1,24 @@
-"""Tests for the pluggable event schedulers (heap / calendar / compiled).
+"""Tests for the engine's event scheduler (a binary heap).
 
-All backends implement the same contract — entries pop in ascending
-``(time, seq)`` order, ``discard`` removes a cancelled entry,
-``entries`` counts what the structure holds — so any of them drops into
-the engine without changing seeded results. Payloads are opaque to the
-backends except for a ``cancelled`` flag the heap uses for lazy
-deletion (the engine sets it before calling ``discard``). The
-randomized cross-check at the bottom is the load-bearing test: every
-backend must produce the exact pop sequence the binary heap does.
+The contract: entries pop in ascending ``(time, seq)`` order,
+``discard`` drops a cancelled entry, ``entries`` counts what the
+structure holds. Payloads are opaque except for a ``cancelled`` flag
+the heap uses for lazy deletion (the engine sets it before calling
+``discard``). The randomized reference check at the bottom is the
+load-bearing test: lazy cancellation plus threshold compaction must
+pop exactly the live entries, in order.
 """
+
+import bisect
 
 import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.simulation import Simulator
 from repro.simulation.scheduler import (
     COMPACT_MIN_DEAD,
-    CalendarQueue,
-    CompiledCalendarQueue,
     HeapScheduler,
-    SCHEDULER_NAMES,
-    available_schedulers,
-    compiled_scheduler_available,
     make_scheduler,
-    resolve_scheduler_name,
-)
-
-ALL_BACKENDS = [HeapScheduler, CalendarQueue] + (
-    [CompiledCalendarQueue] if compiled_scheduler_available() else []
-)
-
-EAGER_BACKENDS = [CalendarQueue] + (
-    [CompiledCalendarQueue] if compiled_scheduler_available() else []
 )
 
 
@@ -58,37 +44,31 @@ def drain(queue):
         out.append(entry)
 
 
-backend_params = pytest.mark.parametrize(
-    "make", ALL_BACKENDS, ids=[cls.__name__ for cls in ALL_BACKENDS]
-)
-
-
-@backend_params
 class TestContract:
-    def test_pops_in_time_then_seq_order(self, make):
-        queue = make()
+    def test_pops_in_time_then_seq_order(self):
+        queue = HeapScheduler()
         a, b, c = Item("a"), Item("b"), Item("c")
         queue.push(2.0, 1, b)
         queue.push(1.0, 2, a)
         queue.push(2.0, 0, c)
         assert drain(queue) == [(1.0, 2, a), (2.0, 0, c), (2.0, 1, b)]
 
-    def test_peek_matches_next_pop(self, make):
-        queue = make()
+    def test_peek_matches_next_pop(self):
+        queue = HeapScheduler()
         queue.push(3.0, 0, Item("x"))
         queue.push(1.5, 1, Item("y"))
         assert queue.peek() == (1.5, 1)
         assert queue.pop()[:2] == (1.5, 1)
         assert queue.peek() == (3.0, 0)
 
-    def test_empty_peek_and_pop(self, make):
-        queue = make()
+    def test_empty_peek_and_pop(self):
+        queue = HeapScheduler()
         assert queue.peek() is None
         assert queue.pop() is None
         assert queue.entries == 0
 
-    def test_discard_removes_entry(self, make):
-        queue = make()
+    def test_discard_removes_entry(self):
+        queue = HeapScheduler()
         a, b, c = Item("a"), Item("b"), Item("c")
         queue.push(1.0, 0, a)
         queue.push(2.0, 1, b)
@@ -97,8 +77,8 @@ class TestContract:
         queue.discard(2.0, 1, b)
         assert [entry[2] for entry in drain(queue)] == [a, c]
 
-    def test_discard_then_push_same_time(self, make):
-        queue = make()
+    def test_discard_then_push_same_time(self):
+        queue = HeapScheduler()
         a, b = Item("a"), Item("b")
         queue.push(1.0, 0, a)
         a.cancelled = True
@@ -106,8 +86,8 @@ class TestContract:
         queue.push(1.0, 1, b)
         assert drain(queue) == [(1.0, 1, b)]
 
-    def test_interleaved_push_pop(self, make):
-        queue = make()
+    def test_interleaved_push_pop(self):
+        queue = HeapScheduler()
         queue.push(5.0, 0, Item("late"))
         queue.push(1.0, 1, Item("early"))
         assert queue.pop()[2].tag == "early"
@@ -115,8 +95,8 @@ class TestContract:
         assert queue.pop()[2].tag == "mid"
         assert queue.pop()[2].tag == "late"
 
-    def test_compact_preserves_content(self, make):
-        queue = make()
+    def test_compact_preserves_content(self):
+        queue = HeapScheduler()
         for seq in range(100):
             queue.push(float(seq % 10), seq, Item(seq))
         queue.compact()
@@ -124,16 +104,15 @@ class TestContract:
         assert order == sorted(order)
         assert len(order) == 100
 
-    def test_identical_times_pop_in_seq_order(self, make):
-        queue = make()
+    def test_identical_times_pop_in_seq_order(self):
+        queue = HeapScheduler()
         for seq in (5, 1, 9, 0, 3):
             queue.push(1.0, seq, Item(seq))
         assert [entry[1] for entry in drain(queue)] == [0, 1, 3, 5, 9]
 
-    def test_growth_across_time_scales(self, make):
-        # Times spanning ten orders of magnitude: the calendar backends
-        # must re-derive a usable bucket width as they resize.
-        queue = make()
+    def test_growth_across_time_scales(self):
+        # Times spanning ten orders of magnitude.
+        queue = HeapScheduler()
         times = [10.0 ** k for k in range(-5, 5)]
         for seq, t in enumerate(times):
             queue.push(t, seq, Item(seq))
@@ -155,96 +134,53 @@ class TestHeapCompaction:
         assert queue.pop() is None
 
 
-class TestEagerRemoval:
-    @pytest.mark.parametrize(
-        "make", EAGER_BACKENDS, ids=[cls.__name__ for cls in EAGER_BACKENDS]
-    )
-    def test_discard_is_eager(self, make):
-        queue = make()
-        items = [Item(seq) for seq in range(1000)]
-        for seq, item in enumerate(items):
-            queue.push(float(seq), seq, item)
-        for seq, item in enumerate(items):
-            item.cancelled = True
-            queue.discard(float(seq), seq, item)
-        assert queue.entries == 0
+class TestFactory:
+    def test_make_scheduler_returns_heap(self):
+        assert isinstance(make_scheduler(None), HeapScheduler)
 
-
-class TestResolution:
-    def test_known_names(self):
-        assert set(SCHEDULER_NAMES) == {"auto", "heap", "calendar", "compiled"}
-
-    def test_default_is_heap(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-        assert resolve_scheduler_name(None) == "heap"
-        assert resolve_scheduler_name("auto") == "heap"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
-        assert resolve_scheduler_name(None) == "calendar"
-        # An explicit argument beats the environment.
-        assert resolve_scheduler_name("heap") == "heap"
-
-    def test_unknown_name_rejected(self):
+    def test_rejects_any_name(self):
         with pytest.raises(ValidationError):
-            make_scheduler("fibonacci")
-
-    def test_compiled_request_always_yields_scheduler(self):
-        # With a toolchain this is the ctypes calendar queue; without
-        # one (or under REPRO_NO_COMPILED=1) it degrades to the
-        # pure-python calendar. Either way results are bit-identical.
-        queue = make_scheduler("compiled")
-        if compiled_scheduler_available():
-            assert queue.name == "compiled"
-            assert queue.kind == "compiled"
-        else:
-            assert queue.name == "calendar"
-            assert queue.kind == "python"
-
-    def test_available_schedulers_report(self):
-        names = available_schedulers()
-        assert "heap" in names and "calendar" in names
-
-    def test_simulator_exposes_backend(self):
-        sim = Simulator(scheduler="calendar")
-        assert sim.scheduler_backend == "calendar"
-        sim.schedule(1.0, lambda: None)
-        assert sim.scheduler_entries == 1
+            make_scheduler("heap")
 
 
-class TestRandomizedCrossCheck:
-    def test_backends_agree_with_heap(self):
+class TestRandomizedReference:
+    def test_heap_matches_sorted_reference(self):
+        # A random push/pop/cancel mix checked against a sorted list of
+        # the live (time, seq) keys. The heap may hold cancelled tuples,
+        # but after each cancellation no more than the compaction
+        # threshold allows: dead <= max(COMPACT_MIN_DEAD, live).
         rng = np.random.default_rng(20170327)
+        compactions = 0
         for trial in range(20):
-            queues = [cls() for cls in ALL_BACKENDS]
-            live = []
+            queue = HeapScheduler()
+            reference = []
+            items = {}
             seq = 0
             scale = float(10.0 ** rng.integers(-6, 6))
-            logs = [[] for _ in queues]
-            for _ in range(int(rng.integers(50, 300))):
+            for _ in range(int(rng.integers(50, 1500))):
                 op = rng.random()
-                if op < 0.55 or not live:
+                if op < 0.55 or not reference:
                     t = float(rng.random() * scale)
-                    item = Item(seq)
-                    for queue in queues:
-                        queue.push(t, seq, item)
-                    live.append((t, seq, item))
+                    items[seq] = Item(seq)
+                    queue.push(t, seq, items[seq])
+                    bisect.insort(reference, (t, seq))
                     seq += 1
                 elif op < 0.8:
-                    for log, queue in zip(logs, queues):
-                        log.append(queue.pop())
-                    popped = logs[0][-1]
-                    if popped is not None:
-                        live.remove(popped)
+                    assert queue.peek() == reference[0], f"trial {trial}"
+                    t, s, item = queue.pop()
+                    assert (t, s) == reference.pop(0), f"trial {trial}"
+                    assert item is items.pop(s)
                 else:
-                    t, s, item = live.pop(int(rng.integers(len(live))))
+                    t, s = reference.pop(int(rng.integers(len(reference))))
+                    item = items.pop(s)
                     item.cancelled = True
-                    for queue in queues:
-                        queue.discard(t, s, item)
-            for log, queue in zip(logs, queues):
-                log.extend(drain(queue))
-            for i in range(1, len(queues)):
-                assert logs[i] == logs[0], (
-                    f"{ALL_BACKENDS[i].__name__} diverged from heap on "
-                    f"trial {trial}"
-                )
+                    before = queue.entries
+                    queue.discard(t, s, item)
+                    live = len(reference)
+                    if queue.entries < before:
+                        assert queue.entries == live
+                        compactions += 1
+                    assert queue.entries - live <= max(COMPACT_MIN_DEAD, live)
+                assert queue.entries >= len(reference)
+            assert [entry[:2] for entry in drain(queue)] == reference
+        assert compactions > 0
