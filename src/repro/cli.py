@@ -285,6 +285,13 @@ def _policy_from_args(args: argparse.Namespace) -> Optional[RequestPolicy]:
     )
 
 
+def _database_rate(args: argparse.Namespace) -> float:
+    """Database service rate from ``--db-latency`` (mean, in us)."""
+    if args.db_latency <= 0:
+        raise ConfigError(f"--db-latency must be > 0 us, got {args.db_latency}")
+    return 1.0 / usec(args.db_latency)
+
+
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     """Build the unified :class:`Scenario` from CLI flags.
 
@@ -292,7 +299,9 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     library's internal units; flags a subcommand does not define fall
     back to the scenario defaults.
     """
-    requests = int(getattr(args, "requests", None) or 2000)
+    requests = getattr(args, "requests", None)
+    if requests is None:  # no --requests flag, or capacity's auto budget
+        requests = 2000
     return Scenario(
         key_rate=kps(args.rate),
         burst_xi=args.xi,
@@ -302,7 +311,7 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
         n_keys=args.n_keys,
         network_delay=usec(args.network_delay),
         miss_ratio=args.miss_ratio,
-        database_rate=1.0 / usec(args.db_latency),
+        database_rate=_database_rate(args),
         seed=int(getattr(args, "seed", 0)),
         n_requests=requests,
         warmup_requests=requests // 10,
@@ -331,9 +340,7 @@ def _print_rows(header: Sequence[str], rows: Sequence[Sequence[object]]) -> None
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     if args.config is not None:
-        from .config import ExperimentConfig
-
-        scenario = Scenario.from_config(ExperimentConfig.load(args.config))
+        scenario = Scenario.load(args.config)
     else:
         scenario = _scenario_from_args(args)
     model = scenario.latency_model()
@@ -1157,9 +1164,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_config_template(args: argparse.Namespace) -> int:
-    from .config import ExperimentConfig
-
-    print(ExperimentConfig.paper_section_5_1().to_json())
+    print(Scenario.paper_section_5_1().to_json())
     return 0
 
 
@@ -1187,11 +1192,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_tail(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
     model = scenario.tail_model()
-    database = (
-        DatabaseStage(scenario.database_rate, scenario.miss_ratio)
-        if scenario.miss_ratio > 0
-        else None
-    )
     rows = []
     for level in (0.5, 0.9, 0.95, 0.99, 0.999):
         bounds = model.request_quantile_bounds(level, scenario.n_keys)
@@ -1203,7 +1203,7 @@ def cmd_tail(args: argparse.Namespace) -> int:
             ]
         )
     _print_rows(["percentile", "lower (us)", "upper (us)"], rows)
-    if database is not None:
+    if scenario.miss_ratio > 0:
         exact = model.database_mean_exact(scenario.n_keys)
         print(f"exact E[TD(N)] (vs eq. 23): {to_usec(exact):.1f} us")
     return 0
@@ -1223,7 +1223,7 @@ def cmd_miss_curve(args: argparse.Namespace) -> int:
     )
     curve = miss_ratio_curve(popularity.probabilities, capacities)
     rows = [
-        [int(c), f"{r:.4f}", f"{to_usec(DatabaseStage(1.0 / usec(args.db_latency), max(r, 1e-12)).mean_latency(args.n_keys)):.1f}"]
+        [int(c), f"{r:.4f}", f"{to_usec(DatabaseStage(_database_rate(args), max(r, 1e-12)).mean_latency(args.n_keys)):.1f}"]
         for c, r in zip(capacities, curve)
     ]
     _print_rows(["capacity (items)", "miss ratio r", "E[TD(N)] (us)"], rows)

@@ -1,12 +1,11 @@
 """The unified parameter object: one fully-specified system point.
 
-Every entry point used to re-plumb the same dozen parameters through
-slightly different kwargs (``cmd_estimate`` vs ``cmd_simulate`` vs the
-benches). :class:`Scenario` is the single source of truth: it captures
-workload shape, cluster, request structure, network/database and
-simulation knobs in the library's internal units, round-trips through
-:class:`~repro.config.ExperimentConfig` (and plain dicts, for
-checkpoints), and dispatches to any of the three evaluation backends:
+The paper's §5 is a grid of system points (workload shape, cluster,
+keys per request, miss ratio...). :class:`Scenario` captures one point
+in the library's internal units, round-trips through plain dicts (for
+checkpoints) and JSON files (so experiment definitions can live in
+version control), builds the analytic models and the closed-loop
+simulator, and dispatches to any of the four evaluation backends:
 
 ``estimate``
     Theorem 1 analytic bounds (:class:`~repro.core.LatencyEstimate`).
@@ -25,16 +24,21 @@ checkpoints), and dispatches to any of the three evaluation backends:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple
+import json
+from pathlib import Path
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..config import ExperimentConfig
+from ..core import ClusterModel, LatencyModel, WorkloadPattern
+from ..core.stages import DatabaseStage, NetworkStage, ServerStage
+from ..core.tail import TailLatencyModel
 from ..distributions import make_rng
 from ..errors import ConfigError, ValidationError
 from ..faults import FaultSchedule
 from ..observability.timeline import Timeline, TimelineSpec, _resolve_windows
 from ..policies import RequestPolicy
+from ..simulation import MemcachedSystemSimulator
 from ..simulation.fastpath import (
     expected_max_from_pool,
     expected_max_from_pools,
@@ -56,10 +60,10 @@ DEFAULT_POOL_SIZE = 200_000
 class Scenario:
     """One fully-specified Memcached latency experiment point.
 
-    Field names and units mirror :class:`~repro.config.ExperimentConfig`
-    exactly (seconds, keys/second), so ``Scenario.from_config`` /
-    ``to_config`` are lossless; ``shares`` is a tuple so scenarios stay
-    hashable and safely shareable across processes.
+    Rates are in keys/second, times in seconds — the library's internal
+    units — so a scenario is unambiguous independent of display units.
+    ``shares`` is a tuple so scenarios stay hashable and safely
+    shareable across processes.
     """
 
     # Workload shape (per-server when shares are balanced/omitted).
@@ -97,40 +101,26 @@ class Scenario:
             raise ValidationError(f"n_keys must be >= 1, got {self.n_keys}")
         if self.n_servers < 1:
             raise ValidationError(f"n_servers must be >= 1, got {self.n_servers}")
+        if self.shares is not None and len(self.shares) != self.n_servers:
+            raise ConfigError(
+                f"shares has {len(self.shares)} entries for "
+                f"{self.n_servers} servers"
+            )
         if self.faults is not None and self.faults.is_empty:
             object.__setattr__(self, "faults", None)
 
     # ------------------------------------------------------------------
-    # Config round trip.
+    # Persistence: one plain-data payload, one parser.
     # ------------------------------------------------------------------
 
-    def _payload(self) -> Dict[str, object]:
-        """Plain-data form: faults/policy as their kind-tagged payloads.
-
-        ``dataclasses.asdict`` alone would recurse into the fault
-        windows and drop their ``kind`` discriminators.
-        """
-        payload = dataclasses.asdict(self)
-        if payload.get("shares") is not None:
-            payload["shares"] = list(payload["shares"])
-        payload["faults"] = self.faults.to_dict() if self.faults else None
-        payload["policy"] = self.policy.to_dict() if self.policy else None
-        return payload
-
-    @classmethod
-    def from_config(cls, config: ExperimentConfig) -> "Scenario":
-        """Lossless conversion from an :class:`ExperimentConfig`."""
-        payload = dataclasses.asdict(config)
-        if payload.get("shares") is not None:
-            payload["shares"] = tuple(payload["shares"])
-        return cls(**payload)
-
-    def to_config(self) -> ExperimentConfig:
-        """Lossless conversion to an :class:`ExperimentConfig`."""
-        return ExperimentConfig(**self._payload())
-
     def to_dict(self) -> Dict[str, object]:
-        return self._payload()
+        """Plain-data form: list shares, kind-tagged fault/policy payloads."""
+        return {
+            **{f.name: getattr(self, f.name) for f in dataclasses.fields(self)},
+            "shares": None if self.shares is None else list(self.shares),
+            "faults": self.faults.to_dict() if self.faults else None,
+            "policy": self.policy.to_dict() if self.policy else None,
+        }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "Scenario":
@@ -140,13 +130,34 @@ class Scenario:
         unknown = set(payload) - known
         if unknown:
             raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
-        data = dict(payload)
-        if data.get("shares") is not None:
-            data["shares"] = tuple(data["shares"])
         try:
-            return cls(**data)
+            return cls(**payload)
         except TypeError as exc:
             raise ConfigError(f"incomplete scenario: {exc}") from exc
+
+    def to_json(self) -> str:
+        """Serialize to the JSON config-file form."""
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str) -> "Scenario":
+        """Parse a JSON string produced by :meth:`to_json`."""
+        try:
+            return cls.from_dict(json.loads(text))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid JSON: {exc}") from exc
+
+    def save(self, path: Union[str, Path]) -> None:
+        """Write the scenario to a JSON config file."""
+        Path(path).write_text(self.to_json())
+
+    @classmethod
+    def load(cls, path: Union[str, Path]) -> "Scenario":
+        """Read a scenario from a JSON config file."""
+        try:
+            return cls.from_json(Path(path).read_text())
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {str(path)!r}: {exc}") from exc
 
     def replace(self, **changes: object) -> "Scenario":
         """Derive a new scenario with ``changes`` applied, re-validated.
@@ -169,14 +180,20 @@ class Scenario:
         return dataclasses.replace(self, **changes)
 
     # ------------------------------------------------------------------
-    # Derived builders (delegated to the config layer — one code path).
+    # Derived builders.
     # ------------------------------------------------------------------
 
-    def workload(self):
-        return self.to_config().workload()
+    def workload(self) -> WorkloadPattern:
+        """The per-server workload pattern."""
+        return WorkloadPattern(
+            rate=self.key_rate, xi=self.burst_xi, q=self.concurrency_q
+        )
 
-    def cluster(self):
-        return self.to_config().cluster()
+    def cluster(self) -> ClusterModel:
+        """The cluster model (balanced unless shares are given)."""
+        if self.shares is None:
+            return ClusterModel.balanced(self.n_servers, self.service_rate)
+        return ClusterModel(self.shares, self.service_rate)
 
     def total_key_rate(self) -> float:
         return self.key_rate * self.n_servers
@@ -185,15 +202,59 @@ class Scenario:
         """End-user requests per second (``total_key_rate / n_keys``)."""
         return self.total_key_rate() / self.n_keys
 
-    def latency_model(self):
-        return self.to_config().latency_model()
+    def latency_model(self) -> LatencyModel:
+        """Theorem 1 model for this scenario."""
+        unbalanced = {}
+        if self.shares is not None:
+            unbalanced = dict(
+                cluster=self.cluster(), total_key_rate=self.total_key_rate()
+            )
+        return LatencyModel.build(
+            workload=self.workload(),
+            service_rate=self.service_rate,
+            network_delay=self.network_delay,
+            database_rate=self.database_rate,
+            miss_ratio=self.miss_ratio,
+            **unbalanced,
+        )
 
-    def tail_model(self):
-        return self.to_config().tail_model()
+    def tail_model(self) -> TailLatencyModel:
+        """Percentile-level model for this scenario."""
+        stage = ServerStage.from_cluster(
+            self.cluster(), self.total_key_rate(), self.workload()
+        )
+        database = None
+        if self.miss_ratio > 0.0:
+            if self.database_rate is None:
+                raise ConfigError("database_rate required when miss_ratio > 0")
+            database = DatabaseStage(self.database_rate, self.miss_ratio)
+        return TailLatencyModel(
+            stage,
+            network_stage=NetworkStage(self.network_delay),
+            database_stage=database,
+        )
 
     def simulator(self, observability=None, *, keep_request_log: bool = False):
-        return self.to_config().simulator(
-            observability=observability, keep_request_log=keep_request_log
+        """Closed-loop simulator for this scenario.
+
+        The request rate is chosen so the induced per-server key rate
+        equals ``key_rate``. Pass an
+        :class:`~repro.observability.Observability` bundle to collect
+        traces/metrics/profiles for the run; ``keep_request_log=True``
+        records per-request completions for transient analysis.
+        """
+        return MemcachedSystemSimulator(
+            self.cluster(),
+            n_keys_per_request=self.n_keys,
+            request_rate=self.request_rate(),
+            network_delay=self.network_delay,
+            miss_ratio=self.miss_ratio,
+            database_rate=self.database_rate,
+            seed=self.seed,
+            observability=observability,
+            faults=self.faults,
+            policy=self.policy,
+            keep_request_log=keep_request_log,
         )
 
     # ------------------------------------------------------------------
@@ -284,7 +345,6 @@ class Scenario:
         self._reject_faulted("fastpath")
         rng = make_rng(self.seed)
         workload = self.workload()
-        cluster = self.cluster()
         if self.shares is None:
             pools = [
                 simulate_key_latencies(
@@ -294,6 +354,7 @@ class Scenario:
             shares = [1.0]
         else:
             total = self.total_key_rate()
+            shares = list(self.cluster().shares)
             pools = [
                 simulate_key_latencies(
                     workload.with_rate(total * share),
@@ -301,9 +362,8 @@ class Scenario:
                     n_keys=pool_size,
                     rng=rng,
                 )
-                for share in cluster.shares
+                for share in shares
             ]
-            shares = list(cluster.shares)
         sample = sample_request_latencies(
             pools,
             shares,
@@ -324,7 +384,7 @@ class Scenario:
                 result,
                 timeline=sample_timeline(
                     sample,
-                    request_rate=self.total_key_rate() / self.n_keys,
+                    request_rate=self.request_rate(),
                     rng=rng,
                     timeline=timeline,
                 ),
@@ -352,7 +412,7 @@ class Scenario:
             cluster.shares,
             self.service_rate,
             n_keys=self.n_keys,
-            request_rate=self.total_key_rate() / self.n_keys,
+            request_rate=self.request_rate(),
             n_requests=self.n_requests,
             warmup_requests=self.warmup_requests,
             rng=make_rng(self.seed),
@@ -524,9 +584,8 @@ class Scenario:
         M/M/1-approximate queue depths. This is the reference trace the
         simulated timelines should fluctuate around.
         """
-        self._reject_faulted("estimate")
         estimate = self.estimate()
-        request_rate = self.total_key_rate() / self.n_keys
+        request_rate = self.request_rate()
         duration = self.n_requests / request_rate
         start, width, count = _resolve_windows(0.0, duration, spec)
         timeline = Timeline.empty(start, width, count)
@@ -560,7 +619,17 @@ class Scenario:
     @classmethod
     def paper_section_5_1(cls) -> "Scenario":
         """The paper's §5.1 testbed configuration."""
-        return cls.from_config(ExperimentConfig.paper_section_5_1())
+        return cls(
+            key_rate=62_500.0,
+            burst_xi=0.15,
+            concurrency_q=0.1,
+            n_servers=4,
+            service_rate=80_000.0,
+            n_keys=150,
+            network_delay=20e-6,
+            miss_ratio=0.01,
+            database_rate=1000.0,
+        )
 
 
 def _analytic_stage_series(

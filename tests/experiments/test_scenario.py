@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import ExperimentConfig
 from repro.core import LatencyEstimate
 from repro.errors import ConfigError, ValidationError
 from repro.experiments import BACKENDS, Scenario, cell_metrics
@@ -84,7 +83,7 @@ def small_scenario(**overrides):
 class TestRoundTrips:
     def test_config_round_trip_paper_point(self):
         scenario = Scenario.paper_section_5_1()
-        assert Scenario.from_config(scenario.to_config()) == scenario
+        assert Scenario.from_json(scenario.to_json()) == scenario
 
     def test_dict_round_trip(self):
         scenario = small_scenario(shares=(0.7, 0.3), n_servers=2)
@@ -97,7 +96,7 @@ class TestRoundTrips:
     def test_shares_coerced_to_tuple(self):
         scenario = small_scenario(shares=[0.5, 0.5], n_servers=2)
         assert scenario.shares == (0.5, 0.5)
-        assert isinstance(scenario.to_config().shares, list)
+        assert isinstance(scenario.to_dict()["shares"], list)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -116,15 +115,69 @@ class TestRoundTrips:
     )
     def test_config_round_trip_property(self, **fields):
         scenario = Scenario(**fields)
-        assert Scenario.from_config(scenario.to_config()) == scenario
-        config = scenario.to_config()
-        assert Scenario.from_config(config).to_config() == config
+        assert Scenario.from_json(scenario.to_json()) == scenario
 
-    def test_from_config_accepts_loaded_json(self, tmp_path):
+    def test_load_accepts_saved_json(self, tmp_path):
         path = tmp_path / "config.json"
-        ExperimentConfig.paper_section_5_1().save(path)
-        loaded = Scenario.from_config(ExperimentConfig.load(path))
-        assert loaded == Scenario.paper_section_5_1()
+        Scenario.paper_section_5_1().save(path)
+        assert Scenario.load(path) == Scenario.paper_section_5_1()
+
+    def test_loads_legacy_config_file(self):
+        # Byte layout of files the standalone config type used to write:
+        # list shares, kind-tagged fault windows, the policy payload.
+        text = """{
+  "burst_xi": 0.0,
+  "concurrency_q": 0.0,
+  "database_rate": 1000.0,
+  "faults": {
+    "windows": [
+      {
+        "duration": 0.05,
+        "factor": 0.5,
+        "kind": "server-slowdown",
+        "server": 1,
+        "start": 0.01
+      }
+    ]
+  },
+  "key_rate": 1000.0,
+  "miss_ratio": 0.01,
+  "n_keys": 150,
+  "n_requests": 2000,
+  "n_servers": 2,
+  "network_delay": 0.0,
+  "policy": {
+    "backoff": 2.0,
+    "cancel_on_winner": true,
+    "hedge_delay": 0.0003,
+    "max_retries": 0,
+    "timeout": null
+  },
+  "seed": 0,
+  "service_rate": 80000.0,
+  "shares": [
+    0.7,
+    0.3
+  ],
+  "warmup_requests": 200
+}"""
+        expected = Scenario(
+            key_rate=1000.0,
+            n_servers=2,
+            shares=(0.7, 0.3),
+            miss_ratio=0.01,
+            database_rate=1000.0,
+            faults=FaultSchedule(
+                (ServerSlowdown(start=0.01, duration=0.05, factor=0.5, server=1),)
+            ),
+            policy=RequestPolicy.hedged(3e-4),
+        )
+        assert Scenario.from_json(text) == expected
+        assert expected.to_json() == text
+
+    def test_load_missing_file_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config"):
+            Scenario.load(tmp_path / "missing.json")
 
     def test_fault_policy_json_round_trip(self, tmp_path):
         scenario = small_scenario(
@@ -140,8 +193,8 @@ class TestRoundTrips:
             policy=RequestPolicy.hedged(usec(300)),
         )
         path = tmp_path / "config.json"
-        scenario.to_config().save(path)
-        loaded = Scenario.from_config(ExperimentConfig.load(path))
+        scenario.save(path)
+        loaded = Scenario.load(path)
         assert loaded == scenario
         assert loaded.faults.windows[1].shares == (0.8, 0.2)
         assert loaded.policy.hedge_delay == pytest.approx(usec(300))

@@ -236,19 +236,59 @@ class TestFaultPolicyFlags:
 
 
 class TestConfigWorkflow:
+    #: ``config-template`` output, byte for byte: existing config files
+    #: and scripts depend on this exact layout.
+    TEMPLATE = """{
+  "burst_xi": 0.15,
+  "concurrency_q": 0.1,
+  "database_rate": 1000.0,
+  "faults": null,
+  "key_rate": 62500.0,
+  "miss_ratio": 0.01,
+  "n_keys": 150,
+  "n_requests": 2000,
+  "n_servers": 4,
+  "network_delay": 2e-05,
+  "policy": null,
+  "seed": 0,
+  "service_rate": 80000.0,
+  "shares": null,
+  "warmup_requests": 200
+}
+"""
+
     def test_template_prints_json(self, capsys):
         assert main(["config-template"]) == 0
-        out = capsys.readouterr().out
-        assert '"key_rate"' in out
+        assert capsys.readouterr().out == self.TEMPLATE
 
-    def test_estimate_from_config(self, tmp_path, capsys):
-        from repro.config import ExperimentConfig
-
+    def test_estimate_with_config_file(self, tmp_path, capsys):
         path = tmp_path / "exp.json"
-        ExperimentConfig.paper_section_5_1().save(path)
+        path.write_text(self.TEMPLATE)
         assert main(["estimate", "--config", str(path)]) == 0
         out = capsys.readouterr().out
         assert "T(150)" in out
+
+    def test_missing_config_file_errors(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["estimate", "--config", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config")
+        assert len(err.strip().splitlines()) == 1
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_non_positive_db_latency(self, value, capsys):
+        assert main(["estimate", "--db-latency", value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --db-latency must be > 0")
+
+    def test_zero_requests_rejected(self, capsys):
+        code = main(["simulate", "--requests", "0", "--n-keys", "5"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: n_requests must be >= 1"
+        )
 
 
 class TestTail:

@@ -61,9 +61,8 @@ class TestBuilders:
         assert config.cluster().heaviest_share == pytest.approx(0.7)
 
     def test_share_length_mismatch(self):
-        config = ExperimentConfig(key_rate=1000.0, n_servers=3, shares=[0.5, 0.5])
-        with pytest.raises(ConfigError):
-            config.cluster()
+        with pytest.raises(ConfigError, match="shares has 2 entries for 3 servers"):
+            ExperimentConfig(key_rate=1000.0, n_servers=3, shares=[0.5, 0.5])
 
     def test_tail_model(self):
         tail = ExperimentConfig.paper_section_5_1().tail_model()
