@@ -122,7 +122,7 @@ def transient_phases(n_requests: int) -> Dict[str, float]:
     window = overload_window(scenario)
     system = scenario.replace(
         faults=FaultSchedule.single(window)
-    ).simulator(keep_request_log=True)
+    ).simulator()
     results = system.run(
         n_requests=scenario.n_requests,
         warmup_requests=scenario.warmup_requests,

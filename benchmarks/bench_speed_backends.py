@@ -14,8 +14,8 @@ pipeline (requests x N); ``keys_per_sec`` is the throughput the paper's
 experiments actually care about when choosing a backend. The
 ``engine-events`` rows isolate the engine's event dispatch rate —
 scheduler pop + clock advance + callback — bare, with a timeline-style
-sink recording every event, and with an attribution sink fed a full
-ROW_FIELDS provenance row per event; all three carry CI-enforced
+sink recording every event, and with the engine's per-request record
+fed a full RECORD_FIELDS row per request; all three carry CI-enforced
 floors (absolute rates plus the attr/sink overhead ratio). The
 committed JSON is the perf trajectory: re-run the bench after engine
 or fast-path changes and diff it.
@@ -43,7 +43,11 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.experiments import Scenario
-from repro.observability.attribution import AttributionSink
+from repro.observability.attribution import (
+    _FLUSH_CHUNK,
+    RECORD_FIELDS,
+    _row_matrix,
+)
 from repro.simulation import Simulator
 from repro.units import kps, msec, usec
 
@@ -72,26 +76,26 @@ MIN_TIMELINE_RATIO = 0.9
 MIN_ENGINE_EVENTS_PER_SEC = 1_000_000.0
 MIN_ENGINE_SINK_EVENTS_PER_SEC = 700_000.0
 
-#: Attribution budget: the provenance hot path is one ROW_FIELDS tuple
-#: append into a bound ``AttributionSink.append`` plus a length check
-#: (``maybe_flush``) — it must retain at least this fraction of the
-#: plain-sink dispatch rate. All reservoir/conservation math is
-#: deferred to chunked flushes.
+#: Per-request record budget: the engine's one per-request write is a
+#: RECORD_FIELDS tuple append plus a length check that converts every
+#: ``_FLUSH_CHUNK`` rows to float64 — it must retain at least this
+#: fraction of the plain-sink dispatch rate. Every per-request view
+#: (recorders, registry, timeline, attribution) is derived at run end.
 MIN_ATTR_SINK_RATIO = 0.85
 
 #: Raw-engine dispatch variants: bare counting callback, a
 #: timeline-style sink recording every (time, index) pair, and the
-#: same sink plus per-request attribution rows on top.
+#: same sink plus the per-request record on top.
 ENGINE_VARIANTS = ("engine-events", "engine-events+sink", "engine-events+attr")
 
-#: Key events per completed request in the attribution variant. The
-#: engine emits one ROW_FIELDS row + one ``maybe_flush`` check per
+#: Key events per completed request in the record variant. The
+#: engine emits one RECORD_FIELDS row + one chunk check per
 #: *request*; a request in the speed scenario fans out to ``n_keys ==
 #: 20`` key completions. The microbench rounds down to a power of two
 #: — slightly harsher (more rows per event) and it keeps the per-event
 #: completion test a single bitwise AND instead of a modulo, which at
-#: 3M events/s is the difference between measuring the attribution
-#: layer and measuring the detector.
+#: 3M events/s is the difference between measuring the record and
+#: measuring the detector.
 ATTR_REQUEST_EVENTS = 16
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_speed.json"
@@ -174,12 +178,13 @@ def _engine_run(n_events: int, *, variant: str) -> Dict[str, float]:
     The batch models the windowed-arrivals fast path (one scheduler
     entry re-armed as it drains); a sprinkling of single events (0.1% of
     the batch) keeps the scheduler peek/push interleaving honest. The
-    ``+attr`` variant is the ``+sink`` run plus the engine's provenance
-    hot path on top: every :data:`ATTR_REQUEST_EVENTS`-th event also
-    emits a ten-field ROW_FIELDS tuple through a bound
-    ``AttributionSink.append`` and a ``maybe_flush()`` check — the real
+    ``+attr`` variant is the ``+sink`` run plus the engine's
+    per-request record on top: every :data:`ATTR_REQUEST_EVENTS`-th
+    event also appends a ten-field RECORD_FIELDS tuple and checks the
+    chunk length, converting a full chunk with ``_row_matrix`` exactly
+    as ``MemcachedSystemSimulator._key_done`` does — the real
     once-per-request cadence — so the attr/sink events/sec ratio prices
-    exactly what the attribution layer adds to a sinked engine run.
+    exactly what the record adds to a sinked engine run.
     """
     rng = np.random.default_rng(20170327)
     times = np.cumsum(rng.exponential(1.0, n_events)).tolist()
@@ -192,30 +197,31 @@ def _engine_run(n_events: int, *, variant: str) -> Dict[str, float]:
 
     elif variant == "engine-events+attr":
         out = []
-        attr_sink = AttributionSink()
-        append = attr_sink.append
-        maybe_flush = attr_sink.maybe_flush
+        rows = []
+        chunks = []
         mask = ATTR_REQUEST_EVENTS - 1
 
         def callback(index: int) -> None:
             now = sim.now
             out.append((now, index))
             if not index & mask:  # this key completed its request
-                append(
+                rows.append(
                     (
-                        float(index),  # request_id
+                        index,  # request_id
                         now - 6.2e-5,  # born
-                        now,  # finished
+                        now,  # completed
                         6.2e-5,  # total
                         4.0e-5,  # network
                         1.0e-5,  # server queue wait
-                        1.2e-5,  # server service
+                        2.2e-5,  # server stage max
                         0.0,  # db queue wait
-                        0.0,  # db service
+                        0.0,  # db stage max
                         0.0,  # policy overhead
                     )
                 )
-                maybe_flush()
+                if len(rows) >= _FLUSH_CHUNK:
+                    chunks.append(_row_matrix(rows, len(RECORD_FIELDS)))
+                    rows.clear()
 
     else:
         fired = [0]
@@ -269,7 +275,7 @@ def measure_engine(
 
 
 def attr_sink_ratio(engine: Dict[str, Dict[str, float]]) -> float:
-    """Dispatch rate retained when attribution rows ride along.
+    """Dispatch rate retained when per-request record rows ride along.
 
     Prefers the paired per-round ratio :func:`measure_engine` stored
     (drift-cancelled); falls back to the best-of rates for payloads
@@ -301,7 +307,7 @@ def check_engine_floors(engine: Dict[str, Dict[str, float]]) -> Optional[str]:
     ratio = attr_sink_ratio(engine)
     if ratio < MIN_ATTR_SINK_RATIO:
         return (
-            f"attribution sink keeps only {ratio:.1%} of plain-sink "
+            f"per-request record keeps only {ratio:.1%} of plain-sink "
             f"dispatch, below the {MIN_ATTR_SINK_RATIO:.0%} floor"
         )
     return None
@@ -352,7 +358,7 @@ def report(
             ],
         )
         print(
-            "engine dispatch retained with attribution rows: "
+            "engine dispatch retained with per-request record rows: "
             f"{attr_sink_ratio(engine):.1%}"
         )
         payload.update(engine)

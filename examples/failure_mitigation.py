@@ -13,8 +13,9 @@ mitigation policies production Memcached deployments actually run:
    with retry repairs some of it at a lower duplicate cost.
 2. A database-overload window replays the paper's §5.1 transient: the
    database stage dominates T(N) inside the window and the system
-   recovers after it closes. The per-request log (``keep_request_log``)
-   resolves the episode along the completion-time axis.
+   recovers after it closes. The run's per-request log
+   (``results.request_log``) resolves the episode along the
+   completion-time axis.
 
 Everything here also runs from the CLI::
 
@@ -93,7 +94,7 @@ def act_two_transient() -> None:
           f"[{window.start:.2f}s, {window.end:.2f}s)")
     system = BASE.replace(
         faults=FaultSchedule.single(window)
-    ).simulator(keep_request_log=True)
+    ).simulator()
     results = system.run(
         n_requests=BASE.n_requests, warmup_requests=BASE.warmup_requests
     )

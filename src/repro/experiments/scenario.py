@@ -234,14 +234,13 @@ class Scenario:
             database_stage=database,
         )
 
-    def simulator(self, observability=None, *, keep_request_log: bool = False):
+    def simulator(self, observability=None):
         """Closed-loop simulator for this scenario.
 
         The request rate is chosen so the induced per-server key rate
         equals ``key_rate``. Pass an
         :class:`~repro.observability.Observability` bundle to collect
-        traces/metrics/profiles for the run; ``keep_request_log=True``
-        records per-request completions for transient analysis.
+        traces/metrics/profiles for the run.
         """
         return MemcachedSystemSimulator(
             self.cluster(),
@@ -254,7 +253,6 @@ class Scenario:
             observability=observability,
             faults=self.faults,
             policy=self.policy,
-            keep_request_log=keep_request_log,
         )
 
     # ------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Steady-state recorders (mean, p99 over the whole run) smear a fault
 window's effect over the fault-free majority of the run. To *see* the
 §5.1-style overloaded-database transient — latency climbing inside the
-window, draining after it closes — the simulator can keep a per-request
-log (``keep_request_log=True``), and this module buckets that log along
-the completion-time axis.
+window, draining after it closes — every simulator run carries a
+per-request log (``SystemResults.request_log``), and this module buckets
+that log along the completion-time axis.
 """
 
 from __future__ import annotations

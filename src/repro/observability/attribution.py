@@ -12,11 +12,12 @@ into the paper's pipeline stages and keeps the decomposition queryable:
     attaining ``TD(N)``, critical-path policy overhead (hedge/retry
     launch delay), and the fork-join ``join_slack`` residual.
 ``AttributionSink``
-    The recording half. The hot path is one plain-list tuple append
-    (the :class:`~repro.observability.timeline.TimelineBuilder` idiom);
-    everything else — exact per-column sums over *every* record, a
-    bounded reservoir of full-fidelity records, and the slowest-K set —
-    is maintained in amortized vectorized flushes. The reservoir's
+    The recording half. Both simulators hand it column arrays
+    (:meth:`~AttributionSink.record_columns`; the event engine derives
+    them from its per-request record); row-at-a-time callers get a
+    plain-list tuple append. Exact per-column sums over *every* record,
+    a bounded reservoir of full-fidelity records, and the slowest-K set
+    are maintained in amortized vectorized flushes. The reservoir's
     replacement draws come from the sink's own deterministic generator,
     never the simulator's streams, so attaching a sink leaves seeded
     runs bit-identical.
@@ -103,6 +104,13 @@ ROW_FIELDS = (
 )
 _ROW_WIDTH = len(ROW_FIELDS)
 
+#: The event engine's per-request record: :data:`ROW_FIELDS` with the
+#: stage maxima ``TS``/``TD`` in place of the service columns. The
+#: maxima are stored as measured (``(max - wait) + wait`` need not give
+#: the max back bit-exactly); :meth:`AttributionSink.record_columns`
+#: derives the service split from them.
+RECORD_FIELDS = ROW_FIELDS[:6] + ("server_max", "db_queue", "db_max", "policy")
+
 # Full (built) matrix layout: 4 meta columns then the 8 STAGES columns.
 _META_WIDTH = 4
 _COL_TOTAL = 3
@@ -148,8 +156,8 @@ def _ordered_sum(columns: Iterable[np.ndarray]) -> np.ndarray:
     return acc
 
 
-def _row_matrix(rows: List[tuple]) -> np.ndarray:
-    """Tuple rows -> ``n x ROW_WIDTH`` float matrix in one flat pass.
+def _row_matrix(rows: List[tuple], width: int = _ROW_WIDTH) -> np.ndarray:
+    """Tuple rows -> ``n x width`` float matrix in one flat pass.
 
     ``chain.from_iterable`` flattens in C — ~35% faster per row than a
     nested generator expression, and this conversion dominates the
@@ -158,9 +166,9 @@ def _row_matrix(rows: List[tuple]) -> np.ndarray:
     flat = np.fromiter(
         itertools.chain.from_iterable(rows),
         dtype=float,
-        count=len(rows) * _ROW_WIDTH,
+        count=len(rows) * width,
     )
-    return flat.reshape(len(rows), _ROW_WIDTH)
+    return flat.reshape(len(rows), width)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -428,12 +436,12 @@ class AttributionSet:
 class AttributionSink:
     """Recording half of the provenance layer (one simulation run).
 
-    Hot path: ``sink.append(row)`` where ``append`` is a *bound plain
-    list append* (grab it once, like the timeline sinks) and ``row`` is
-    a :data:`ROW_FIELDS` tuple. Callers that complete work in larger
-    units (the engine completes a request every dozen events) should
-    call :meth:`maybe_flush` at that cadence so memory stays bounded;
-    the flush itself is one vectorized pass per ~65k rows.
+    Bulk input: :meth:`record_columns` with :data:`RECORD_FIELDS`
+    arrays. Row input: ``sink.append(row)`` where ``append`` is a
+    *bound plain list append* and ``row`` is a :data:`ROW_FIELDS`
+    tuple; callers should call :meth:`maybe_flush` after appends so
+    memory stays bounded — the flush is one vectorized pass per ~65k
+    rows.
 
     ``max_records`` bounds the full-fidelity reservoir (algorithm R,
     uniform, driven by the sink's own ``default_rng(seed)`` — never a
@@ -500,13 +508,19 @@ class AttributionSink:
         total: np.ndarray,
         network: np.ndarray,
         server_queue: np.ndarray,
-        server_service: np.ndarray,
+        server_max: np.ndarray,
         db_queue: np.ndarray,
-        db_service: np.ndarray,
+        db_max: np.ndarray,
         policy: np.ndarray,
     ) -> None:
-        """Bulk-record column arrays (the vectorized backend's path)."""
+        """Bulk-record :data:`RECORD_FIELDS` column arrays.
+
+        ``server_max``/``db_max`` are the stage maxima ``TS``/``TD``;
+        the service columns are ``max - queue`` of the critical key.
+        """
         self.flush()  # preserve arrival order against buffered rows
+        server_queue = np.asarray(server_queue, dtype=float)
+        db_queue = np.asarray(db_queue, dtype=float)
         mat = np.column_stack(
             [
                 np.asarray(request_id, dtype=float),
@@ -514,10 +528,10 @@ class AttributionSink:
                 np.asarray(completed, dtype=float),
                 np.asarray(total, dtype=float),
                 np.asarray(network, dtype=float),
-                np.asarray(server_queue, dtype=float),
-                np.asarray(server_service, dtype=float),
-                np.asarray(db_queue, dtype=float),
-                np.asarray(db_service, dtype=float),
+                server_queue,
+                np.asarray(server_max, dtype=float) - server_queue,
+                db_queue,
+                np.asarray(db_max, dtype=float) - db_queue,
                 np.asarray(policy, dtype=float),
             ]
         )

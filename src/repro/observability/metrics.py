@@ -92,11 +92,13 @@ class Histogram:
     def record_many(self, values: Sequence[float]) -> None:
         """Add a batch of observations (vectorized).
 
-        Produces bit-identical state to calling :meth:`record` per value
-        — the numpy bucket computation reproduces the scalar boundary
-        nudge — but runs as array operations, so windowed telemetry can
-        bulk-load thousands of latencies without a per-event Python
-        loop.
+        Buckets, count, min and max match calling :meth:`record` per
+        value exactly — the numpy bucket computation reproduces the
+        scalar boundary nudge. The sum and sum of squares are numpy
+        pairwise sums, so mean and std agree with the scalar path only
+        up to summation-order rounding. Array operations let
+        windowed telemetry bulk-load thousands of latencies without a
+        per-event Python loop.
         """
         import numpy as np
 

@@ -38,11 +38,12 @@ import dataclasses
 import json
 import math
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..errors import ConfigError, ValidationError
+from .attribution import _row_matrix
 from .metrics import Histogram
 from .report import provenance, provenance_comment
 
@@ -660,44 +661,20 @@ class Timeline:
                 )
 
 
-def _columns(rows: Sequence[Tuple[float, ...]], width: int) -> Tuple[np.ndarray, ...]:
-    """Tuple list -> column arrays, via one flat ``fromiter`` pass.
-
-    Several times faster than ``np.asarray`` on a large list of tuples,
-    which matters because this conversion is the bulk of the engine's
-    end-of-run timeline cost.
-    """
-    if not rows:
-        empty = np.empty(0)
-        return (empty,) * width
-    flat = np.fromiter(
-        (value for row in rows for value in row),
-        dtype=float,
-        count=len(rows) * width,
-    )
-    table = flat.reshape(len(rows), width)
-    return tuple(table[:, k] for k in range(width))
-
-
 class TimelineBuilder:
     """The event engine's recording half of the timeline layer.
 
-    Hot-path cost is one tuple append per finished job / completed
-    request (components hold a bound ``list.append``-able sink, no
-    method dispatch); all window math happens once at :meth:`build`,
-    vectorized, matching the telemetry-overhead budget the benchmarks
-    enforce.
+    Hot-path cost is one tuple append per finished job (components hold
+    a bound ``list.append``-able stage sink, no method dispatch); the
+    request columns come from the engine's per-request record, and all
+    window math happens once at :meth:`build`, vectorized, matching the
+    telemetry-overhead budget the benchmarks enforce.
     """
 
     def __init__(self, spec: Optional[TimelineSpec] = None) -> None:
         self.spec = spec or TimelineSpec()
         self.origin = 0.0
-        self._requests: List[Tuple[float, float]] = []
         self._stages: Dict[str, List[Tuple[float, float, float]]] = {}
-
-    def request_sink(self) -> List[Tuple[float, float]]:
-        """The list the system appends ``(born, completed)`` tuples to."""
-        return self._requests
 
     def stage_sink(self, name: str) -> List[Tuple[float, float, float]]:
         """Per-stage list of ``(arrival, service_start, finish)`` tuples."""
@@ -705,18 +682,25 @@ class TimelineBuilder:
 
     def reset(self) -> None:
         """Drop recorded events in place (sink references stay valid)."""
-        self._requests.clear()
         for sink in self._stages.values():
             sink.clear()
         self.origin = 0.0
 
     def build(
-        self, *, end: float, meta: Optional[Dict[str, object]] = None
+        self,
+        *,
+        born: np.ndarray,
+        completed: np.ndarray,
+        end: float,
+        meta: Optional[Dict[str, object]] = None,
     ) -> Timeline:
-        """Materialize the run's :class:`Timeline` over ``[origin, end]``."""
-        born, completed = _columns(self._requests, 2)
+        """Materialize the run's :class:`Timeline` over ``[origin, end]``.
+
+        ``born``/``completed`` are the completed requests' instants.
+        """
         stages = {
-            name: _columns(sink, 3) for name, sink in self._stages.items()
+            name: tuple(_row_matrix(sink, 3).T)
+            for name, sink in self._stages.items()
         }
         return Timeline.from_events(
             start=self.origin,

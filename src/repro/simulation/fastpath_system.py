@@ -491,20 +491,19 @@ def simulate_system_requests(
         )
     attribution_set = None
     if attribution_sink is not None:
-        # The critical key's wait/service split over the recorded
-        # window; join_slack and the exact sums come from the sink.
-        server_queue = result.server_wait_at_max[keep]
-        db_queue = result.db_wait_at_max[keep]
+        # The critical key's wait and the stage maxima over the recorded
+        # window; the service split, join_slack and the exact sums come
+        # from the sink.
         attribution_sink.record_columns(
             request_id=keep.astype(float),
             born=result.arrivals[keep],
             completed=completion[keep],
             total=result.combo_max[keep] + round_trip,
             network=np.full(keep.size, round_trip),
-            server_queue=server_queue,
-            server_service=result.server_max[keep] - server_queue,
-            db_queue=db_queue,
-            db_service=result.database_max[keep] - db_queue,
+            server_queue=result.server_wait_at_max[keep],
+            server_max=result.server_max[keep],
+            db_queue=result.db_wait_at_max[keep],
+            db_max=result.database_max[keep],
             policy=np.zeros(keep.size),
         )
         attribution_set = attribution_sink.build(

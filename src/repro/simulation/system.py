@@ -10,8 +10,12 @@ Models the paper's Fig. 1 end to end on the event engine:
    server, and is served ``Exp(muS)``.
 4. A miss (Bernoulli ``r``, or a *real* cache lookup when a cache
    backend is attached) relays the key to the M/M/1 database.
-5. The request completes when its last key's value returns; the
-   recorder keeps ``T(N)`` plus the per-stage maxima ``TS(N)``/``TD(N)``.
+5. The request completes when its last key's value returns; one row of
+   the run's per-request record keeps ``T(N)``, the per-stage maxima
+   ``TS(N)``/``TD(N)`` and the critical keys' queue waits, and every
+   per-request view (recorders, request log, timeline, registry
+   histograms, attribution) is derived from that record when the run
+   ends.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from ..core.workload import WorkloadPattern
 from ..errors import SimulationError, ValidationError
 from ..faults import FaultSchedule, RequestRecord
 from ..observability import Observability, Span
+from ..observability.attribution import _FLUSH_CHUNK, RECORD_FIELDS, _row_matrix
 from ..policies import RequestPolicy
 from .database import DatabaseSim
 from .engine import EventHandle, Simulator
@@ -45,6 +50,14 @@ from .server import KeyJob, ServerSim
 #: picks). A tagged child never collides with the split_rng children
 #: above it, so policy-free runs remain bit-identical.
 _POLICY_RNG_TAG = 101
+
+#: Registry histograms derived from the per-request record, by column.
+_REQUEST_HISTOGRAMS = (
+    ("request.total", "total"),
+    ("request.server_max", "server_max"),
+    ("request.database_max", "db_max"),
+    ("request.network_max", "network"),
+)
 
 
 class CacheBackend(Protocol):
@@ -131,7 +144,8 @@ class _KeyContext:
 
 @dataclasses.dataclass(frozen=True)
 class SystemResults:
-    """Recorders filled during a run (all latencies in seconds)."""
+    """A run's per-request record and the views derived from it (all
+    latencies in seconds)."""
 
     total: LatencyRecorder
     server_stage: LatencyRecorder
@@ -142,8 +156,10 @@ class SystemResults:
     keys_processed: int
     misses: int
     server_utilizations: List[float]
+    #: The per-request record: one :data:`RECORD_FIELDS` row per
+    #: post-warmup request, in completion order.
+    record: np.ndarray
     observability: Optional["Observability"] = None
-    request_log: Optional[Tuple[RequestRecord, ...]] = None
     #: Windowed telemetry (a Timeline) when the run recorded one.
     timeline: Optional[object] = None
     #: Per-request stage attribution (an AttributionSet) when recorded.
@@ -154,6 +170,22 @@ class SystemResults:
         if self.keys_processed == 0:
             return 0.0
         return self.misses / self.keys_processed
+
+    @property
+    def request_log(self) -> Tuple[RequestRecord, ...]:
+        """The record as :class:`~repro.faults.RequestRecord` objects."""
+        column = dict(zip(RECORD_FIELDS, self.record.T.tolist()))
+        return tuple(
+            map(
+                RequestRecord,
+                column["born"],
+                column["completed"],
+                column["total"],
+                column["server_max"],
+                column["db_max"],
+                column["network"],
+            )
+        )
 
 
 class MemcachedSystemSimulator:
@@ -194,9 +226,6 @@ class MemcachedSystemSimulator:
         hedging and/or timeout-retry with cancel-on-first-winner.
         Policy decisions draw from their own tagged RNG stream, so
         ``policy=None`` runs are unaffected.
-    keep_request_log:
-        Record one :class:`~repro.faults.RequestRecord` per completed
-        request (post-warmup) for transient trajectory analysis.
     """
 
     def __init__(
@@ -213,7 +242,6 @@ class MemcachedSystemSimulator:
         observability: Optional[Observability] = None,
         faults: Optional[FaultSchedule] = None,
         policy: Optional[RequestPolicy] = None,
-        keep_request_log: bool = False,
     ) -> None:
         if n_keys_per_request < 1:
             raise ValidationError(
@@ -244,17 +272,9 @@ class MemcachedSystemSimulator:
         self._timeline = (
             observability.timeline if observability is not None else None
         )
-        self._timeline_requests = (
-            self._timeline.request_sink().append
-            if self._timeline is not None
-            else None
-        )
-        # Latency provenance: one tuple append per completed request on
-        # the hot path; the sink vectorizes everything else at flush.
         self._attr = (
             observability.attribution if observability is not None else None
         )
-        self._attr_append = self._attr.append if self._attr is not None else None
 
         self.sim = Simulator(
             profiler=observability.profiler if observability is not None else None
@@ -353,42 +373,26 @@ class MemcachedSystemSimulator:
         self._keys_processed = 0
         self._completed_requests = 0
         self._accepting = True
-        # Completion targets for the batched run loop: when set,
-        # _key_done reset recorders at the warmup boundary and requests
-        # an engine stop at the run target (see run()).
-        self._run_target: Optional[int] = None
-        self._warmup_target: Optional[int] = None
+        # Completion targets of run(): _key_done clears the record at the
+        # warmup boundary and stops the engine at the run target.
+        self._run_target = 0
+        self._warmup_target = 0
+        # Engine key/miss counts at the warmup boundary.
+        self._keys_offset = 0
+        self._misses_offset = 0
 
-        self._total = LatencyRecorder()
-        self._server_stage = LatencyRecorder()
-        self._database_stage = LatencyRecorder()
-        self._network_stage = LatencyRecorder()
+        # The per-request record: one RECORD_FIELDS tuple per completed
+        # request, converted to float64 every _FLUSH_CHUNK rows. It is
+        # the only per-request write on the hot path; run() derives
+        # every per-request view from it.
+        self._rows: List[tuple] = []
+        self._chunks: List[np.ndarray] = []
         self._per_key_server = LatencyRecorder(max_samples=500_000)
-        self._request_log: Optional[List[RequestRecord]] = (
-            [] if keep_request_log else None
+        self._hist_key_sojourn = (
+            registry.histogram("key.server_sojourn")
+            if registry is not None
+            else None
         )
-
-        # Registry views of the same stages: cheap log-bucketed
-        # histograms that serialize into RunReport (the exact-moment
-        # LatencyRecorders above stay authoritative for CIs).
-        if registry is not None:
-            self._hist_total = registry.histogram("request.total")
-            self._hist_server_max = registry.histogram("request.server_max")
-            self._hist_database_max = registry.histogram("request.database_max")
-            self._hist_network_max = registry.histogram("request.network_max")
-            self._hist_key_sojourn = registry.histogram("key.server_sojourn")
-            self._ctr_requests = registry.counter("requests.completed")
-            self._ctr_keys = registry.counter("keys.processed")
-            self._ctr_misses = registry.counter("keys.missed")
-        else:
-            self._hist_total = None
-            self._hist_server_max = None
-            self._hist_database_max = None
-            self._hist_network_max = None
-            self._hist_key_sojourn = None
-            self._ctr_requests = None
-            self._ctr_keys = None
-            self._ctr_misses = None
 
     # ------------------------------------------------------------------
     # Workload drive.
@@ -649,7 +653,6 @@ class MemcachedSystemSimulator:
         self._per_key_server.record(sojourn)
         if self._hist_key_sojourn is not None:
             self._hist_key_sojourn.record(sojourn)
-            self._ctr_keys.inc()
         self._keys_processed += 1
         hit = self._cache.lookup(context.server_index, context.key_name)
         span = context.span
@@ -660,13 +663,9 @@ class MemcachedSystemSimulator:
         if hit or self._database is None:
             if not hit:
                 self._misses += 1
-                if self._ctr_misses is not None:
-                    self._ctr_misses.inc()
             self._finish_key(context, database_time=0.0)
         else:
             self._misses += 1
-            if self._ctr_misses is not None:
-                self._ctr_misses.inc()
             db_job = self._database.offer_key(self.sim.now, context=context)
             if self._policy is not None:
                 context.job = db_job
@@ -736,159 +735,115 @@ class MemcachedSystemSimulator:
         if context.span is not None:
             context.span.finish(self.sim.now)
         if request.pending == 0:
-            total = self.sim.now - request.born
-            if self._timeline_requests is not None:
-                self._timeline_requests((request.born, self.sim.now))
-            if self._attr_append is not None:
-                # One ROW_FIELDS tuple per request; join_slack and the
-                # exact sums are derived vectorially at flush time.
-                self._attr_append(
-                    (
-                        float(request.request_id),
-                        request.born,
-                        self.sim.now,
-                        total,
-                        request.max_network,
-                        request.server_wait,
-                        request.max_server - request.server_wait,
-                        request.database_wait,
-                        request.max_database - request.database_wait,
-                        context.launched - request.born,
-                    )
+            now = self.sim.now
+            rows = self._rows
+            rows.append(
+                (
+                    request.request_id,
+                    request.born,
+                    now,
+                    now - request.born,
+                    request.max_network,
+                    request.server_wait,
+                    request.max_server,
+                    request.database_wait,
+                    request.max_database,
+                    context.launched - request.born,
                 )
-                self._attr.maybe_flush()
-                if request.span is not None:
-                    request.span.attributes["attribution"] = {
-                        "network": request.max_network,
-                        "server_queue": request.server_wait,
-                        "server_service": request.max_server
-                        - request.server_wait,
-                        "db_queue": request.database_wait,
-                        "db_service": request.max_database
-                        - request.database_wait,
-                        "policy": context.launched - request.born,
-                    }
-            self._total.record(total)
-            self._server_stage.record(request.max_server)
-            self._database_stage.record(request.max_database)
-            self._network_stage.record(request.max_network)
-            if self._request_log is not None:
-                self._request_log.append(
-                    RequestRecord(
-                        born=request.born,
-                        completed=self.sim.now,
-                        total=total,
-                        server=request.max_server,
-                        database=request.max_database,
-                        network=request.max_network,
-                    )
-                )
-            if self._hist_total is not None:
-                self._hist_total.record(total)
-                self._hist_server_max.record(request.max_server)
-                self._hist_database_max.record(request.max_database)
-                self._hist_network_max.record(request.max_network)
-                self._ctr_requests.inc()
+            )
+            if len(rows) >= _FLUSH_CHUNK:
+                self._chunks.append(_row_matrix(rows, len(RECORD_FIELDS)))
+                rows.clear()
             if request.span is not None:
-                self._tracer.finish_request(request.span, self.sim.now)
+                self._tracer.finish_request(request.span, now)
             self._completed_requests += 1
-            if self._run_target is not None:
-                if self._completed_requests == self._warmup_target:
-                    self._reset_recorders()
-                if self._completed_requests >= self._run_target:
-                    self._accepting = False
-                    self.sim.stop()
+            if self._completed_requests == self._warmup_target:
+                self._reset_recorders()
+            if self._completed_requests >= self._run_target:
+                self._accepting = False
+                self.sim.stop()
 
     # ------------------------------------------------------------------
 
-    def run(
-        self,
-        *,
-        n_requests: int,
-        warmup_requests: int = 0,
-        max_events: Optional[int] = None,
-    ) -> SystemResults:
+    def run(self, *, n_requests: int, warmup_requests: int = 0) -> SystemResults:
         """Generate and complete ``warmup + n`` requests; report stats.
 
-        Warmup requests run through the system but their latencies are
-        discarded by resetting the recorders once warmup completes.
+        Warmup requests run through the system but are dropped from the
+        record (and the collectors reset) once warmup completes.
         """
         if n_requests < 1:
             raise ValidationError(f"n_requests must be >= 1, got {n_requests}")
-        target = n_requests + warmup_requests
+        self._warmup_target = warmup_requests
+        self._run_target = n_requests + warmup_requests
         self._schedule_request_window()
-        if max_events is None:
-            # Default path: let the engine's batched hot loop drain
-            # events back-to-back; _key_done resets recorders at the
-            # warmup boundary and stops the engine at the target.
-            self._warmup_target = warmup_requests if warmup_requests else None
-            self._run_target = target
-            try:
-                self.sim.run()
-            finally:
-                self._run_target = None
-                self._warmup_target = None
-            if self._completed_requests < target:
-                raise SimulationError("event queue drained before completion")
-        else:
-            # Budgeted path: step one event at a time so the budget is
-            # charged with the historical per-event semantics.
-            warmup_done = warmup_requests == 0
-            budget = max_events
-            while self._completed_requests < target:
-                if not self.sim.step():
-                    raise SimulationError(
-                        "event queue drained before completion"
-                    )
-                budget -= 1
-                if budget <= 0:
-                    raise SimulationError("event budget exhausted")
-                if not warmup_done and (
-                    self._completed_requests >= warmup_requests
-                ):
-                    self._reset_recorders()
-                    warmup_done = True
-        self._accepting = False
+        self.sim.run()
+        if self._completed_requests < self._run_target:
+            raise SimulationError("event queue drained before completion")
+        record = np.concatenate(
+            self._chunks + [_row_matrix(self._rows, len(RECORD_FIELDS))]
+        )
+        column = dict(zip(RECORD_FIELDS, record.T))
+        recorders = {}
+        for field in ("total", "server_max", "db_max", "network"):
+            # Scalar records in completion order keep the Welford
+            # moments bit-identical to recording on the hot path.
+            recorder = recorders[field] = LatencyRecorder()
+            for value in column[field].tolist():
+                recorder.record(value)
+        registry = self._registry
+        if registry is not None:
+            for name, field in _REQUEST_HISTOGRAMS:
+                registry.histogram(name).record_many(column[field])
+            registry.counter("requests.completed").inc(record.shape[0])
+            registry.counter("keys.processed").inc(
+                self._keys_processed - self._keys_offset
+            )
+            registry.counter("keys.missed").inc(self._misses - self._misses_offset)
+        meta = {"backend": "simulate"}
         timeline = (
-            self._timeline.build(end=self.sim.now, meta={"backend": "simulate"})
+            self._timeline.build(
+                born=column["born"],
+                completed=column["completed"],
+                end=self.sim.now,
+                meta=meta,
+            )
             if self._timeline is not None
             else None
         )
-        attribution = (
-            self._attr.build(meta={"backend": "simulate"})
-            if self._attr is not None
-            else None
-        )
+        attribution = None
+        if self._attr is not None:
+            # The sink's own flush chunks, so its exact sums keep their
+            # summation order.
+            for start in range(0, record.shape[0], _FLUSH_CHUNK):
+                chunk = record[start : start + _FLUSH_CHUNK]
+                self._attr.record_columns(**dict(zip(RECORD_FIELDS, chunk.T)))
+            attribution = self._attr.build(meta=meta)
         return SystemResults(
-            total=self._total,
-            server_stage=self._server_stage,
-            database_stage=self._database_stage,
-            network_stage=self._network_stage,
+            total=recorders["total"],
+            server_stage=recorders["server_max"],
+            database_stage=recorders["db_max"],
+            network_stage=recorders["network"],
             per_key_server=self._per_key_server,
-            requests_completed=self._completed_requests
-            - (warmup_requests if warmup_requests else 0),
+            requests_completed=record.shape[0],
             keys_processed=self._keys_processed,
             misses=self._misses,
             server_utilizations=[
                 server.utilization_meter.utilization(self.sim.now)
                 for server in self._servers
             ],
+            record=record,
             observability=self.observability,
-            request_log=(
-                tuple(self._request_log) if self._request_log is not None else None
-            ),
             timeline=timeline,
             attribution=attribution,
         )
 
     def _reset_recorders(self) -> None:
-        self._total = LatencyRecorder()
-        self._server_stage = LatencyRecorder()
-        self._database_stage = LatencyRecorder()
-        self._network_stage = LatencyRecorder()
+        """The warmup boundary: drop everything recorded so far."""
+        self._rows.clear()
+        self._chunks.clear()
+        self._keys_offset = self._keys_processed
+        self._misses_offset = self._misses
         self._per_key_server = LatencyRecorder(max_samples=500_000)
-        if self._request_log is not None:
-            self._request_log = []
         # Observability resets in place: the histogram/counter objects
         # held by servers and the database stay valid (the timeline
         # builder clears its sink lists without replacing them).

@@ -128,14 +128,18 @@ class TestSinkBasics:
         assert sum(attr.group_shares().values()) == pytest.approx(1.0)
 
     def test_append_and_bulk_paths_agree(self):
-        rows = make_rows(800, seed=7)
-        via_append = fill(AttributionSink(), rows).build()
+        # The bulk path takes the stage maxima and derives the service
+        # split as max - queue; rows carrying that same split agree.
+        columns = dict(zip(ROW_FIELDS, np.array(make_rows(800, seed=7)).T))
+        server_max = columns["server_queue"] + columns.pop("server_service")
+        db_max = columns["db_queue"] + columns.pop("db_service")
         bulk = AttributionSink()
-        columns = np.array(rows)
-        bulk.record_columns(
-            **{name: columns[:, k] for k, name in enumerate(ROW_FIELDS)}
-        )
+        bulk.record_columns(server_max=server_max, db_max=db_max, **columns)
         via_bulk = bulk.build()
+        columns["server_service"] = server_max - columns["server_queue"]
+        columns["db_service"] = db_max - columns["db_queue"]
+        rows = list(zip(*(columns[name] for name in ROW_FIELDS)))
+        via_append = fill(AttributionSink(), rows).build()
         for name in STAGES:
             np.testing.assert_array_equal(
                 via_append.stages[name], via_bulk.stages[name]

@@ -340,41 +340,49 @@ class TestPersistence:
 class TestBuilder:
     def test_builds_from_sinks(self):
         builder = TimelineBuilder(TimelineSpec(n_windows=4))
-        requests = builder.request_sink()
         server = builder.stage_sink("server.0")
-        for k in range(40):
-            born = k * 0.1
-            requests.append((born, born + 0.05))
-            server.append((born, born + 0.01, born + 0.05))
-        timeline = builder.build(end=4.0, meta={"backend": "simulate"})
+        born = np.arange(40) * 0.1
+        for t in born.tolist():
+            server.append((t, t + 0.01, t + 0.05))
+        timeline = builder.build(
+            born=born,
+            completed=born + 0.05,
+            end=4.0,
+            meta={"backend": "simulate"},
+        )
         assert timeline.n_windows == 4
         assert float(timeline.completions.sum()) == 40.0
         assert timeline.stage_names == ["server.0"]
+        assert float(timeline.stages["server.0"].completions.sum()) == 40.0
         assert timeline.meta["backend"] == "simulate"
 
     def test_reset_keeps_sink_references(self):
         builder = TimelineBuilder(TimelineSpec(n_windows=2))
-        requests = builder.request_sink()
-        requests.append((0.0, 0.5))
+        server = builder.stage_sink("server.0")
+        server.append((0.0, 0.1, 0.5))
         builder.origin = 3.0
         builder.reset()
         assert builder.origin == 0.0
-        requests.append((0.2, 0.4))  # old reference still records
-        timeline = builder.build(end=1.0)
+        server.append((0.2, 0.3, 0.4))  # old reference still records
+        timeline = builder.build(
+            born=np.array([0.2]), completed=np.array([0.4]), end=1.0
+        )
+        assert float(timeline.stages["server.0"].completions.sum()) == 1.0
         assert float(timeline.completions.sum()) == 1.0
 
     def test_origin_shifts_window_start(self):
         builder = TimelineBuilder(TimelineSpec(n_windows=2))
         builder.origin = 5.0
-        builder.request_sink().append((5.5, 6.0))
-        timeline = builder.build(end=7.0)
+        timeline = builder.build(
+            born=np.array([5.5]), completed=np.array([6.0]), end=7.0
+        )
         assert timeline.start == 5.0
         assert timeline.edges[-1] == pytest.approx(7.0)
 
     def test_empty_run_builds_empty_timeline(self):
         builder = TimelineBuilder(TimelineSpec(n_windows=3))
         builder.stage_sink("server.0")
-        timeline = builder.build(end=1.0)
+        timeline = builder.build(born=np.empty(0), completed=np.empty(0), end=1.0)
         assert float(timeline.arrivals.sum()) == 0.0
         assert timeline.stage_names == ["server.0"]
 

@@ -27,6 +27,7 @@ from repro.faults import (
 )
 from repro.policies import RequestPolicy
 from repro.simulation import MemcachedSystemSimulator
+from repro.simulation.scheduler import HeapScheduler
 from repro.units import kps, msec, usec
 
 
@@ -111,28 +112,31 @@ class TestGoldenFingerprints:
 
 class TestHedgeHeavyBoundedScheduler:
     def test_cancel_storm_keeps_scheduler_bounded(self):
-        """Hedge-every-key with cancel-on-winner used to leak one dead
-        heap entry per cancelled hedge; the scheduler must stay bounded
-        by the live event population instead of total cancellations."""
+        """Every key arms a hedge timer that its own completion cancels.
+
+        A cancelled entry leaves the heap only once it reaches the
+        head. With a 10 ms network delay the system is never idle, so
+        without compaction each of the 8000 cancelled hedges stays
+        queued until its fire time (peak ~8.2k entries); a compacting
+        heap stays near the live population (~1k)."""
         cluster = ClusterModel.balanced(2, kps(80))
         system = MemcachedSystemSimulator(
             cluster,
             n_keys_per_request=20,
             request_rate=400.0,
-            network_delay=usec(20),
+            network_delay=msec(10),
             seed=3,
-            policy=RequestPolicy(hedge_delay=usec(1), cancel_on_winner=True),
+            policy=RequestPolicy(hedge_delay=1.0, cancel_on_winner=True),
         )
         peak = 0
-        orig_step = system.sim.step
 
-        def stepped():
-            nonlocal peak
-            peak = max(peak, system.sim.scheduler_entries)
-            return orig_step()
+        class SampledScheduler(HeapScheduler):
+            def push(self, time, seq, obj):
+                nonlocal peak
+                super().push(time, seq, obj)
+                peak = max(peak, system.sim.scheduler_entries)
 
-        system.sim.step = stepped
-        system.run(n_requests=400, max_events=200_000)
-        # ~16k hedges are cancelled over this run; a leaking heap peaks
-        # >16k entries, a compacting one stays near the live population.
+        system.sim._scheduler = SampledScheduler()
+        system.run(n_requests=400)
+        assert peak > 0  # the wrapped scheduler ran the whole simulation
         assert peak < 2_000

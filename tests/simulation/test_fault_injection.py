@@ -93,7 +93,6 @@ class TestServerSlowdown:
             faults=FaultSchedule.single(
                 ServerSlowdown(start=0.0, duration=0.2 * run_seconds, factor=0.3)
             ),
-            keep_request_log=True,
         ).run(n_requests=1000)
         tail = [
             r.server
@@ -110,9 +109,7 @@ class TestServerPause:
         pause = FaultSchedule.single(
             ServerPause(start=0.02, duration=0.5 * run_seconds)
         )
-        paused = build_system(faults=pause, keep_request_log=True).run(
-            n_requests=400
-        )
+        paused = build_system(faults=pause).run(n_requests=400)
         assert paused.server_stage.mean > 2.0 * base.server_stage.mean
         # No key completes server work inside a whole-tier pause unless
         # its service was already in flight when the pause began: every
@@ -158,10 +155,9 @@ class TestDatabaseOverloadTransient:
     def test_transient_climbs_and_recovers(self):
         run_seconds = 4000 / 3000.0
         window = DatabaseOverload(start=0.3, duration=0.15, factor=0.25)
-        results = build_system(
-            faults=FaultSchedule.single(window),
-            keep_request_log=True,
-        ).run(n_requests=4000)
+        results = build_system(faults=FaultSchedule.single(window)).run(
+            n_requests=4000
+        )
         effect = window_effect(
             results.request_log,
             window_start=window.start,
@@ -182,9 +178,9 @@ class TestDatabaseOverloadTransient:
 
     def test_total_latency_follows_database(self):
         window = DatabaseOverload(start=0.3, duration=0.15, factor=0.25)
-        results = build_system(
-            faults=FaultSchedule.single(window), keep_request_log=True
-        ).run(n_requests=4000)
+        results = build_system(faults=FaultSchedule.single(window)).run(
+            n_requests=4000
+        )
         effect = window_effect(
             results.request_log,
             window_start=window.start,
@@ -196,11 +192,19 @@ class TestDatabaseOverloadTransient:
 
 
 class TestRequestLog:
-    def test_log_off_by_default(self):
-        assert build_system().run(n_requests=50).request_log is None
+    def test_log_always_present_warmup_excluded(self):
+        results = build_system().run(n_requests=50, warmup_requests=20)
+        log = results.request_log
+        assert len(log) == 50
+        assert [r.total for r in log] == results.total.samples().tolist()
+        # The warmup is the first 20 completions of the same seeded
+        # run; every logged request completes after them.
+        warmup = build_system().run(n_requests=20).request_log
+        assert len(warmup) == 20
+        assert min(r.completed for r in log) >= max(r.completed for r in warmup)
 
     def test_log_records_every_request(self):
-        results = build_system(keep_request_log=True).run(n_requests=150)
+        results = build_system().run(n_requests=150)
         log = results.request_log
         assert len(log) == 150
         assert all(r.completed >= r.born for r in log)

@@ -171,9 +171,9 @@ class TestPolicyMechanics:
         assert results.total.count == 300
 
     def test_request_log_with_policy(self):
-        results = build_system(
-            RequestPolicy.hedged(usec(200)), keep_request_log=True
-        ).run(n_requests=200)
+        results = build_system(RequestPolicy.hedged(usec(200))).run(
+            n_requests=200
+        )
         log = results.request_log
         assert len(log) == 200
         assert all(r.completed >= r.born for r in log)

@@ -1,9 +1,12 @@
 """Tests for the closed-loop system simulator."""
 
+import numpy as np
 import pytest
 
 from repro.core import ClusterModel
 from repro.errors import ValidationError
+from repro.observability import Histogram, Observability
+from repro.policies import RequestPolicy
 from repro.simulation import BernoulliMissModel, MemcachedSystemSimulator
 from repro.units import kps, msec, usec
 
@@ -151,3 +154,46 @@ class TestBernoulliMissModel:
     def test_rejects_bad_ratio(self, rng):
         with pytest.raises(ValidationError):
             BernoulliMissModel(1.5, rng)
+
+
+class TestOneRecord:
+    """Every per-request view is derived from the engine's one record."""
+
+    def test_every_view_agrees(self):
+        obs = Observability(
+            trace=True, metrics=True, profile=True, attribution=True, timeline=8
+        )
+        system = build_system(
+            request_rate=400.0,
+            seed=5,
+            observability=obs,
+            policy=RequestPolicy(hedge_delay=usec(150), cancel_on_winner=True),
+        )
+        results = system.run(n_requests=250, warmup_requests=40)
+        totals = results.total.samples()
+        assert totals.size == results.requests_completed == 250
+
+        log = results.request_log
+        assert [r.total for r in log] == totals.tolist()
+        assert [r.server for r in log] == results.server_stage.samples().tolist()
+
+        registry = obs.registry
+        expected = Histogram()
+        expected.record_many(totals)
+        hist = registry.get("request.total")
+        assert hist.buckets() == expected.buckets()
+        assert hist.count == expected.count == 250
+        assert registry.get("requests.completed").value == 250
+        # Keys and misses after the warmup boundary, counted by the
+        # per-key recorder and the database's arrival counter.
+        assert registry.get("keys.processed").value == results.per_key_server.count
+        misses = registry.get("keys.missed").value
+        assert 0 < misses == registry.get("database.arrivals").value
+        assert 0 < results.per_key_server.count < results.keys_processed
+
+        assert float(results.timeline.completions.sum()) == 250.0
+
+        attribution = results.attribution
+        assert attribution.count == 250
+        np.testing.assert_array_equal(attribution.total, totals)
+        assert np.all(attribution.conservation_residuals() == 0.0)
