@@ -40,11 +40,9 @@ from ..observability.timeline import Timeline, TimelineSpec, _resolve_windows
 from ..policies import RequestPolicy
 from ..simulation import MemcachedSystemSimulator
 from ..simulation.fastpath import (
-    expected_max_from_pool,
-    expected_max_from_pools,
+    _server_pools,
     sample_request_latencies,
     sample_timeline,
-    simulate_key_latencies,
 )
 from ..simulation.fastpath_system import simulate_system_requests
 from ..simulation.results import SimulationResult
@@ -342,26 +340,18 @@ class Scenario:
         """
         self._reject_faulted("fastpath")
         rng = make_rng(self.seed)
-        workload = self.workload()
-        if self.shares is None:
-            pools = [
-                simulate_key_latencies(
-                    workload, self.service_rate, n_keys=pool_size, rng=rng
-                )
-            ]
-            shares = [1.0]
-        else:
-            total = self.total_key_rate()
-            shares = list(self.cluster().shares)
-            pools = [
-                simulate_key_latencies(
-                    workload.with_rate(total * share),
-                    self.service_rate,
-                    n_keys=pool_size,
-                    rng=rng,
-                )
-                for share in shares
-            ]
+        workload, shares = self.workload(), None
+        if self.shares is not None:
+            workload = workload.with_rate(self.total_key_rate())
+            shares = self.cluster().shares
+        pools, shares, exact_server = _server_pools(
+            workload,
+            self.service_rate,
+            shares,
+            self.n_keys,
+            pool_size=pool_size,
+            rng=rng,
+        )
         sample = sample_request_latencies(
             pools,
             shares,
@@ -372,10 +362,6 @@ class Scenario:
             miss_ratio=self.miss_ratio,
             database_rate=self.database_rate,
         )
-        if len(pools) == 1:
-            exact_server = expected_max_from_pool(pools[0], self.n_keys)
-        else:
-            exact_server = expected_max_from_pools(pools, shares, self.n_keys)
         result = SimulationResult.from_sample(sample, n_keys=self.n_keys)
         if timeline is not None and TimelineSpec.coerce(timeline) is not None:
             result = dataclasses.replace(

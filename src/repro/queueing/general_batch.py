@@ -23,8 +23,6 @@ with :class:`~repro.queueing.gixm1.GIXM1Queue` to machine precision.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..distributions import DiscreteDistribution, Distribution, Geometric
@@ -145,31 +143,18 @@ class GeneralBatchQueue:
         warmup_fraction: float = 0.05,
     ) -> np.ndarray:
         """Exact per-key latencies by vectorized Lindley recursion."""
-        if n_keys < 1:
-            raise ValidationError(f"n_keys must be >= 1, got {n_keys}")
-        mean_batch = self._size.mean
-        n_batches = (
-            int(math.ceil(1.05 * n_keys / mean_batch / (1.0 - warmup_fraction)))
-            + 64
+        # Local import: repro.simulation imports repro.queueing, so the
+        # reverse edge must be lazy.
+        from ..simulation.fastpath import _simulate_keys
+
+        return _simulate_keys(
+            self._gap,
+            self._size,
+            self._mu,
+            n_keys=n_keys,
+            rng=rng,
+            warmup_fraction=warmup_fraction,
         )
-        gaps = np.asarray(self._gap.sample(rng, n_batches), dtype=float)
-        sizes = np.asarray(self._size.sample(rng, n_batches), dtype=np.int64)
-        total_keys = int(sizes.sum())
-        services = rng.exponential(1.0 / self._mu, size=total_keys)
-        starts = np.zeros(n_batches, dtype=np.int64)
-        np.cumsum(sizes[:-1], out=starts[1:])
-        batch_service = np.add.reduceat(services, starts)
-        u = batch_service[:-1] - gaps[1:]
-        c = np.concatenate(([0.0], np.cumsum(u)))
-        waits = c - np.minimum.accumulate(np.concatenate(([0.0], c))[:-1])
-        waits = np.maximum(waits, 0.0)
-        cumulative = np.cumsum(services)
-        before = cumulative[starts] - services[starts]
-        within = cumulative - np.repeat(before, sizes)
-        latencies = np.repeat(waits, sizes) + within
-        warmup_keys = int(sizes[: int(n_batches * warmup_fraction)].sum())
-        usable = latencies[warmup_keys:]
-        return usable[:n_keys] if usable.size >= n_keys else usable
 
 
 def batch_collapse_error(

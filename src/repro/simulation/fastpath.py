@@ -47,6 +47,55 @@ def lindley_waits(service_times: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     return np.maximum(waits, 0.0)
 
 
+def batch_fifo(
+    gaps: np.ndarray, sizes: np.ndarray, services: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-key FIFO sojourns of a compound batch stream (eqs. 4-5).
+
+    ``gaps`` holds the ``n - 1`` gaps between consecutive batch
+    arrivals, ``sizes`` the ``n`` batch sizes (each >= 1) and
+    ``services`` the ``sizes.sum()`` per-key service times, batch by
+    batch. Each batch waits by the Lindley recursion over batch service
+    totals; each key then also waits behind the keys ahead of it in its
+    batch. Returns the per-key sojourns and ``starts``, the index of
+    each batch's first key (the offsets a segmented ``reduceat`` needs).
+
+    It takes gaps, not arrival times: ``np.diff(np.cumsum(g))`` is not
+    bit-equal to ``g``, so sampled gaps go in as drawn.
+    """
+    starts = np.zeros(sizes.size, dtype=np.int64)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    waits = lindley_waits(np.add.reduceat(services, starts), gaps)
+    # Batch wait + within-batch inclusive service prefix.
+    cumulative = np.cumsum(services)
+    before_batch = cumulative[starts] - services[starts]
+    within = cumulative - np.repeat(before_batch, sizes)
+    return np.repeat(waits, sizes) + within, starts
+
+
+def _simulate_keys(
+    gap_dist, size_dist, service_rate: float, *, n_keys, rng, warmup_fraction
+) -> np.ndarray:
+    """Draw gaps, sizes, then services; run :func:`batch_fifo`; drop warmup."""
+    if n_keys < 1:
+        raise ValidationError(f"n_keys must be >= 1, got {n_keys}")
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ValidationError(
+            f"warmup_fraction must be in [0, 1), got {warmup_fraction}"
+        )
+    # 5% headroom over the expected batch count so random batch sizes
+    # almost never undershoot the requested key count; the slice below
+    # truncates any excess.
+    keep = 1.0 - warmup_fraction
+    n_batches = int(math.ceil(1.05 * n_keys / size_dist.mean / keep)) + 64
+    gaps = np.asarray(gap_dist.sample(rng, n_batches), dtype=float)
+    sizes = np.asarray(size_dist.sample(rng, n_batches), dtype=np.int64)
+    services = rng.exponential(1.0 / service_rate, size=int(sizes.sum()))
+    latencies, _ = batch_fifo(gaps[1:], sizes, services)
+    warmup_keys = int(sizes[: int(n_batches * warmup_fraction)].sum())
+    return latencies[warmup_keys:][:n_keys]
+
+
 def simulate_key_latencies(
     workload: WorkloadPattern,
     service_rate: float,
@@ -61,49 +110,17 @@ def simulate_key_latencies(
     initial ``warmup_fraction`` of batches is discarded so the sample
     approximates stationarity.
     """
-    if n_keys < 1:
-        raise ValidationError(f"n_keys must be >= 1, got {n_keys}")
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ValidationError(
-            f"warmup_fraction must be in [0, 1), got {warmup_fraction}"
-        )
     rho = workload.utilization(service_rate)
     if rho >= 1.0:
         raise StabilityError(rho)
-
-    mean_batch = workload.mean_batch_size
-    # 5% headroom over the expected batch count so random batch sizes
-    # almost never undershoot the requested key count; the tail below
-    # truncates any excess.
-    n_batches = (
-        int(math.ceil(1.05 * n_keys / mean_batch / (1.0 - warmup_fraction))) + 64
+    return _simulate_keys(
+        workload.batch_gap_distribution(),
+        workload.batch_size_distribution(),
+        service_rate,
+        n_keys=n_keys,
+        rng=rng,
+        warmup_fraction=warmup_fraction,
     )
-
-    gap_dist = workload.batch_gap_distribution()
-    size_dist = workload.batch_size_distribution()
-    gaps = np.asarray(gap_dist.sample(rng, n_batches), dtype=float)
-    sizes = np.asarray(size_dist.sample(rng, n_batches), dtype=np.int64)
-    total_keys = int(sizes.sum())
-    services = rng.exponential(1.0 / service_rate, size=total_keys)
-
-    # Batch service totals.
-    starts = np.zeros(n_batches, dtype=np.int64)
-    np.cumsum(sizes[:-1], out=starts[1:])
-    batch_service = np.add.reduceat(services, starts)
-
-    waits = lindley_waits(batch_service, gaps[1:])
-
-    # Per-key latency: batch wait + within-batch inclusive service prefix.
-    cumulative = np.cumsum(services)
-    before_batch = cumulative[starts] - services[starts]
-    within = cumulative - np.repeat(before_batch, sizes)
-    latencies = np.repeat(waits, sizes) + within
-
-    warmup_keys = int(sizes[: int(n_batches * warmup_fraction)].sum())
-    usable = latencies[warmup_keys:]
-    if usable.size < n_keys:  # pragma: no cover - sizing margin is generous
-        return usable
-    return usable[:n_keys]
 
 
 def simulate_batch_times(
@@ -307,6 +324,36 @@ def expected_max_from_pools(
     return float(np.dot(step, merged))
 
 
+def _server_pools(
+    workload: WorkloadPattern,
+    service_rate: float,
+    shares: Optional[Sequence[float]],
+    n_keys_per_request: int,
+    *,
+    pool_size: int,
+    rng: np.random.Generator,
+) -> tuple[list, list, float]:
+    """``(pools, shares, exact E[TS(N)])`` for a (possibly unbalanced) cluster.
+
+    Balanced (``shares`` omitted): every server is statistically
+    identical, so one pool at ``workload``'s rate sampled N times is
+    equivalent and much cheaper. Otherwise one pool per server, each at
+    ``workload.rate * share``.
+    """
+    if shares is None:
+        shares, workloads = [1.0], [workload]
+    else:
+        shares = list(shares)
+        workloads = [workload.with_rate(workload.rate * float(s)) for s in shares]
+    pools = [
+        simulate_key_latencies(w, service_rate, n_keys=pool_size, rng=rng)
+        for w in workloads
+    ]
+    if len(pools) == 1:
+        return pools, shares, expected_max_from_pool(pools[0], n_keys_per_request)
+    return pools, shares, expected_max_from_pools(pools, shares, n_keys_per_request)
+
+
 def simulate_server_stage_mean(
     workload: WorkloadPattern,
     service_rate: float,
@@ -324,20 +371,6 @@ def simulate_server_stage_mean(
     when shares are omitted) and take the *exact* expected fork-join max
     over the empirical pools — no Monte-Carlo resampling noise.
     """
-    if shares is None:
-        pool = simulate_key_latencies(
-            workload, service_rate, n_keys=pool_size, rng=rng
-        )
-        # Balanced cluster: every server is statistically identical, so a
-        # single pool sampled N times is equivalent and much cheaper.
-        return expected_max_from_pool(pool, n_keys_per_request)
-    share_vec = list(shares)
-    pools = []
-    for share in share_vec:
-        server_workload = workload.with_rate(workload.rate * float(share))
-        pools.append(
-            simulate_key_latencies(
-                server_workload, service_rate, n_keys=pool_size, rng=rng
-            )
-        )
-    return expected_max_from_pools(pools, share_vec, n_keys_per_request)
+    return _server_pools(
+        workload, service_rate, shares, n_keys_per_request, pool_size=pool_size, rng=rng
+    )[2]

@@ -13,9 +13,10 @@ event-driven run:
    over the ``M`` servers by shares ``{p_j}``.
 2. Keys of one request bound for one server arrive *together* (constant
    network delay preserves order), so each server sees a compound batch
-   stream — its FIFO waits come from the shared Lindley recursion
-   :func:`~repro.simulation.fastpath.lindley_waits` over batch service
-   totals, and per-key sojourns add the within-batch service prefix.
+   stream. Its per-key sojourns come from the batch-FIFO kernel shared
+   with the single-server fast path,
+   :func:`~repro.simulation.fastpath.batch_fifo`: the Lindley batch
+   wait plus the within-batch service prefix.
 3. Misses (Bernoulli ``r``) are relayed to the database at their
    server-completion instant. The database is a single FIFO M/M/1 queue
    simulated with its *own* Lindley recursion over the merged,
@@ -53,7 +54,7 @@ from ..errors import SimulationError, StabilityError, ValidationError
 from ..faults import FaultSchedule
 from ..observability.attribution import AttributionSet, coerce_attribution
 from ..observability.timeline import Timeline, TimelineSpec
-from .fastpath import lindley_waits
+from .fastpath import batch_fifo, lindley_waits
 
 __all__ = ["SystemSample", "simulate_system_requests"]
 
@@ -193,26 +194,15 @@ def _simulate_pass(
         total_keys = int(sizes.sum())
         services = rng.exponential(1.0 / service_rate, size=total_keys)
         batch_arrival = arrivals[nonzero] + network_delay
+        key_arrival = np.repeat(batch_arrival, sizes)
         if faults is not None:
             # Slowdown windows scale the service rate; the factor is
             # evaluated at the key's batch-arrival instant (the engine
             # evaluates at service *start* — the protocols agree except
             # for keys whose wait straddles a window edge).
-            factors = faults.server_rate_factors(
-                j, np.repeat(batch_arrival, sizes)
-            )
-            services = services / factors
+            services = services / faults.server_rate_factors(j, key_arrival)
 
-        starts = np.zeros(nonzero.size, dtype=np.int64)
-        np.cumsum(sizes[:-1], out=starts[1:])
-        batch_service = np.add.reduceat(services, starts)
-        waits = lindley_waits(batch_service, np.diff(batch_arrival))
-
-        # Per-key sojourn: batch wait + within-batch inclusive prefix.
-        cumulative = np.cumsum(services)
-        before_batch = cumulative[starts] - services[starts]
-        within = cumulative - np.repeat(before_batch, sizes)
-        sojourn = np.repeat(waits, sizes) + within
+        sojourn, starts = batch_fifo(np.diff(batch_arrival), sizes, services)
 
         # A request's keys at this server form one contiguous batch, so
         # its maximum is a segmented reduction; the result folds into
@@ -226,7 +216,6 @@ def _simulate_pass(
             attr_sojourn.append(sojourn)
             # Clamp the -1 ulp float dust so queue waits stay >= 0.
             attr_wait.append(np.maximum(sojourn - services, 0.0))
-        key_arrival = np.repeat(batch_arrival, sizes)
         completion = key_arrival + sojourn
         server_services.append(services)
         server_completions.append(completion)
@@ -248,7 +237,9 @@ def _simulate_pass(
         db_arrival = np.concatenate(miss_arrival)
         server_part = np.concatenate(miss_server_sojourn)
         # Merged miss stream across servers, in database-arrival order:
-        # the FIFO M/M/1 database serves them with its own Lindley pass.
+        # the FIFO M/M/1 database serves them with its own Lindley pass
+        # (every job is alone, and batch_fifo's prefix step would turn
+        # its service s into c - (c - s), which is not bit-equal to s).
         order = np.argsort(db_arrival, kind="stable")
         request_of_miss = request_of_miss[order]
         db_arrival = db_arrival[order]

@@ -3,17 +3,27 @@
 The analytic values pin the math (any change to the solvers shows up
 here first); the seeded simulation values pin the RNG plumbing (stream
 splitting, sampling order). Update a golden value only when a deliberate
-behaviour change explains it.
+behaviour change explains it. The fastpath, ``GeneralBatchQueue`` and
+``Scenario.run("fastpath")`` pins are exact: a float's ``hex()`` or a
+sha256 of the array or JSON bytes.
 """
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from repro.core import LatencyModel, ServerStage, WorkloadPattern
-from repro.queueing import delta_for_utilization
+from repro.experiments import Scenario
+from repro.queueing import GeneralBatchQueue, delta_for_utilization
 from repro.simulation import MemcachedSystemSimulator, simulate_key_latencies
 from repro.core import ClusterModel
 from repro.units import kps, msec, usec
+
+
+def _digest(values: np.ndarray) -> str:
+    return hashlib.sha256(values.tobytes()).hexdigest()
 
 
 class TestAnalyticGoldens:
@@ -59,16 +69,52 @@ class TestSeededSimulationGoldens:
         latencies = simulate_key_latencies(
             WorkloadPattern.facebook(), kps(80), n_keys=100_000, rng=rng
         )
-        # Pin to a tight band; identical-seed runs are deterministic.
-        first = float(latencies.mean())
-        rng = np.random.default_rng(20170327)
-        second = float(
-            simulate_key_latencies(
-                WorkloadPattern.facebook(), kps(80), n_keys=100_000, rng=rng
-            ).mean()
+        # Exact pins: any change to the sampling order or the batch-FIFO
+        # arithmetic moves at least the last bits of the mean.
+        assert float(latencies.mean()).hex() == "0x1.313ab3fc353c5p-14"
+        assert _digest(latencies) == (
+            "115f17ef766b1287307cc2ee7b65479017a5a13e2c1bae6693f41008dcf190c1"
         )
-        assert first == second  # bit-stable
-        assert first == pytest.approx(73e-6, rel=0.1)  # sane magnitude
+
+    def test_general_batch_seeded_digest(self):
+        workload = WorkloadPattern.facebook()
+        queue = GeneralBatchQueue(
+            workload.batch_gap_distribution(),
+            workload.batch_size_distribution(),
+            kps(80),
+        )
+        latencies = queue.simulate_key_latencies(np.random.default_rng(5), 20_000)
+        assert latencies.size == 20_000
+        assert _digest(latencies) == (
+            "d8bbd4e222d3ea2d061a725d81e882da1176dcabca13f3651f1e2ca00490172b"
+        )
+
+    @pytest.mark.parametrize(
+        "scenario, expected",
+        [
+            (
+                Scenario(
+                    key_rate=kps(50), burst_xi=0.15, concurrency_q=0.1,
+                    n_servers=4, n_keys=24, n_requests=2000, seed=11,
+                    miss_ratio=0.01, database_rate=kps(50), network_delay=2e-5,
+                ),
+                "a061034360b80103dfde24358ef5e090fdf17fc23203e140e99ed2d258deb15c",
+            ),
+            (
+                Scenario(
+                    key_rate=kps(50), burst_xi=0.15, concurrency_q=0.1,
+                    n_servers=3, shares=(0.5, 0.3, 0.2), n_keys=24,
+                    n_requests=2000, seed=12,
+                ),
+                "db6cba09e56a8698fb2f7176dc33ab27c6f0776d14f2c957b88f35bc659e0eb0",
+            ),
+        ],
+        ids=["balanced", "unbalanced"],
+    )
+    def test_fastpath_scenario_bytes(self, scenario, expected):
+        result = scenario.run("fastpath", pool_size=50_000).to_dict()
+        payload = json.dumps(result, sort_keys=True).encode()
+        assert hashlib.sha256(payload).hexdigest() == expected
 
     def test_system_sim_seeded_determinism(self):
         def run():

@@ -92,10 +92,17 @@ class TestSimulation:
         queue = GeneralBatchQueue(Exponential(100.0), FixedCount(3), 1000.0)
         assert queue.simulate_key_latencies(rng, 5000).size == 5000
 
-    def test_rejects_bad_count(self, rng):
+    @pytest.mark.parametrize(
+        "n_keys, warmup_fraction",
+        [(0, 0.05), (1000, 1.0), (1000, 1.5), (1000, -0.5)],
+        ids=["no-keys", "warmup-1", "warmup-1.5", "warmup-negative"],
+    )
+    def test_rejects_bad_count(self, rng, n_keys, warmup_fraction):
         queue = GeneralBatchQueue(Exponential(100.0), FixedCount(3), 1000.0)
         with pytest.raises(ValidationError):
-            queue.simulate_key_latencies(rng, 0)
+            queue.simulate_key_latencies(
+                rng, n_keys, warmup_fraction=warmup_fraction
+            )
 
 
 class TestValidation:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import StabilityError, ValidationError
 from repro.simulation import SystemSample, simulate_system_requests
-from repro.simulation.fastpath import lindley_waits
+from repro.simulation.fastpath import batch_fifo, lindley_waits
 
 
 def run_small(**overrides):
@@ -190,6 +190,28 @@ class TestLindleyHelper:
             if i < 499:
                 w = max(0.0, w + service[i] - gaps[i])
         assert np.allclose(waits, expected)
+
+    def test_batch_fifo_matches_per_key_loop(self):
+        rng = np.random.default_rng(21)
+        sizes = rng.integers(1, 4, size=60)
+        sizes[[3, 4, 5]] = 1
+        sizes[17] = 40  # one long batch
+        gaps = rng.exponential(1.5, size=59)
+        gaps[[10, 30]] = 500.0  # idle periods: the queue empties
+        services = rng.exponential(1.0, size=int(sizes.sum()))
+        sojourn, starts = batch_fifo(gaps, sizes, services)
+
+        batch_arrival = np.concatenate(([0.0], np.cumsum(gaps)))
+        expected, finish, key = [], 0.0, 0
+        for arrival, size in zip(batch_arrival, sizes):
+            for _ in range(size):
+                finish = max(arrival, finish) + services[key]
+                expected.append(finish - arrival)
+                key += 1
+        assert np.allclose(sojourn, expected)
+        batch_of_key = np.repeat(np.arange(sizes.size), sizes)
+        assert (batch_of_key[starts] == np.arange(sizes.size)).all()
+        assert (batch_of_key[starts[1:] - 1] == np.arange(sizes.size - 1)).all()
 
     def test_single_arrival_waits_zero(self):
         assert lindley_waits(np.array([1.0]), np.array([])) == pytest.approx(
