@@ -17,10 +17,10 @@ from typing import Callable, Dict, Optional
 def callback_category(callback: Callable[[], None]) -> str:
     """Stable category for a scheduled callback.
 
-    Bound methods report their qualified name; lambdas and inner
-    functions collapse onto the enclosing method (``ServerSim._start_next``
-    for the service-completion lambda), which is the scheduling site we
-    want to attribute time to.
+    Bound methods report their qualified name (``ServerSim._finish``
+    for a service completion); lambdas and inner functions collapse
+    onto the enclosing method, which is the scheduling site we want to
+    attribute time to.
     """
     qualname = getattr(callback, "__qualname__", None)
     if qualname is None:

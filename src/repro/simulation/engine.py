@@ -9,10 +9,11 @@ so seeded runs are exactly reproducible.
 
 Two scheduling shapes exist:
 
-* :meth:`Simulator.schedule` — one callback at one time, returning an
-  :class:`EventHandle` for cancellation. Cancelled events are
-  compacted in bulk once they outnumber live entries, so cancel-heavy
-  policies (hedging with cancel-on-winner) keep the queue bounded.
+* :meth:`Simulator.schedule` — one callback at one time, returning its
+  event record, an :class:`EventHandle`, for cancellation. Cancelled
+  events are compacted in bulk once they outnumber live entries, so
+  cancel-heavy policies (hedging with cancel-on-winner) keep the queue
+  bounded. Times must be finite; NaN or infinite times are rejected.
 * :meth:`Simulator.schedule_batch` — a *homogeneous batch*: one
   callback fired once per pre-computed time, in order. The batch holds
   a single scheduler entry that is re-armed as it drains, so a window
@@ -39,18 +40,7 @@ from .scheduler import make_scheduler
 Callback = Callable[[], None]
 BatchCallback = Callable[[int], None]
 
-
-class _Event:
-    """Mutable event record; ordering lives in the scheduler entry, not here."""
-
-    __slots__ = ("time", "seq", "callback", "cancelled", "fired")
-
-    def __init__(self, time: float, seq: int, callback: Callback) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-        self.fired = False
+_INF = float("inf")
 
 
 class _Batch:
@@ -75,31 +65,33 @@ class _Batch:
 
 
 class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`; allows cancellation."""
+    """One scheduled callback, returned by :meth:`Simulator.schedule` as
+    its own cancellation handle.
 
-    __slots__ = ("_event", "_sim")
+    The record is the handle: scheduling allocates one object, and the
+    ordering lives in the scheduler entry, not here.
+    """
 
-    def __init__(self, event: _Event, sim: "Simulator") -> None:
-        self._event = event
+    __slots__ = ("time", "seq", "callback", "cancelled", "fired", "_sim")
+
+    def __init__(
+        self, time: float, seq: int, callback: Callback, sim: "Simulator"
+    ) -> None:
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.cancelled = False
+        self.fired = False
         self._sim = sim
 
     def cancel(self) -> None:
         """Prevent the callback from firing (no-op if already fired)."""
-        event = self._event
-        if event.cancelled or event.fired:
+        if self.cancelled or self.fired:
             return
-        event.cancelled = True
+        self.cancelled = True
         sim = self._sim
         sim._live -= 1
-        sim._scheduler.discard(event.time, event.seq, event)
-
-    @property
-    def time(self) -> float:
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
+        sim._scheduler.discard(self.time, self.seq, self)
 
 
 class BatchHandle:
@@ -194,20 +186,29 @@ class Simulator:
 
     def schedule(self, delay: float, callback: Callback) -> EventHandle:
         """Run ``callback`` ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValidationError(f"delay must be >= 0, got {delay}")
-        return self.schedule_at(self._now + delay, callback)
+        # One chained comparison rejects negative, NaN and infinite
+        # delays alike (every comparison with NaN is False).
+        if not 0.0 <= delay < _INF:
+            raise ValidationError(f"delay must be finite and >= 0, got {delay}")
+        # schedule_at's body, inlined: this is the per-event hot path.
+        event = EventHandle(
+            float(self._now + delay), next(self._counter), callback, self
+        )
+        self._scheduler.push(event.time, event.seq, event)
+        self._live += 1
+        return event
 
     def schedule_at(self, time: float, callback: Callback) -> EventHandle:
         """Run ``callback`` at absolute simulated ``time``."""
-        if time < self._now:
+        if not self._now <= time < _INF:
             raise ValidationError(
-                f"cannot schedule in the past: {time} < now {self._now}"
+                f"event time must be finite and not in the past: {time} "
+                f"(now {self._now})"
             )
-        event = _Event(float(time), next(self._counter), callback)
+        event = EventHandle(float(time), next(self._counter), callback, self)
         self._scheduler.push(event.time, event.seq, event)
         self._live += 1
-        return EventHandle(event, self)
+        return event
 
     def schedule_batch(
         self, times: Sequence[float], callback: BatchCallback
@@ -225,11 +226,13 @@ class Simulator:
         times = [float(t) for t in times]
         if not times:
             raise ValidationError("schedule_batch needs at least one time")
-        if times[0] < self._now:
+        if not self._now <= times[0] < _INF or not times[-1] < _INF:
             raise ValidationError(
-                f"cannot schedule in the past: {times[0]} < now {self._now}"
+                f"batch times must be finite and not in the past: "
+                f"{times[0]}..{times[-1]} (now {self._now})"
             )
-        if any(a > b for a, b in zip(times, times[1:])):
+        # ``not a <= b`` also catches a NaN anywhere in the window.
+        if any(not a <= b for a, b in zip(times, times[1:])):
             raise ValidationError("batch times must be non-decreasing")
         batch = _Batch(times, next(self._counter), callback)
         self._scheduler.push(batch.time, batch.seq, batch)
@@ -242,7 +245,7 @@ class Simulator:
     def _fire(self, obj) -> None:
         """Dispatch one popped entry (clock already advanced)."""
         profiler = self._profiler
-        if type(obj) is _Event:
+        if type(obj) is EventHandle:
             obj.fired = True
             self._live -= 1
             if profiler is None:
@@ -292,9 +295,10 @@ class Simulator:
 
     def run_until(self, end_time: float, *, max_events: Optional[int] = None) -> None:
         """Process events with time <= ``end_time`` (clock stops there)."""
-        if end_time < self._now:
+        if not end_time >= self._now:  # NaN fails too
             raise ValidationError(
-                f"end_time {end_time} is before now {self._now}"
+                f"end_time must not be NaN or before now {self._now}, "
+                f"got {end_time}"
             )
         budget = max_events
         scheduler = self._scheduler
@@ -341,7 +345,7 @@ class Simulator:
                 raise SimulationError(
                     f"event budget exhausted at t={self._now}"
                 )
-            if type(obj) is _Event:
+            if type(obj) is EventHandle:
                 self._now = time
                 obj.fired = True
                 self._live -= 1

@@ -55,13 +55,22 @@ class NetworkSim:
     def mean_delay(self) -> float:
         return self._delay.mean
 
+    def traverse(self) -> float:
+        """Account one traversal and return its delay, scheduling nothing.
+
+        For callers that handle the arrival themselves: a constant delay
+        keeps FIFO order, so the arrival needs no event of its own.
+        """
+        constant = self._constant
+        delay = constant if constant is not None else self._window.get()
+        self._delivered += 1
+        return delay
+
     def send(self, deliver: Callable[[], None]) -> float:
         """Schedule ``deliver`` after one sampled network delay.
 
         Returns the sampled delay so callers can account it per key.
         """
-        constant = self._constant
-        delay = constant if constant is not None else self._window.get()
-        self._delivered += 1
+        delay = self.traverse()
         self._sim.schedule(delay, deliver)
         return delay

@@ -104,7 +104,9 @@ class ServerSim:
         self._pause_until = pause_until
         self._pause_pending = False
         self._queue: Deque[KeyJob] = collections.deque()
-        self._busy = False
+        # The job in service (None when idle); its completion is the
+        # bound ``_finish``, so a service start allocates no closure.
+        self._in_service: Optional[KeyJob] = None
         self._next_key_id = 0
         self._next_batch_id = 0
         self._completed = 0
@@ -143,7 +145,7 @@ class ServerSim:
 
     @property
     def busy(self) -> bool:
-        return self._busy
+        return self._in_service is not None
 
     @property
     def completed(self) -> int:
@@ -163,7 +165,8 @@ class ServerSim:
         for position in range(size):
             if self._hist_depth is not None:
                 # Jobs ahead of this key: queued + the one in service.
-                self._hist_depth.record(len(self._queue) + (1 if self._busy else 0))
+                in_service = 0 if self._in_service is None else 1
+                self._hist_depth.record(len(self._queue) + in_service)
             job = KeyJob(
                 key_id=self._next_key_id,
                 arrival_time=now,
@@ -174,7 +177,7 @@ class ServerSim:
             self._next_key_id += 1
             self._queue.append(job)
             jobs.append(job)
-        if not self._busy:
+        if self._in_service is None:
             self._start_next()
         return jobs
 
@@ -185,7 +188,7 @@ class ServerSim:
     # ------------------------------------------------------------------
 
     def _start_next(self) -> None:
-        if self._busy:
+        if self._in_service is not None:
             raise SimulationError(f"{self.name}: server already busy")
         # Abandoned jobs are dropped at the head: a cancelled key that
         # never reached service consumes no capacity.
@@ -193,35 +196,37 @@ class ServerSim:
             self._queue.popleft()
         if not self._queue:
             return
+        sim = self._sim
+        now = sim.now
         if self._pause_until is not None:
-            resume = self._pause_until(self._sim.now)
-            if resume > self._sim.now:
+            resume = self._pause_until(now)
+            if resume > now:
                 if not self._pause_pending:
                     self._pause_pending = True
-                    self._sim.schedule(
-                        resume - self._sim.now, self._resume_from_pause
-                    )
+                    sim.schedule(resume - now, self._resume_from_pause)
                 return
         job = self._queue.popleft()
-        self._busy = True
-        self.utilization_meter.server_started(self._sim.now)
-        job.start_time = self._sim.now
+        self.utilization_meter.server_started(now)
+        job.start_time = now
         service_time = self._service_window.get()
         if self._rate_factor is not None:
-            factor = self._rate_factor(self._sim.now)
+            factor = self._rate_factor(now)
             if factor != 1.0:
                 service_time /= factor
-        self._sim.schedule(service_time, lambda: self._finish(job))
+        self._in_service = job
+        sim.schedule(service_time, self._finish)
 
     def _resume_from_pause(self) -> None:
         self._pause_pending = False
-        if not self._busy:
+        if self._in_service is None:
             self._start_next()
 
-    def _finish(self, job: KeyJob) -> None:
-        job.finish_time = self._sim.now
-        self._busy = False
-        self.utilization_meter.server_stopped(self._sim.now)
+    def _finish(self) -> None:
+        now = self._sim.now
+        job = self._in_service
+        self._in_service = None
+        job.finish_time = now
+        self.utilization_meter.server_stopped(now)
         self._completed += 1
         if self._hist_wait is not None:
             self._hist_wait.record(job.wait)

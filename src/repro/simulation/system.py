@@ -15,12 +15,18 @@ Models the paper's Fig. 1 end to end on the event engine:
    ``TS(N)``/``TD(N)`` and the critical keys' queue waits, and every
    per-request view (recorders, request log, timeline, registry
    histograms, attribution) is derived from that record when the run
-   ends.
+   ends. The constant network delay keeps FIFO order, so without a
+   request policy a key's return hop is accounted when it leaves its
+   server and schedules no event: the request's last key schedules the
+   one completion event, at the instant its value arrives. A request
+   policy keeps one return event per attempt, since its timers and
+   cancel-on-winner act on keys in flight.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 from typing import List, Optional, Protocol, Tuple
 
 import numpy as np
@@ -58,6 +64,28 @@ _REQUEST_HISTOGRAMS = (
     ("request.database_max", "db_max"),
     ("request.network_max", "network"),
 )
+
+
+#: Stored samples of the per-key server sojourn recorder (a uniform
+#: reservoir beyond it), and the sojourns buffered between flushes.
+_PER_KEY_SAMPLES = 500_000
+_PER_KEY_CHUNK = 2048
+
+
+def _flush_sojourns(recorder: LatencyRecorder, sojourns: List[float]) -> None:
+    """Move buffered per-key sojourns into ``recorder``; clear the buffer.
+
+    Values that still fit the stored samples go in with one
+    ``record_many``. Values past the cap take the scalar reservoir step,
+    whose draws ``record_many`` would make differently, so ``samples()``
+    equals recording each key as it completed; the moments agree up to
+    summation order.
+    """
+    room = max(_PER_KEY_SAMPLES - recorder.count, 0)
+    recorder.record_many(sojourns[:room])
+    for value in sojourns[room:]:
+        recorder.record(value)
+    sojourns.clear()
 
 
 class CacheBackend(Protocol):
@@ -112,7 +140,7 @@ class _KeyState:
     """
 
     request: _RequestState
-    key_name: str
+    key_name: Optional[str]
     attempts: List["_KeyContext"] = dataclasses.field(default_factory=list)
     done: bool = False
     retries_used: int = 0
@@ -124,7 +152,7 @@ class _KeyState:
 @dataclasses.dataclass
 class _KeyContext:
     request: _RequestState
-    key_name: str
+    key_name: Optional[str]
     server_index: int
     network_so_far: float = 0.0
     span: Optional[Span] = None
@@ -208,9 +236,6 @@ class MemcachedSystemSimulator:
     cache_backend:
         Optional real cache (e.g. ``repro.memcached`` cluster adapter);
         when present, hits and misses come from actual cache state.
-    key_namer:
-        Optional callable ``(rng) -> (key_name, server_index)``; defaults
-        to share-weighted server selection with synthetic key names.
     observability:
         Optional :class:`~repro.observability.Observability` bundle.
         When present, per-request span trees, per-stage/per-server
@@ -347,6 +372,9 @@ class MemcachedSystemSimulator:
             if needs_db
             else None
         )
+        # Key names exist for the cache backend's lookups and the
+        # tracer's key spans; the Bernoulli miss model reads neither.
+        self._named_keys = cache_backend is not None or self._tracer is not None
         self._cache: CacheBackend = (
             cache_backend
             if cache_backend is not None
@@ -387,7 +415,11 @@ class MemcachedSystemSimulator:
         # every per-request view from it.
         self._rows: List[tuple] = []
         self._chunks: List[np.ndarray] = []
-        self._per_key_server = LatencyRecorder(max_samples=500_000)
+        # Per-key server sojourns, in completion order, flushed into
+        # per_key_server every _PER_KEY_CHUNK keys (checked once per
+        # completed request) and at run end.
+        self._per_key_server = LatencyRecorder(max_samples=_PER_KEY_SAMPLES)
+        self._key_sojourns: List[float] = []
         self._hist_key_sojourn = (
             registry.histogram("key.server_sojourn")
             if registry is not None
@@ -470,19 +502,19 @@ class MemcachedSystemSimulator:
                 self._n_keys, self._effective_shares(self.sim.now)
             )
         if self._policy is None:
+            born = request.born
             for server_index, count in enumerate(counts):
                 if count == 0:
                     continue
                 contexts = [
                     _KeyContext(
                         request=request,
-                        key_name=f"r{request.request_id}k{self._generated_keys + i}",
+                        key_name=name,
                         server_index=server_index,
-                        launched=request.born,
+                        launched=born,
                     )
-                    for i in range(int(count))
+                    for name in self._key_names(request, int(count))
                 ]
-                self._generated_keys += int(count)
                 self._dispatch_batch(server_index, contexts)
             return
         # Policy path: each key gets its own state machine; keys bound
@@ -493,11 +525,8 @@ class MemcachedSystemSimulator:
             if count == 0:
                 continue
             contexts = []
-            for i in range(int(count)):
-                state = _KeyState(
-                    request=request,
-                    key_name=f"r{request.request_id}k{self._generated_keys + i}",
-                )
+            for name in self._key_names(request, int(count)):
+                state = _KeyState(request=request, key_name=name)
                 context = _KeyContext(
                     request=request,
                     key_name=state.key_name,
@@ -508,10 +537,18 @@ class MemcachedSystemSimulator:
                 state.attempts.append(context)
                 contexts.append(context)
                 armed.append(state)
-            self._generated_keys += int(count)
             self._dispatch_batch(server_index, contexts)
         for state in armed:
             self._arm_timers(state)
+
+    def _key_names(self, request: _RequestState, count: int) -> list:
+        """Names of the next ``count`` keys, or ``None`` each when
+        neither a cache backend nor the tracer reads them."""
+        first = self._generated_keys
+        self._generated_keys = first + count
+        if not self._named_keys:
+            return [None] * count
+        return [f"r{request.request_id}k{first + i}" for i in range(count)]
 
     # ------------------------------------------------------------------
     # Policy machinery (hedging, timeout/retry, cancellation).
@@ -552,9 +589,10 @@ class MemcachedSystemSimulator:
         return int(self._rng_policy.choice(shares.size, p=shares / total))
 
     def _launch_attempt(self, state: _KeyState, server_index: int) -> None:
+        name = state.key_name
         context = _KeyContext(
             request=state.request,
-            key_name=f"{state.key_name}a{len(state.attempts)}",
+            key_name=None if name is None else f"{name}a{len(state.attempts)}",
             server_index=server_index,
             state=state,
             launched=self.sim.now,
@@ -650,7 +688,7 @@ class MemcachedSystemSimulator:
         else:
             context.server_sojourn = sojourn
             context.server_wait = job.wait
-        self._per_key_server.record(sojourn)
+        self._key_sojourns.append(sojourn)
         if self._hist_key_sojourn is not None:
             self._hist_key_sojourn.record(sojourn)
         self._keys_processed += 1
@@ -693,75 +731,99 @@ class MemcachedSystemSimulator:
 
     def _finish_key(self, context: _KeyContext, *, database_time: float) -> None:
         request = context.request
-
-        def delivered() -> None:
-            self._key_done(context)
-
-        delay = self._network.send(delivered)
+        if context.state is not None:
+            # Policy path: the return hop is an event of its own, since
+            # timers and cancel-on-winner act on in-flight keys.
+            delay = self._network.send(partial(self._key_done, context))
+            context.network_so_far += delay
+            if context.span is not None:
+                now = self.sim.now
+                context.span.child("network.in", now, end=now + delay)
+            return
+        # The network is a constant delay, which keeps FIFO order: the
+        # key's return is accounted now, and only the request's last key
+        # schedules an event — the request's completion, at the instant
+        # its value arrives.
+        delay = self._network.traverse()
         context.network_so_far += delay
-        if context.state is None:
-            request.max_network = max(request.max_network, context.network_so_far)
+        request.max_network = max(request.max_network, context.network_so_far)
         if context.span is not None:
-            context.span.child("network.in", self.sim.now, end=self.sim.now + delay)
+            now = self.sim.now
+            context.span.child("network.in", now, end=now + delay)
+            context.span.finish(now + delay)
+        request.pending -= 1
+        if request.pending == 0:
+            self.sim.schedule(
+                delay, partial(self._complete_request, request, context.launched)
+            )
+        elif request.pending < 0:  # pragma: no cover - defensive
+            raise SimulationError("request completed more keys than it has")
 
     def _key_done(self, context: _KeyContext) -> None:
+        """A policy attempt's value arrived back at the client."""
         request = context.request
         state = context.state
-        if state is not None:
-            if context.abandoned or state.done:
-                # A losing attempt arriving after the key resolved (or
-                # after its timeout): spent load, nothing to record.
-                if context.span is not None:
-                    context.span.finish(self.sim.now)
-                return
-            state.done = True
-            self._cancel_timers(state)
-            if self._policy.cancel_on_winner:
-                for attempt in state.attempts:
-                    if attempt is not context:
-                        self._abandon_attempt(attempt)
-            # Only the winning attempt's stage times shape the request's
-            # fork-join maxima — exactly what the client observed.
-            if context.server_sojourn >= request.max_server:
-                request.max_server = context.server_sojourn
-                request.server_wait = context.server_wait
-            if context.database_sojourn >= request.max_database:
-                request.max_database = context.database_sojourn
-                request.database_wait = context.database_wait
-            request.max_network = max(request.max_network, context.network_so_far)
+        if context.abandoned or state.done:
+            # A losing attempt arriving after the key resolved (or after
+            # its timeout): spent load, nothing to record.
+            if context.span is not None:
+                context.span.finish(self.sim.now)
+            return
+        state.done = True
+        self._cancel_timers(state)
+        if self._policy.cancel_on_winner:
+            for attempt in state.attempts:
+                if attempt is not context:
+                    self._abandon_attempt(attempt)
+        # Only the winning attempt's stage times shape the request's
+        # fork-join maxima — exactly what the client observed.
+        if context.server_sojourn >= request.max_server:
+            request.max_server = context.server_sojourn
+            request.server_wait = context.server_wait
+        if context.database_sojourn >= request.max_database:
+            request.max_database = context.database_sojourn
+            request.database_wait = context.database_wait
+        request.max_network = max(request.max_network, context.network_so_far)
         request.pending -= 1
         if request.pending < 0:  # pragma: no cover - defensive
             raise SimulationError("request completed more keys than it has")
         if context.span is not None:
             context.span.finish(self.sim.now)
         if request.pending == 0:
-            now = self.sim.now
-            rows = self._rows
-            rows.append(
-                (
-                    request.request_id,
-                    request.born,
-                    now,
-                    now - request.born,
-                    request.max_network,
-                    request.server_wait,
-                    request.max_server,
-                    request.database_wait,
-                    request.max_database,
-                    context.launched - request.born,
-                )
+            self._complete_request(request, context.launched)
+
+    def _complete_request(self, request: _RequestState, launched: float) -> None:
+        """The request's last value arrived: append its record row, then
+        apply the warmup reset and the stop."""
+        now = self.sim.now
+        rows = self._rows
+        rows.append(
+            (
+                request.request_id,
+                request.born,
+                now,
+                now - request.born,
+                request.max_network,
+                request.server_wait,
+                request.max_server,
+                request.database_wait,
+                request.max_database,
+                launched - request.born,
             )
-            if len(rows) >= _FLUSH_CHUNK:
-                self._chunks.append(_row_matrix(rows, len(RECORD_FIELDS)))
-                rows.clear()
-            if request.span is not None:
-                self._tracer.finish_request(request.span, now)
-            self._completed_requests += 1
-            if self._completed_requests == self._warmup_target:
-                self._reset_recorders()
-            if self._completed_requests >= self._run_target:
-                self._accepting = False
-                self.sim.stop()
+        )
+        if len(rows) >= _FLUSH_CHUNK:
+            self._chunks.append(_row_matrix(rows, len(RECORD_FIELDS)))
+            rows.clear()
+        if len(self._key_sojourns) >= _PER_KEY_CHUNK:
+            _flush_sojourns(self._per_key_server, self._key_sojourns)
+        if request.span is not None:
+            self._tracer.finish_request(request.span, now)
+        self._completed_requests += 1
+        if self._completed_requests == self._warmup_target:
+            self._reset_recorders()
+        if self._completed_requests >= self._run_target:
+            self._accepting = False
+            self.sim.stop()
 
     # ------------------------------------------------------------------
 
@@ -790,6 +852,7 @@ class MemcachedSystemSimulator:
             recorder = recorders[field] = LatencyRecorder()
             for value in column[field].tolist():
                 recorder.record(value)
+        _flush_sojourns(self._per_key_server, self._key_sojourns)
         registry = self._registry
         if registry is not None:
             for name, field in _REQUEST_HISTOGRAMS:
@@ -843,7 +906,8 @@ class MemcachedSystemSimulator:
         self._chunks.clear()
         self._keys_offset = self._keys_processed
         self._misses_offset = self._misses
-        self._per_key_server = LatencyRecorder(max_samples=500_000)
+        self._per_key_server = LatencyRecorder(max_samples=_PER_KEY_SAMPLES)
+        self._key_sojourns.clear()
         # Observability resets in place: the histogram/counter objects
         # held by servers and the database stay valid (the timeline
         # builder clears its sink lists without replacing them).

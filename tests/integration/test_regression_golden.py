@@ -4,8 +4,8 @@ The analytic values pin the math (any change to the solvers shows up
 here first); the seeded simulation values pin the RNG plumbing (stream
 splitting, sampling order). Update a golden value only when a deliberate
 behaviour change explains it. The fastpath, ``GeneralBatchQueue`` and
-``Scenario.run("fastpath")`` pins are exact: a float's ``hex()`` or a
-sha256 of the array or JSON bytes.
+``Scenario.run`` pins (``fastpath`` and ``simulate``) are exact: a
+float's ``hex()`` or a sha256 of the array or JSON bytes.
 """
 
 import hashlib
@@ -16,6 +16,7 @@ import pytest
 
 from repro.core import LatencyModel, ServerStage, WorkloadPattern
 from repro.experiments import Scenario
+from repro.policies import RequestPolicy
 from repro.queueing import GeneralBatchQueue, delta_for_utilization
 from repro.simulation import MemcachedSystemSimulator, simulate_key_latencies
 from repro.core import ClusterModel
@@ -115,6 +116,44 @@ class TestSeededSimulationGoldens:
         result = scenario.run("fastpath", pool_size=50_000).to_dict()
         payload = json.dumps(result, sort_keys=True).encode()
         assert hashlib.sha256(payload).hexdigest() == expected
+
+    @pytest.mark.parametrize(
+        "scenario, result_digest, per_key_digest",
+        [
+            (
+                Scenario(
+                    key_rate=40_000.0, n_servers=4, n_keys=150,
+                    network_delay=20e-6, miss_ratio=0.002,
+                    database_rate=1_000.0, n_requests=200,
+                    warmup_requests=20, seed=5,
+                ),
+                "75f26b19d14738818ee47a8500e64cdc292289ba8e9bcd7c68202b6c2d9b55b7",
+                "08888fd84aac1cae9395fb1985ed2bec5bd0837148bb8eec617d18438e6d7a1a",
+            ),
+            (
+                Scenario(
+                    key_rate=40_000.0, n_servers=4, n_keys=20,
+                    network_delay=20e-6, miss_ratio=0.01,
+                    database_rate=5_000.0, n_requests=300,
+                    warmup_requests=30, seed=17,
+                    policy=RequestPolicy(hedge_delay=0.2e-3, cancel_on_winner=True),
+                ),
+                "46dea57b0113bd34a821d7d2dc6cc73795632f51336f5c83711c221a3458ea6d",
+                "e294dd98a8df7dac250f293db022258d7df0a283e2be654815b9332268b6d2d6",
+            ),
+        ],
+        ids=["cluster-misses-warmup", "hedge-cancel-on-winner"],
+    )
+    def test_simulate_scenario_bytes(self, scenario, result_digest, per_key_digest):
+        # The whole result (stage summaries, utilizations, timeline and
+        # attribution) and the per-key server sojourns, byte for byte.
+        # The timeline's provenance stamp (git SHA) is not a result.
+        result = scenario.run("simulate", timeline=4, attribution=True)
+        data = result.to_dict()
+        del data["timeline"]["provenance"]
+        payload = json.dumps(data, sort_keys=True).encode()
+        assert hashlib.sha256(payload).hexdigest() == result_digest
+        assert _digest(result.raw.per_key_server.samples()) == per_key_digest
 
     def test_system_sim_seeded_determinism(self):
         def run():

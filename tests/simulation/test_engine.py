@@ -62,6 +62,60 @@ class TestScheduling:
             Simulator().schedule(-1.0, lambda: None)
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestRejectsNonFiniteTimes:
+    """NaN fails every ordering comparison, so ``delay < 0``-style
+    guards let it through; each entry point must reject it (and
+    infinities) instead of moving the clock there."""
+
+    @pytest.mark.parametrize("delay", NON_FINITE)
+    def test_schedule(self, delay):
+        sim = Simulator()
+        with pytest.raises(ValidationError, match="finite"):
+            sim.schedule(delay, lambda: None)
+        assert sim.pending_events == 0 and sim.scheduler_entries == 0
+
+    @pytest.mark.parametrize("time", NON_FINITE)
+    def test_schedule_at(self, time):
+        sim = Simulator()
+        with pytest.raises(ValidationError, match="finite"):
+            sim.schedule_at(time, lambda: None)
+        assert sim.pending_events == 0 and sim.scheduler_entries == 0
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            [float("nan"), 2.0],
+            [1.0, float("nan"), 3.0],
+            [1.0, float("nan")],
+            [1.0, float("inf")],
+            [float("nan")],
+        ],
+    )
+    def test_schedule_batch(self, times):
+        sim = Simulator()
+        with pytest.raises(ValidationError):
+            sim.schedule_batch(times, lambda i: None)
+        assert sim.pending_events == 0 and sim.scheduler_entries == 0
+
+    def test_run_until(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(ValidationError):
+            sim.run_until(float("nan"))
+        assert sim.now == 0.0 and sim.pending_events == 1
+
+    def test_clock_stays_finite(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(ValidationError):
+            sim.schedule(float("nan"), lambda: None)
+        sim.run()
+        assert sim.now == 1.0
+
+
 class TestCancellation:
     def test_cancelled_event_skipped(self):
         sim = Simulator()

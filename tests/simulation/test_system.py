@@ -7,7 +7,12 @@ from repro.core import ClusterModel
 from repro.errors import ValidationError
 from repro.observability import Histogram, Observability
 from repro.policies import RequestPolicy
-from repro.simulation import BernoulliMissModel, MemcachedSystemSimulator
+from repro.simulation import (
+    BernoulliMissModel,
+    LatencyRecorder,
+    MemcachedSystemSimulator,
+)
+from repro.simulation import system as system_module
 from repro.units import kps, msec, usec
 
 
@@ -197,3 +202,70 @@ class TestOneRecord:
         assert attribution.count == 250
         np.testing.assert_array_equal(attribution.total, totals)
         assert np.all(attribution.conservation_residuals() == 0.0)
+
+
+class TestEventsPerKey:
+    """The policy-free return hop schedules no event: a constant network
+    delay keeps FIFO order, so a key's return is accounted when it
+    leaves its server and only a request's completion is an event."""
+
+    N_KEYS = 20
+    N_SERVERS = 4
+
+    def run(self, **overrides):
+        system = build_system(request_rate=400.0, seed=3, **overrides)
+        results = system.run(n_requests=300, warmup_requests=30)
+        return system, results
+
+    def test_about_one_event_per_key(self):
+        system, results = self.run()
+        spawned = system._next_request_id
+        keys_generated = spawned * self.N_KEYS
+        # Per key: its service completion, plus a database completion on
+        # a miss. Per request: its arrival, at most one outbound hop per
+        # server and its completion. A per-key return event would add
+        # another keys_generated on top.
+        bound = keys_generated + results.misses + (self.N_SERVERS + 2) * spawned
+        assert keys_generated <= system.sim.events_processed <= bound
+        # The return legs still count as network traversals: one per key
+        # of every completed request, on top of at least one outbound
+        # hop per spawned request.
+        completed = 300 + 30
+        assert system._network.delivered >= completed * self.N_KEYS + spawned
+
+    def test_key_spans_end_with_their_return_hop(self):
+        obs = Observability(trace=True)
+        system, results = self.run(observability=obs)
+        roots = obs.tracer.recent()
+        assert len(roots) == results.requests_completed == 300
+        total = dict(
+            zip(results.record[:, 0].astype(int).tolist(), results.record[:, 3].tolist())
+        )
+        for root in roots:
+            assert root.duration == total[root.attributes["request_id"]]
+            keys = [span for span in root.children if span.name == "key"]
+            assert len(keys) == self.N_KEYS
+            for key in keys:
+                network_in = [c for c in key.children if c.name == "network.in"]
+                assert len(network_in) == 1
+                assert key.end == network_in[0].end
+                assert key.end <= root.end
+
+
+class TestPerKeySojourns:
+    def test_chunked_flushes_match_scalar_recording(self, monkeypatch):
+        # A small cap, so flushes land before, across and past it.
+        monkeypatch.setattr(system_module, "_PER_KEY_SAMPLES", 100)
+        values = np.random.default_rng(1).exponential(size=350).tolist()
+        expected = LatencyRecorder(max_samples=100)
+        for value in values:
+            expected.record(value)
+        recorder = LatencyRecorder(max_samples=100)
+        for start in range(0, len(values), 64):
+            chunk = values[start : start + 64]
+            system_module._flush_sojourns(recorder, chunk)
+            assert chunk == []
+        assert recorder.samples().tobytes() == expected.samples().tobytes()
+        assert recorder.count == expected.count == 350
+        assert recorder.mean == pytest.approx(expected.mean, rel=1e-12)
+        assert recorder.std == pytest.approx(expected.std, rel=1e-9)
