@@ -25,7 +25,8 @@ Run modes:
 * ``python benchmarks/bench_speed_backends.py`` — full measurement
   (best of 3, 4000 requests / 1M events).
 * ``python benchmarks/bench_speed_backends.py --quick`` — CI smoke
-  (single repeat, 600 requests / 300k events) writing to ``--out``;
+  (single repeat, 600 requests / 300k events; the engine pair and
+  ``fastpath-system`` take the best of five) writing to ``--out``;
   still asserts the fast path's >= 10x speedup over the engine and the
   engine dispatch-rate floors.
 * ``pytest benchmarks/bench_speed_backends.py`` — same measurement via
@@ -136,6 +137,8 @@ def measure(
     (off, on, off, on, ...) with at least five repeats each: their
     ratio is an enforced CI contract, and back-to-back independent
     timings drift enough (CPU frequency, cache warmth) to flake it.
+    ``fastpath-system``, the numerator of the 10x contract, also takes
+    the best of at least five.
     """
     scenario = speed_scenario(n_requests)
     total_keys = n_requests * scenario.n_keys
@@ -159,7 +162,10 @@ def measure(
             continue
         if engine_pair and backend == "simulate+timeline":
             continue  # timed with its telemetry-off twin above
-        wall = min(_run_once(scenario, backend) for _ in range(repeats))
+        # A quick fastpath-system run lasts milliseconds, so one timing
+        # is mostly noise; it gets the engine pair's repeat count.
+        reps = max(repeats, 5) if backend == "fastpath-system" else repeats
+        wall = min(_run_once(scenario, backend) for _ in range(reps))
         results[backend] = {
             "keys_per_sec": total_keys / wall,
             "wall_s": wall,

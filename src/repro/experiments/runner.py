@@ -236,6 +236,10 @@ def _execute_cell(cell: Cell) -> CellResult:
         outcome = cell.scenario.run(cell.backend, **cell.option_dict)
         metrics = cell_metrics(outcome)
         timeline = getattr(outcome, "timeline", None)
+        if timeline is not None:
+            # Reading the stage series builds any deferred ones, so the
+            # suite keeps window series, not the run's per-key arrays.
+            timeline.stages
         attribution = getattr(outcome, "attribution", None)
     except ReproError as exc:
         error = f"{type(exc).__name__}: {exc}"

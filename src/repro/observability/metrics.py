@@ -13,7 +13,9 @@ cover everything else.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -66,6 +68,9 @@ class Histogram:
         self._sumsq = 0.0
         self._min = math.inf
         self._max = -math.inf
+        # (buckets, cumulative counts, upper bounds), built on the first
+        # query after a change and dropped by every mutator.
+        self._walk: Optional[Tuple[list, list, list]] = None
 
     # ------------------------------------------------------------------
     # Recording.
@@ -78,6 +83,7 @@ class Histogram:
             raise ValidationError(f"observation must be finite, got {value}")
         if value < 0:
             raise ValidationError(f"observation must be >= 0, got {value}")
+        self._walk = None
         self._count += 1
         self._sum += value
         self._sumsq += value * value
@@ -111,6 +117,7 @@ class Histogram:
         if (array < 0).any():
             bad = array[array < 0][0]
             raise ValidationError(f"observation must be >= 0, got {bad}")
+        self._walk = None
         self._count += int(array.size)
         self._sum += float(array.sum())
         self._sumsq += float(np.square(array).sum())
@@ -120,6 +127,16 @@ class Histogram:
         self._zero += int(array.size - positive.size)
         if positive.size == 0:
             return
+        uniques, counts = np.unique(
+            self._bucket_indices(positive), return_counts=True
+        )
+        for bucket, count in zip(uniques.tolist(), counts.tolist()):
+            self._counts[bucket] = self._counts.get(bucket, 0) + count
+
+    def _bucket_indices(self, positive):
+        """:meth:`bucket_index` of every value of a positive array."""
+        import numpy as np
+
         clamped = positive <= self._min_value
         index = np.zeros(positive.size, dtype=np.int64)
         free = ~clamped
@@ -134,9 +151,7 @@ class Histogram:
             down = vals < lower
             up = (~down) & (vals >= upper)
             index[free] = idx - down.astype(np.int64) + up.astype(np.int64)
-        uniques, counts = np.unique(index, return_counts=True)
-        for bucket, count in zip(uniques.tolist(), counts.tolist()):
-            self._counts[bucket] = self._counts.get(bucket, 0) + count
+        return index
 
     # ------------------------------------------------------------------
     # Bucket geometry.
@@ -162,13 +177,28 @@ class Histogram:
 
     def buckets(self) -> List[Tuple[float, float, int]]:
         """Sorted non-empty ``(lower, upper, count)`` triples (zeros first)."""
-        out: List[Tuple[float, float, int]] = []
-        if self._zero:
-            out.append((0.0, 0.0, self._zero))
-        for index in sorted(self._counts):
-            lower, upper = self.bucket_bounds(index)
-            out.append((lower, upper, self._counts[index]))
-        return out
+        return list(self._bucket_walk()[0])
+
+    def _bucket_walk(self) -> Tuple[list, list, list]:
+        """The sorted buckets with their running counts and upper bounds.
+
+        Built once per state: quantile and threshold queries bisect the
+        running counts and the uppers instead of sorting the buckets
+        again on every call.
+        """
+        if self._walk is None:
+            out: List[Tuple[float, float, int]] = []
+            if self._zero:
+                out.append((0.0, 0.0, self._zero))
+            for index in sorted(self._counts):
+                lower, upper = self.bucket_bounds(index)
+                out.append((lower, upper, self._counts[index]))
+            self._walk = (
+                out,
+                list(itertools.accumulate(count for _, _, count in out)),
+                [upper for _, upper, _ in out],
+            )
+        return self._walk
 
     # ------------------------------------------------------------------
     # Statistics.
@@ -211,16 +241,18 @@ class Histogram:
         if self._count == 0:
             raise ValidationError("no observations recorded")
         rank = k * self._count
-        seen = 0.0
-        for lower, upper, count in self.buckets():
-            if seen + count >= rank:
-                if upper == 0.0:  # the zero bucket
-                    return 0.0
-                fraction = (rank - seen) / count
-                value = lower + (upper - lower) * fraction
-                return min(max(value, self._min), self._max)
-            seen += count
-        return self._max
+        buckets, cumulative, _ = self._bucket_walk()
+        # The first bucket whose running count reaches the rank.
+        at = bisect.bisect_left(cumulative, rank)
+        if at == len(buckets):
+            return self._max
+        lower, upper, count = buckets[at]
+        if upper == 0.0:  # the zero bucket
+            return 0.0
+        seen = cumulative[at] - count
+        fraction = (rank - seen) / count
+        value = lower + (upper - lower) * fraction
+        return min(max(value, self._min), self._max)
 
     def quantiles(self, ks: Sequence[float]) -> List[float]:
         return [self.quantile(float(k)) for k in ks]
@@ -236,10 +268,12 @@ class Histogram:
         threshold = float(threshold)
         if not math.isfinite(threshold):
             raise ValidationError(f"threshold must be finite, got {threshold}")
+        buckets, _, uppers = self._bucket_walk()
+        # Skip the buckets wholly at or below the threshold; the rest
+        # add up in bucket order, as a full walk would.
+        first = bisect.bisect_right(uppers, threshold)
         total = 0.0
-        for lower, upper, count in self.buckets():
-            if upper <= threshold:
-                continue
+        for lower, upper, count in buckets[first:]:
             if lower >= threshold:
                 total += count
             else:
@@ -269,6 +303,7 @@ class Histogram:
 
     def reset(self) -> None:
         """Drop all observations (bucket geometry is kept)."""
+        self._walk = None
         self._counts.clear()
         self._zero = 0
         self._count = 0
@@ -281,6 +316,7 @@ class Histogram:
         """Fold another histogram (same geometry) into this one."""
         if (other._min_value, other._bpd) != (self._min_value, self._bpd):
             raise ValidationError("cannot merge histograms with different buckets")
+        self._walk = None
         for index, count in other._counts.items():
             self._counts[index] = self._counts.get(index, 0) + count
         self._zero += other._zero
@@ -321,6 +357,58 @@ class Histogram:
         hist._min = float(payload["min"]) if payload.get("min") is not None else math.inf
         hist._max = float(payload["max"]) if payload.get("max") is not None else -math.inf
         return hist
+
+
+def _record_windows(
+    hists: Sequence[Histogram], values: Sequence[float], bounds: Sequence[int]
+) -> None:
+    """``hists[k].record_many(values[bounds[k]:bounds[k + 1]])`` for every
+    ``k``, with one bucket-index pass over all of ``values``.
+
+    The histograms share one bucket geometry. Each window keeps the
+    sums of its own slice, so every field matches the per-window calls
+    bit for bit; invalid values raise exactly what those calls raise.
+    """
+    import numpy as np
+
+    values = np.asarray(values, dtype=float).ravel()
+    if not (np.isfinite(values).all() and (values >= 0.0).all()):
+        for k, hist in enumerate(hists):
+            hist.record_many(values[bounds[k] : bounds[k + 1]])
+        return
+    sizes = np.diff(bounds)
+    window = np.repeat(np.arange(len(hists)), sizes)
+    positive = values > 0.0
+    n_positive = np.bincount(window[positive], minlength=len(hists))
+    squares = np.square(values)
+    for k, hist in enumerate(hists):
+        lo, hi = int(bounds[k]), int(bounds[k + 1])
+        if hi == lo:
+            continue
+        chunk = values[lo:hi]
+        hist._walk = None
+        hist._count += hi - lo
+        hist._sum += float(chunk.sum())
+        hist._sumsq += float(squares[lo:hi].sum())
+        hist._min = min(hist._min, float(chunk.min()))
+        hist._max = max(hist._max, float(chunk.max()))
+        hist._zero += hi - lo - int(n_positive[k])
+    if not positive.any():
+        return
+    index = hists[0]._bucket_indices(values[positive])
+    # One (window, bucket) key per value: its unique counts come out
+    # window by window, buckets ascending, as per-window calls add them.
+    base = int(index.min())
+    width = int(index.max()) - base + 1
+    keys, counts = np.unique(
+        window[positive] * width + (index - base), return_counts=True
+    )
+    windows, buckets = np.divmod(keys, width)
+    for k, bucket, count in zip(
+        windows.tolist(), (buckets + base).tolist(), counts.tolist()
+    ):
+        table = hists[k]._counts
+        table[bucket] = table.get(bucket, 0) + count
 
 
 class Counter:

@@ -38,13 +38,13 @@ import dataclasses
 import json
 import math
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..errors import ConfigError, ValidationError
 from .attribution import _row_matrix
-from .metrics import Histogram
+from .metrics import Histogram, _record_windows
 from .report import provenance, provenance_comment
 
 __all__ = [
@@ -55,6 +55,9 @@ __all__ = [
     "TimelineSpec",
     "time_in_windows",
 ]
+
+#: One stage's per-job ``(arrival, service_start, finish)`` arrays.
+_Jobs = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 #: Window count used when neither a width nor a count is requested.
 DEFAULT_WINDOWS = 60
@@ -165,17 +168,30 @@ def time_in_windows(
     edges = np.asarray(edges, dtype=float)
     if (ends < starts).any():
         ends = np.maximum(ends, starts)
+    return _overlap(_crossings(starts, edges), _crossings(ends, edges), edges)
 
-    def crossings(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        ordered = _ordered(points)
-        below = np.searchsorted(ordered, edges, side="right")
-        sums = np.array(
-            [ordered[lo:hi].sum() for lo, hi in zip(below[:-1], below[1:])]
-        )
-        return below, sums
 
-    below_start, start_sums = crossings(starts)
-    below_end, end_sums = crossings(ends)
+def _crossings(
+    points: np.ndarray, edges: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(ordered, below, sums)`` of ``points`` against the window edges.
+
+    ``below`` counts the points at or below each edge and ``sums`` adds
+    the points inside each window: one order check and one slice-sum
+    pass, shared by every integral and count the points take part in.
+    """
+    ordered = _ordered(points)
+    below = np.searchsorted(ordered, edges, side="right")
+    sums = np.array(
+        [ordered[lo:hi].sum() for lo, hi in zip(below[:-1], below[1:])]
+    )
+    return ordered, below, sums
+
+
+def _overlap(starts: tuple, ends: tuple, edges: np.ndarray) -> np.ndarray:
+    """:func:`time_in_windows` from the :func:`_crossings` of both ends."""
+    _, below_start, start_sums = starts
+    _, below_end, end_sums = ends
     # t * (intervals open at t), the min(t, .) terms of F at each edge.
     open_time = edges * (below_start - below_end)
     return (end_sums - start_sums) + np.diff(open_time)
@@ -188,7 +204,11 @@ def _counts(times: np.ndarray, edges: np.ndarray) -> np.ndarray:
     end); points outside the span are dropped. Counts are differences of
     searchsorted cuts into the ordered times.
     """
-    ordered = _ordered(np.asarray(times, dtype=float))
+    return _ordered_counts(_ordered(np.asarray(times, dtype=float)), edges)
+
+
+def _ordered_counts(ordered: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """:func:`_counts` of times already in non-decreasing order."""
     cuts = np.searchsorted(ordered, edges, side="left")
     cuts[-1] = np.searchsorted(ordered, edges[-1], side="right")
     return np.diff(cuts).astype(float)
@@ -226,12 +246,31 @@ class StageSeries:
         finish: np.ndarray,
         edges: np.ndarray,
     ) -> "StageSeries":
-        """Vectorized construction from per-job (arrival, start, finish)."""
+        """Vectorized construction from per-job (arrival, start, finish).
+
+        Each array is order-checked and slice-summed once: the busy and
+        wait integrals share the service starts' crossings, and the job
+        counts reuse the ordered arrivals and finishes. A job that
+        starts before it arrives, or finishes before it starts, is
+        clamped per integral as :func:`time_in_windows` clamps it.
+        """
+        arrival = np.asarray(arrival, dtype=float)
+        start = np.asarray(start, dtype=float)
+        finish = np.asarray(finish, dtype=float)
+        arrived = _crossings(arrival, edges)
+        started = _crossings(start, edges)
+        finished = _crossings(finish, edges)
+        wait_end = started
+        if (start < arrival).any():
+            wait_end = _crossings(np.maximum(start, arrival), edges)
+        busy_end = finished
+        if (finish < start).any():
+            busy_end = _crossings(np.maximum(finish, start), edges)
         return cls(
-            arrivals=_counts(arrival, edges),
-            completions=_counts(finish, edges),
-            busy_time=time_in_windows(start, finish, edges),
-            wait_time=time_in_windows(arrival, start, edges),
+            arrivals=_ordered_counts(arrived[0], edges),
+            completions=_ordered_counts(finished[0], edges),
+            busy_time=_overlap(started, busy_end, edges),
+            wait_time=_overlap(arrived, wait_end, edges),
         )
 
     def merge(self, other: "StageSeries") -> None:
@@ -263,7 +302,14 @@ class StageSeries:
 
 @dataclasses.dataclass
 class Timeline:
-    """One run's windowed telemetry (every backend emits this schema)."""
+    """One run's windowed telemetry (every backend emits this schema).
+
+    ``stages`` may be deferred: :meth:`from_events` keeps each stage's
+    job arrays and builds the :class:`StageSeries` when ``stages`` is
+    first read (a stage metric, :meth:`to_dict`, :meth:`merge`,
+    equality, pickling), so a reader of request-level series only never
+    pays for them.
+    """
 
     start: float
     window: float
@@ -303,9 +349,7 @@ class Timeline:
         request_born: np.ndarray,
         request_completed: np.ndarray,
         request_total: Optional[np.ndarray] = None,
-        stages: Optional[
-            Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]]
-        ] = None,
+        stages: Optional[Dict[str, Union[_Jobs, Callable[[], _Jobs]]]] = None,
         spec: Optional[TimelineSpec] = None,
         meta: Optional[Dict[str, object]] = None,
     ) -> "Timeline":
@@ -314,7 +358,10 @@ class Timeline:
         ``request_born``/``request_completed`` are per-request instants;
         ``request_total`` defaults to their difference (the end-to-end
         latency). ``stages`` maps a stage name to per-job
-        ``(arrival, service_start, finish)`` arrays. Events outside
+        ``(arrival, service_start, finish)`` arrays, or to a
+        zero-argument callable returning them; either is kept as given
+        and turned into the stage's series on the first read of
+        :attr:`stages`. Events outside
         ``[start, end]`` are clipped or dropped exactly as the engine's
         warmup reset would: counts outside the span vanish, interval
         time is clipped at the span edges.
@@ -347,21 +394,34 @@ class Timeline:
             window_sorted = window_of[order]
             totals_sorted = totals[in_range][order]
             bounds = np.searchsorted(window_sorted, np.arange(count + 1))
-            for k in range(count):
-                lo, hi = bounds[k], bounds[k + 1]
-                if hi > lo:
-                    timeline.latency[k].record_many(totals_sorted[lo:hi])
+            _record_windows(timeline.latency, totals_sorted, bounds)
 
-        for name, (arrival, svc_start, finish) in (stages or {}).items():
-            timeline.stages[str(name)] = StageSeries.from_jobs(
-                np.asarray(arrival, dtype=float),
-                np.asarray(svc_start, dtype=float),
-                np.asarray(finish, dtype=float),
-                edges,
-            )
+        if stages:
+            timeline._stage_jobs = dict(stages)
         if meta:
             timeline.meta.update(meta)
         return timeline
+
+    def _read_stages(self) -> Dict[str, StageSeries]:
+        """Build any deferred stage series, then hand back the mapping."""
+        jobs = self.__dict__.pop("_stage_jobs", None)
+        if jobs:
+            edges = self.edges
+            for name, stage in jobs.items():
+                arrival, start, finish = stage() if callable(stage) else stage
+                self._stages[str(name)] = StageSeries.from_jobs(
+                    arrival, start, finish, edges
+                )
+        return self._stages
+
+    def _write_stages(self, stages: Dict[str, StageSeries]) -> None:
+        self.__dict__.pop("_stage_jobs", None)
+        self._stages = stages
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Ship built series, never the deferred per-job arrays.
+        self._read_stages()
+        return self.__dict__
 
     # ------------------------------------------------------------------
     # Geometry.
@@ -659,6 +719,13 @@ class Timeline:
                     + [cell(utils[name][k]) for name in names]
                     + [cell(depths[name][k]) for name in names]
                 )
+
+
+Timeline.stages = property(  # type: ignore[assignment]
+    Timeline._read_stages,
+    Timeline._write_stages,
+    doc="Per-stage series by name, built from deferred jobs on first read.",
+)
 
 
 class TimelineBuilder:

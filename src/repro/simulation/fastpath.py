@@ -66,11 +66,13 @@ def batch_fifo(
     starts = np.zeros(sizes.size, dtype=np.int64)
     np.cumsum(sizes[:-1], out=starts[1:])
     waits = lindley_waits(np.add.reduceat(services, starts), gaps)
-    # Batch wait + within-batch inclusive service prefix.
-    cumulative = np.cumsum(services)
-    before_batch = cumulative[starts] - services[starts]
-    within = cumulative - np.repeat(before_batch, sizes)
-    return np.repeat(waits, sizes) + within, starts
+    # Within-batch inclusive service prefix, then the batch wait, built
+    # in place (``x + w == w + x`` bit for bit).
+    sojourn = np.cumsum(services)
+    before_batch = sojourn[starts] - services[starts]
+    sojourn -= np.repeat(before_batch, sizes)
+    sojourn += np.repeat(waits, sizes)
+    return sojourn, starts
 
 
 def _simulate_keys(

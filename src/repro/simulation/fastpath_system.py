@@ -46,6 +46,7 @@ territory.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -204,15 +205,15 @@ def _simulate_pass(
 
         sojourn, starts = batch_fifo(np.diff(batch_arrival), sizes, services)
 
-        # A request's keys at this server form one contiguous batch, so
-        # its maximum is a segmented reduction; the result folds into
-        # the stage maxima shared with the other servers.
-        batch_max = np.maximum.reduceat(sojourn, starts)
+        # A request's keys at this server form one contiguous batch whose
+        # sojourns never decrease, so its maximum is its last key's; the
+        # result folds into the stage maxima shared with the other
+        # servers.
+        batch_max = sojourn[starts + sizes - 1]
         server_max[nonzero] = np.maximum(server_max[nonzero], batch_max)
         combo_max[nonzero] = np.maximum(combo_max[nonzero], batch_max)
-        request_of_key = np.repeat(nonzero, sizes)
         if attribution:
-            attr_request.append(request_of_key)
+            attr_request.append(np.repeat(nonzero, sizes))
             attr_sojourn.append(sojourn)
             # Clamp the -1 ulp float dust so queue waits stay >= 0.
             attr_wait.append(np.maximum(sojourn - services, 0.0))
@@ -222,10 +223,13 @@ def _simulate_pass(
         server_arrivals.append(key_arrival)
 
         if miss_ratio > 0.0:
-            missed = rng.random(total_keys) < miss_ratio
-            if missed.any():
-                n_misses += int(missed.sum())
-                miss_request.append(request_of_key[missed])
+            missed = np.flatnonzero(rng.random(total_keys) < miss_ratio)
+            if missed.size:
+                n_misses += int(missed.size)
+                # A missed key's request is that of the last batch
+                # starting at or before it.
+                batch = np.searchsorted(starts, missed, side="right") - 1
+                miss_request.append(nonzero[batch])
                 miss_arrival.append(completion[missed])
                 miss_server_sojourn.append(sojourn[missed])
             # Hits resolve at the server; misses get their database
@@ -453,8 +457,12 @@ def simulate_system_requests(
             if warmup_requests
             else 0.0
         )
+        # Stage jobs are sliced only when the timeline's stage series
+        # are first read; a verdict on request-level series never pays
+        # for them. Each partial holds its own stage's job arrays.
         stages = {
-            f"server.{j}": _jobs_finished_between(
+            f"server.{j}": functools.partial(
+                _jobs_finished_between,
                 result.server_arrivals[j],
                 result.server_services[j],
                 result.server_completions[j],
@@ -464,7 +472,8 @@ def simulate_system_requests(
             for j in range(shares_arr.size)
         }
         if miss_ratio > 0.0 and database_rate is not None:
-            stages["database"] = _jobs_finished_between(
+            stages["database"] = functools.partial(
+                _jobs_finished_between,
                 result.db_arrival,
                 result.db_service,
                 result.db_completion,

@@ -8,6 +8,7 @@ streaming moments plus an optional bounded sample store for quantiles.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import List, Optional, Sequence
 
@@ -34,6 +35,13 @@ class SummaryStats:
     def contains(self, value: float) -> bool:
         """Whether ``value`` lies inside the confidence interval."""
         return self.ci_low <= value <= self.ci_high
+
+
+@functools.lru_cache(maxsize=1024)
+def _t_quantile(level: float, df: int) -> float:
+    """Student-t quantile, memoized: every stage of a run shares its
+    sample count, so a result asks for the same one several times."""
+    return float(stats.t.ppf(level, df))
 
 
 class LatencyRecorder:
@@ -170,8 +178,21 @@ class LatencyRecorder:
         return float(np.quantile(np.asarray(self._samples), k))
 
     def quantiles(self, ks: Sequence[float]) -> List[float]:
-        """Several empirical quantiles at once."""
-        return [self.quantile(float(k)) for k in ks]
+        """Several empirical quantiles at once.
+
+        One array conversion and one ``np.quantile`` call for every
+        level; each value equals :meth:`quantile` at its level bit for
+        bit, and a bad level or an empty recorder raises as there.
+        """
+        levels = [float(k) for k in ks]
+        for k in levels:
+            if not 0.0 <= k <= 1.0:
+                raise ValidationError(f"quantile level must be in [0, 1]: {k}")
+            if not self._samples:
+                raise ValidationError("no observations recorded")
+        if not levels:
+            return []
+        return np.quantile(np.asarray(self._samples), levels).tolist()
 
     def confidence_interval(self, confidence: float = 0.95) -> tuple[float, float]:
         """t-based CI for the mean (the paper's Table 3 style)."""
@@ -181,8 +202,8 @@ class LatencyRecorder:
             )
         if self._count < 2:
             raise ValidationError("need at least two observations for a CI")
-        half = float(
-            stats.t.ppf(0.5 + confidence / 2.0, self._count - 1)
+        half = _t_quantile(
+            0.5 + confidence / 2.0, self._count - 1
         ) * self.std / math.sqrt(self._count)
         return self._mean - half, self._mean + half
 

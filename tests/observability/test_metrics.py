@@ -363,3 +363,169 @@ class TestMetricsRegistry:
         b.counter("x")
         with pytest.raises(ValidationError):
             a.merge(b)
+
+
+def _walk_quantile(hist, k):
+    """The bucket walk :meth:`Histogram.quantile` replaces with bisection."""
+    rank = k * hist.count
+    seen = 0.0
+    for lower, upper, count in hist.buckets():
+        if seen + count >= rank:
+            if upper == 0.0:
+                return 0.0
+            value = lower + (upper - lower) * ((rank - seen) / count)
+            return min(max(value, hist.minimum), hist.maximum)
+        seen += count
+    return hist.maximum
+
+
+def _walk_count_above(hist, threshold):
+    """The full bucket walk behind :meth:`Histogram.count_above`."""
+    total = 0.0
+    for lower, upper, count in hist.buckets():
+        if upper <= threshold:
+            continue
+        if lower >= threshold:
+            total += count
+        else:
+            total += count * (upper - threshold) / (upper - lower)
+    return total
+
+
+LEVELS = (0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0)
+THRESHOLDS = (-1.0, 0.0, 5e-10, 1e-9, 2e-3, 0.01, 0.05, 3.0)
+
+
+def _reads(hist):
+    quantiles = [hist.quantile(k) for k in LEVELS] if hist.count else []
+    return (
+        [q.hex() for q in quantiles],
+        [hist.count_above(t).hex() for t in THRESHOLDS],
+        hist.buckets(),
+    )
+
+
+def _values(seed, n=500):
+    """Latencies plus zeros and values at or below ``min_value``."""
+    rng = np.random.default_rng(seed)
+    values = rng.exponential(0.01, n)
+    values[::17] = 0.0
+    values[5::23] = 1e-9
+    values[7::29] = 3e-10
+    return values
+
+
+class TestHistogramQueryCache:
+    """Cached bucket walks answer exactly like a never-queried histogram."""
+
+    def test_matches_full_bucket_walk(self):
+        for seed in range(5):
+            hist = Histogram()
+            hist.record_many(_values(seed, n=50 + 300 * seed))
+            for k in LEVELS + (0.3333, 0.987654):
+                assert hist.quantile(k) == _walk_quantile(hist, k)
+            for threshold in THRESHOLDS + (0.0123, 0.1):
+                assert hist.count_above(threshold) == _walk_count_above(
+                    hist, threshold
+                )
+
+    @pytest.mark.parametrize("mutator", ["record", "record_many", "merge", "reset"])
+    def test_every_mutator_drops_the_cache(self, mutator):
+        first, second = _values(1), _values(2, n=300)
+        hist = Histogram()
+        hist.record_many(first)
+        before = _reads(hist)
+        fresh = Histogram()
+        fresh.record_many(first)
+        assert before == _reads(fresh)
+
+        if mutator == "record":
+            for value in second[:40]:
+                hist.record(value)
+        elif mutator == "record_many":
+            hist.record_many(second)
+        elif mutator == "merge":
+            other = Histogram()
+            other.record_many(second)
+            hist.merge(other)
+        else:
+            hist.reset()
+            hist.record_many(second)
+
+        fresh = Histogram()
+        if mutator == "record":
+            fresh.record_many(first)
+            for value in second[:40]:
+                fresh.record(value)
+        elif mutator == "reset":
+            fresh.record_many(second)
+        else:
+            fresh.record_many(first)
+            fresh.record_many(second)
+        after = _reads(hist)
+        assert after == _reads(fresh)
+        assert after != before
+
+    def test_reset_to_empty(self):
+        hist = Histogram()
+        hist.record_many(_values(3))
+        _reads(hist)
+        hist.reset()
+        assert hist.buckets() == []
+        assert hist.count_above(0.0) == 0.0
+        with pytest.raises(ValidationError):
+            hist.quantile(0.5)
+
+    def test_buckets_hands_out_a_copy(self):
+        hist = Histogram()
+        hist.record_many(_values(4))
+        hist.buckets().clear()
+        assert hist.buckets() == Histogram.from_dict(hist.to_dict()).buckets()
+
+
+class TestRecordWindows:
+    """The one-pass window fill equals per-window ``record_many``."""
+
+    @staticmethod
+    def _both(values, bounds):
+        from repro.observability.metrics import _record_windows
+
+        filled = [Histogram() for _ in range(len(bounds) - 1)]
+        _record_windows(filled, values, np.asarray(bounds))
+        expected = [Histogram() for _ in range(len(bounds) - 1)]
+        for k, hist in enumerate(expected):
+            if bounds[k + 1] > bounds[k]:
+                hist.record_many(values[bounds[k] : bounds[k + 1]])
+        return filled, expected
+
+    def test_matches_per_window_record_many(self):
+        values = _values(5, n=900)
+        # Empty windows first, in the middle and last.
+        bounds = [0, 0, 120, 121, 121, 400, 650, 900, 900]
+        filled, expected = self._both(values, bounds)
+        assert [h.to_dict() for h in filled] == [h.to_dict() for h in expected]
+        for got, want in zip(filled, expected):
+            assert _reads(got) == _reads(want)
+
+    def test_zeros_only_and_clamped_only_windows(self):
+        values = np.array([0.0, 0.0, 0.0, 1e-9, 5e-10, 1e-12, 0.5, 0.0])
+        filled, expected = self._both(values, [0, 3, 6, 6, 8])
+        assert [h.to_dict() for h in filled] == [h.to_dict() for h in expected]
+
+    def test_all_empty(self):
+        filled, expected = self._both(np.empty(0), [0, 0, 0])
+        assert [h.to_dict() for h in filled] == [h.to_dict() for h in expected]
+
+    @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+    def test_invalid_values_raise_as_record_many(self, bad):
+        from repro.observability.metrics import _record_windows
+
+        values = _values(6, n=60)
+        values[45] = bad
+        with pytest.raises(ValidationError) as expected:
+            Histogram().record_many(values[40:60])
+        with pytest.raises(ValidationError) as raised:
+            _record_windows(
+                [Histogram() for _ in range(3)], values, np.array([0, 40, 60, 60])
+            )
+        assert str(raised.value) == str(expected.value)

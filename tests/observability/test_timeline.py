@@ -546,3 +546,185 @@ class TestWindowAccountingProperties:
         np.testing.assert_array_equal(
             [hist.count for hist in timeline.latency], expected
         )
+
+
+@pytest.fixture
+def from_jobs_calls(monkeypatch):
+    """Counts :meth:`StageSeries.from_jobs` calls (one per stage built)."""
+    calls = []
+    original = StageSeries.from_jobs.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(1)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(StageSeries, "from_jobs", classmethod(counting))
+    return calls
+
+
+def system_timeline(**overrides):
+    from repro.experiments import Scenario
+
+    params = dict(
+        key_rate=40_000.0,
+        n_servers=2,
+        service_rate=80_000.0,
+        n_keys=20,
+        network_delay=20e-6,
+        miss_ratio=0.01,
+        database_rate=2_000.0,
+        n_requests=600,
+        warmup_requests=60,
+        seed=5,
+    )
+    params.update(overrides)
+    return Scenario(**params).timeline("fastpath-system", n_windows=8)
+
+
+def two_pass_series(arrival, start, finish, edges):
+    """The stage series as two independent ``time_in_windows`` passes."""
+    return StageSeries(
+        arrivals=_counts(arrival, edges),
+        completions=_counts(finish, edges),
+        busy_time=time_in_windows(start, finish, edges),
+        wait_time=time_in_windows(arrival, start, edges),
+    )
+
+
+def assert_series_identical(got, want):
+    for field in ("arrivals", "completions", "busy_time", "wait_time"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+
+class TestDeferredStageSeries:
+    """Stage series are built on first read, and only then."""
+
+    def test_probe_with_latency_objective_builds_none(self, from_jobs_calls):
+        from repro.capacity import CapacityObjective, find_capacity
+        from repro.experiments import Scenario
+
+        scenario = Scenario(
+            key_rate=10_000.0, service_rate=80_000.0, n_keys=10,
+            miss_ratio=0.01, database_rate=1_000.0, seed=7, n_requests=300,
+        )
+        result = find_capacity(
+            scenario, CapacityObjective(2e-3, metric="p99"), rel_tol=0.1,
+            windows=10,
+        )
+        assert result.n_probes >= 2
+        assert from_jobs_calls == []
+
+    def test_probe_with_stage_objective_builds_them(self, from_jobs_calls):
+        from repro.capacity import CapacityObjective, find_capacity
+        from repro.experiments import Scenario
+
+        scenario = Scenario(
+            key_rate=10_000.0, service_rate=80_000.0, n_keys=10,
+            miss_ratio=0.0, seed=7, n_requests=300,
+        )
+        result = find_capacity(
+            scenario,
+            CapacityObjective(0.6, metric="utilization:server.0"),
+            rel_tol=0.1,
+            windows=10,
+        )
+        assert result.n_probes >= 2
+        assert len(from_jobs_calls) >= result.n_probes
+
+    def test_read_after_run_equals_from_jobs(self, monkeypatch, from_jobs_calls):
+        captured = {}
+        original = Timeline.from_events.__func__
+
+        def capture(cls, **kwargs):
+            # Materialize copies of every stage's jobs at run time.
+            for name, jobs in kwargs["stages"].items():
+                captured[name] = tuple(np.array(a) for a in jobs())
+            return original(cls, **kwargs)
+
+        monkeypatch.setattr(Timeline, "from_events", classmethod(capture))
+        timeline = system_timeline()
+        assert sorted(captured) == ["database", "server.0", "server.1"]
+        assert from_jobs_calls == []
+        stages = timeline.stages
+        assert len(from_jobs_calls) == 3
+        assert sorted(stages) == sorted(captured)
+        for name, jobs in captured.items():
+            assert_series_identical(
+                stages[name], StageSeries.from_jobs(*jobs, timeline.edges)
+            )
+            assert_series_identical(
+                stages[name], two_pass_series(*jobs, timeline.edges)
+            )
+        checked = len(from_jobs_calls)
+        timeline.utilization("server.0")
+        assert len(from_jobs_calls) == checked  # built once only
+
+    def test_from_jobs_clamps_like_two_passes(self):
+        rng = np.random.default_rng(8)
+        arrival = np.sort(rng.uniform(0.0, 10.0, 300))
+        start = arrival + rng.exponential(0.2, 300)
+        finish = start + rng.exponential(0.1, 300)
+        start[::7] = arrival[::7] - 0.05  # starts before arriving
+        finish[3::11] = start[3::11] - 0.01  # finishes before starting
+        edges = np.linspace(0.0, 11.0, 12)
+        assert_series_identical(
+            StageSeries.from_jobs(arrival, start, finish, edges),
+            two_pass_series(arrival, start, finish, edges),
+        )
+
+    def test_pickle_round_trip_carries_built_series(self, from_jobs_calls):
+        import pickle
+
+        timeline = system_timeline()
+        payload = pickle.dumps(timeline)
+        assert len(from_jobs_calls) == 3
+        restored = pickle.loads(payload)
+        assert restored.stage_names == ["database", "server.0", "server.1"]
+        for name in restored.stage_names:
+            assert_series_identical(restored.stages[name], timeline.stages[name])
+        assert len(from_jobs_calls) == 3
+
+    def test_to_dict_carries_built_series(self, from_jobs_calls):
+        payload = system_timeline().to_dict()
+        assert len(from_jobs_calls) == 3
+        built = system_timeline()
+        assert payload["stages"] == {
+            name: built.stages[name].to_dict() for name in built.stage_names
+        }
+
+    def test_merge_builds_both_sides(self, from_jobs_calls):
+        merged = system_timeline()
+        merged.merge(system_timeline())
+        assert len(from_jobs_calls) == 6
+        eager, other = system_timeline(), system_timeline()
+        eager.stages, other.stages  # build before merging
+        eager.merge(other)
+        assert merged.to_dict()["stages"] == eager.to_dict()["stages"]
+
+    def test_equality_builds_series(self, from_jobs_calls):
+        timeline = system_timeline()
+        assert timeline == timeline
+        assert len(from_jobs_calls) == 3
+
+    def test_stages_assignment_replaces_deferred_jobs(self, from_jobs_calls):
+        timeline = system_timeline()
+        timeline.stages = {}
+        assert timeline.stage_names == []
+        assert from_jobs_calls == []
+
+    def test_runner_cells_store_built_series(self, from_jobs_calls):
+        from repro.experiments import ExperimentRunner, Grid, Scenario, Suite
+
+        base = Scenario(
+            key_rate=40_000.0, service_rate=80_000.0, n_keys=10, seed=42,
+            n_requests=200,
+        )
+        suite = Suite(
+            "timeline", Grid(base, {"q": [0.0, 0.2]}),
+            backend="fastpath-system", options={"timeline": 6},
+        )
+        result = ExperimentRunner(workers=1).run(suite)
+        built = len(from_jobs_calls)
+        n_stages = sum(len(cell.timeline.stage_names) for cell in result.cells)
+        assert n_stages > 0
+        assert built == n_stages

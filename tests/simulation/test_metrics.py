@@ -152,6 +152,59 @@ class TestVectorizedRecordMany:
         assert recorder.count == 0
 
 
+class TestQuantilesOnePass:
+    LEVELS = [0.0, 0.01, 0.25, 0.5, 0.95, 0.99, 0.999, 1.0, 0.123456789]
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 600, 4000])
+    def test_equals_per_level_quantile_bit_for_bit(self, size):
+        rng = np.random.default_rng(size)
+        recorder = LatencyRecorder()
+        recorder.record_many(rng.exponential(0.003, size))
+        together = recorder.quantiles(self.LEVELS)
+        one_by_one = [recorder.quantile(k) for k in self.LEVELS]
+        assert [v.hex() for v in together] == [v.hex() for v in one_by_one]
+        assert all(type(v) is float for v in together)
+
+    def test_no_levels(self):
+        recorder = LatencyRecorder()
+        recorder.record(1.0)
+        assert recorder.quantiles([]) == []
+
+    @pytest.mark.parametrize("levels", [[1.5], [0.5, -0.1], [math.nan]])
+    def test_bad_level_raises_as_quantile(self, levels):
+        recorder = LatencyRecorder()
+        recorder.record_many([1.0, 2.0, 3.0])
+        bad = next(k for k in levels if not 0.0 <= k <= 1.0)
+        with pytest.raises(ValidationError) as expected:
+            recorder.quantile(bad)
+        with pytest.raises(ValidationError) as raised:
+            recorder.quantiles(levels)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("levels", [[0.5], [0.5, 2.0], [2.0, 0.5]])
+    def test_empty_recorder_raises_as_quantile(self, levels):
+        recorder = LatencyRecorder()
+        with pytest.raises(ValidationError) as expected:
+            recorder.quantile(levels[0])
+        with pytest.raises(ValidationError) as raised:
+            recorder.quantiles(levels)
+        assert str(raised.value) == str(expected.value)
+
+    def test_confidence_interval_memo_matches_scipy(self):
+        from scipy import stats
+
+        recorder = LatencyRecorder()
+        recorder.record_many(np.arange(1.0, 41.0))
+        for confidence in (0.9, 0.95, 0.95, 0.99):
+            half = (
+                float(stats.t.ppf(0.5 + confidence / 2.0, 39))
+                * recorder.std
+                / math.sqrt(40)
+            )
+            low, high = recorder.confidence_interval(confidence)
+            assert (low, high) == (recorder.mean - half, recorder.mean + half)
+
+
 class TestUtilizationMeter:
     def test_full_busy(self):
         meter = UtilizationMeter()
