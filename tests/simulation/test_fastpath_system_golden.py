@@ -20,8 +20,18 @@ the code before the sorted-order window accounting landed:
   --sweep`` shape; the servers bind at 0.25%, the database at 2%):
   ``max_rps`` and every probe's ``(rps, passed, value)`` bit-identical.
 
+``fastpath_system_pins.json`` adds exact pins the golden above does
+not hold, recorded on the code before the batch-level FIFO state landed:
+
+* the sha256 of every stage's ``(arrival, start, finish)`` job arrays as
+  handed to :meth:`Timeline.from_events`, for each golden §5.1 run;
+* every column and exact sum of an attributed §5.1 run;
+* the samples and utilizations of a §5.1 run with one
+  ``server-slowdown`` and one ``database-overload`` window.
+
 Re-record (only for an intended behaviour change) with
-``PYTHONPATH=src python tests/simulation/test_fastpath_system_golden.py``.
+``PYTHONPATH=src python tests/simulation/test_fastpath_system_golden.py``
+(add ``pins`` to re-record ``fastpath_system_pins.json`` instead).
 """
 
 import hashlib
@@ -36,10 +46,13 @@ import pytest
 from repro.capacity import CapacityObjective, find_capacity
 from repro.distributions.rng import make_rng
 from repro.experiments import Scenario
+from repro.faults import DatabaseOverload, FaultSchedule, ServerSlowdown
 from repro.observability import Timeline
+from repro.observability.attribution import STAGES
 from repro.simulation import simulate_system_requests
 
 GOLDEN_PATH = Path(__file__).with_name("fastpath_system_golden.json")
+PINS_PATH = Path(__file__).with_name("fastpath_system_pins.json")
 
 RUN_MISS_RATIOS = (0.0, 0.002, 0.05)
 RUN_WINDOWS = 12
@@ -48,6 +61,16 @@ CAPACITY_MISS_RATIOS = (0.0025, 0.02)
 CAPACITY_REQUESTS = 2000
 OBJECTIVE = CapacityObjective(threshold=0.020, metric="p99")
 BUSY_WAIT_RTOL = 1e-9
+#: Pinned runs: the attributed run and the fault run (one slowdown of
+#: server 1, one database overload, overlapping in time).
+ATTRIBUTION_MISS_RATIO = 0.05
+FAULT_MISS_RATIO = 0.002
+FAULTS = FaultSchedule(
+    (
+        ServerSlowdown(start=0.05, duration=0.1, factor=0.5, server=1),
+        DatabaseOverload(start=0.1, duration=0.1, factor=0.25),
+    )
+)
 
 
 def section_5_1(miss_ratio: float, seed: int, n_requests: int) -> Scenario:
@@ -80,7 +103,7 @@ def _digest(*arrays) -> str:
     return digest.hexdigest()
 
 
-def run_section_5_1(miss_ratio: float):
+def run_section_5_1(miss_ratio: float, **options):
     """One seeded §5.1 fastpath-system run with a timeline."""
     scenario = section_5_1(miss_ratio, seed=51, n_requests=300)
     return simulate_system_requests(
@@ -95,6 +118,7 @@ def run_section_5_1(miss_ratio: float):
         miss_ratio=scenario.miss_ratio,
         database_rate=scenario.database_rate,
         timeline=RUN_WINDOWS,
+        **options,
     )
 
 
@@ -135,9 +159,10 @@ def exact_overlap(starts, ends, edges) -> list:
     ]
 
 
-def record_run(miss_ratio: float) -> dict:
-    """The run's fingerprint, with exact integrals of the jobs the
-    backend handed to the timeline in place of its own float sums."""
+def captured_events(run, *args) -> tuple:
+    """``run(*args)`` and the keyword arguments it handed to
+    :meth:`Timeline.from_events`, with every stage's deferred job
+    builder called to its ``(arrival, start, finish)`` arrays."""
     build = Timeline.from_events
     events = {}
 
@@ -146,7 +171,17 @@ def record_run(miss_ratio: float) -> dict:
         return events["timeline"]
 
     with mock.patch.object(Timeline, "from_events", capture):
-        fingerprint = run_fingerprint(miss_ratio)
+        result = run(*args)
+    events["stages"] = {
+        name: jobs() for name, jobs in events["stages"].items()
+    }
+    return result, events
+
+
+def record_run(miss_ratio: float) -> dict:
+    """The run's fingerprint, with exact integrals of the jobs the
+    backend handed to the timeline in place of its own float sums."""
+    fingerprint, events = captured_events(run_fingerprint, miss_ratio)
     edges = events["timeline"].edges
     jobs = [events["stages"][name] for name in fingerprint["stages"]]
     fingerprint["busy_time"] = [
@@ -174,6 +209,44 @@ def capacity_fingerprint(miss_ratio: float) -> dict:
     }
 
 
+def stage_jobs_fingerprint(miss_ratio: float) -> dict:
+    """sha256 of each stage's job arrays as the timeline received them."""
+    _, events = captured_events(run_section_5_1, miss_ratio)
+    return {
+        name: _digest(*jobs) for name, jobs in sorted(events["stages"].items())
+    }
+
+
+def attribution_fingerprint() -> dict:
+    """Every column and exact sum of one attributed §5.1 run."""
+    attribution = run_section_5_1(
+        ATTRIBUTION_MISS_RATIO, attribution=True
+    ).attribution
+    return {
+        "count": attribution.count,
+        "columns": _digest(
+            attribution.request_id,
+            attribution.born,
+            attribution.completed,
+            attribution.total,
+            *[attribution.stages[name] for name in STAGES],
+        ),
+        "sums": [attribution.sums[name].hex() for name in STAGES],
+        "sum_total": attribution.sum_total.hex(),
+    }
+
+
+def fault_fingerprint() -> dict:
+    """Samples and utilizations of one §5.1 run under rate faults."""
+    sample = run_section_5_1(FAULT_MISS_RATIO, faults=FAULTS)
+    return {
+        "samples": _digest(
+            sample.total, sample.server_max, sample.database_max
+        ),
+        "utilizations": [u.hex() for u in sample.server_utilizations],
+    }
+
+
 def record() -> dict:
     return {
         "runs": {str(r): record_run(r) for r in RUN_MISS_RATIOS},
@@ -183,15 +256,28 @@ def record() -> dict:
     }
 
 
+def record_pins() -> dict:
+    return {
+        "stage_jobs": {
+            str(r): stage_jobs_fingerprint(r) for r in RUN_MISS_RATIOS
+        },
+        "attribution": attribution_fingerprint(),
+        "faults": fault_fingerprint(),
+    }
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
 
 
-@pytest.mark.parametrize("miss_ratio", RUN_MISS_RATIOS)
-def test_section_5_1_run_matches_golden(golden, miss_ratio):
-    expected = golden["runs"][str(miss_ratio)]
-    got = run_fingerprint(miss_ratio)
+@pytest.fixture(scope="module")
+def pins() -> dict:
+    return json.loads(PINS_PATH.read_text())
+
+
+def assert_run_matches(got: dict, expected: dict) -> None:
+    """Counts and samples bit for bit; window integrals within rtol."""
     for key in ("samples", "utilizations", "counts", "latency", "stages"):
         assert got[key] == expected[key], key
     for key in ("busy_time", "wait_time", "inflight_time"):
@@ -204,11 +290,46 @@ def test_section_5_1_run_matches_golden(golden, miss_ratio):
         )
 
 
+@pytest.mark.parametrize("miss_ratio", RUN_MISS_RATIOS)
+def test_section_5_1_run_matches_golden(golden, miss_ratio):
+    assert_run_matches(
+        run_fingerprint(miss_ratio), golden["runs"][str(miss_ratio)]
+    )
+
+
+def test_record_run_matches_golden(golden):
+    """The re-record path reproduces the stored golden: its exact job
+    integrals fall within the file's own rtol of the recorded ones."""
+    assert_run_matches(record_run(0.002), golden["runs"]["0.002"])
+
+
 @pytest.mark.parametrize("miss_ratio", CAPACITY_MISS_RATIOS)
 def test_capacity_cell_matches_golden(golden, miss_ratio):
     assert capacity_fingerprint(miss_ratio) == golden["capacity"][str(miss_ratio)]
 
 
+@pytest.mark.parametrize("miss_ratio", RUN_MISS_RATIOS)
+def test_stage_jobs_match_pins(pins, miss_ratio):
+    assert stage_jobs_fingerprint(miss_ratio) == pins["stage_jobs"][
+        str(miss_ratio)
+    ]
+
+
+def test_attribution_matches_pins(pins):
+    assert attribution_fingerprint() == pins["attribution"]
+
+
+def test_fault_run_matches_pins(pins):
+    assert fault_fingerprint() == pins["faults"]
+
+
 if __name__ == "__main__":
-    GOLDEN_PATH.write_text(json.dumps(record(), indent=1) + "\n")
-    print(f"wrote {GOLDEN_PATH}")
+    import sys
+
+    path, data = (
+        (PINS_PATH, record_pins)
+        if sys.argv[1:] == ["pins"]
+        else (GOLDEN_PATH, record)
+    )
+    path.write_text(json.dumps(data(), indent=1) + "\n")
+    print(f"wrote {path}")
