@@ -44,7 +44,7 @@ from ..simulation.fastpath import (
     sample_request_latencies,
     sample_timeline,
 )
-from ..simulation.fastpath_system import simulate_system_requests
+from ..simulation.fastpath_system import SystemSample, simulate_system_requests
 from ..simulation.results import SimulationResult
 
 #: Evaluation backends a scenario can dispatch to.
@@ -386,13 +386,23 @@ class Scenario:
         Lindley scans instead of events, so it sustains millions of
         simulated keys per second.
         """
+        return SimulationResult.from_system_sample(
+            self._system_sample(timeline=timeline, attribution=attribution),
+            n_keys=self.n_keys,
+        )
+
+    def _system_sample(
+        self, *, timeline: object = None, attribution: object = None
+    ) -> SystemSample:
+        """The raw ``fastpath-system`` sample :meth:`fastpath_system`
+        summarizes; :meth:`timeline` reads only its timeline."""
         if self.policy is not None:
             raise ConfigError(
                 "the fastpath-system backend has no request-policy "
                 "semantics; run policies on the simulate backend"
             )
         cluster = self.cluster()
-        sample = simulate_system_requests(
+        return simulate_system_requests(
             cluster.shares,
             self.service_rate,
             n_keys=self.n_keys,
@@ -407,7 +417,6 @@ class Scenario:
             timeline=timeline,
             attribution=attribution,
         )
-        return SimulationResult.from_system_sample(sample, n_keys=self.n_keys)
 
     def attribution_reference(self) -> Dict[str, float]:
         """Analytic per-group latency expectation, system-matched.
@@ -546,13 +555,19 @@ class Scenario:
             spec = TimelineSpec(window=window, n_windows=n_windows)
         else:
             spec = True
-        if backend == "estimate":
-            from .options import validate_options
+        from .options import validate_options
 
+        if backend == "estimate":
             validate_options("estimate", options)
             return self._analytic_timeline(TimelineSpec.coerce(spec))
         if backend not in BACKENDS:
             raise ConfigError(f"unknown backend {backend!r} (have {BACKENDS})")
+        if backend == "fastpath-system":
+            # The same validation as run(), without the result summary
+            # (quantiles and confidence intervals) nobody reads here.
+            options = dict(timeline=spec, **options)
+            validate_options(backend, options)
+            return self._system_sample(**options).timeline
         result = self.run(backend, timeline=spec, **options)
         if result.timeline is None:  # pragma: no cover - defensive
             raise ConfigError(f"backend {backend!r} produced no timeline")

@@ -16,6 +16,7 @@ from repro.faults import (
     ServerSlowdown,
     ShareShift,
 )
+from repro.observability import TimelineSpec
 from repro.policies import RequestPolicy
 from repro.simulation import SimulationResult
 from repro.units import kps, msec, usec
@@ -447,3 +448,33 @@ class TestTimelineAcrossBackends:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError):
             small_scenario().timeline("warp-drive")
+
+
+class TestFastpathSystemTimelineRoute:
+    """``Scenario.timeline("fastpath-system")`` skips the result summary
+    ``run`` builds, and is otherwise the same call."""
+
+    def test_timeline_equals_run_timeline(self):
+        scenario = small_scenario(burst_xi=0.0, concurrency_q=0.0)
+        spec = TimelineSpec(n_windows=6)
+        via_timeline = scenario.timeline("fastpath-system", n_windows=6)
+        via_run = scenario.run("fastpath-system", timeline=spec).timeline
+        assert via_timeline.to_dict() == via_run.to_dict()
+
+    def test_policy_raises_the_same_config_error(self):
+        scenario = small_scenario(policy=RequestPolicy.hedged(usec(200)))
+        with pytest.raises(ConfigError) as from_run:
+            scenario.run("fastpath-system", timeline=True)
+        with pytest.raises(ConfigError) as from_timeline:
+            scenario.timeline("fastpath-system")
+        assert str(from_timeline.value) == str(from_run.value)
+        assert "\n" not in str(from_timeline.value)
+
+    def test_unknown_option_raises_the_same_validation_error(self):
+        scenario = small_scenario()
+        with pytest.raises(ValidationError) as from_run:
+            scenario.run("fastpath-system", timeline=True, pool_size=100)
+        with pytest.raises(ValidationError) as from_timeline:
+            scenario.timeline("fastpath-system", pool_size=100)
+        assert str(from_timeline.value) == str(from_run.value)
+        assert "pool_size" in str(from_timeline.value)

@@ -5,7 +5,8 @@ import pytest
 
 from repro.errors import StabilityError, ValidationError
 from repro.simulation import SystemSample, simulate_system_requests
-from repro.simulation.fastpath import batch_fifo, lindley_waits
+from repro.simulation.fastpath import BatchFifo, batch_fifo, lindley_waits
+from repro.simulation.fastpath_system import _finished_between, _ServerPass
 
 
 def run_small(**overrides):
@@ -199,7 +200,8 @@ class TestLindleyHelper:
         gaps = rng.exponential(1.5, size=59)
         gaps[[10, 30]] = 500.0  # idle periods: the queue empties
         services = rng.exponential(1.0, size=int(sizes.sum()))
-        sojourn, starts = batch_fifo(gaps, sizes, services)
+        fifo = batch_fifo(gaps, sizes, services)
+        sojourn, starts = fifo.sojourn(), fifo.starts
 
         batch_arrival = np.concatenate(([0.0], np.cumsum(gaps)))
         expected, finish, key = [], 0.0, 0
@@ -217,3 +219,86 @@ class TestLindleyHelper:
         assert lindley_waits(np.array([1.0]), np.array([])) == pytest.approx(
             [0.0]
         )
+
+
+def random_stream(seed: int, n_batches: int):
+    """A random batch stream (sizes 1..200) through the FIFO kernel."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 201, size=n_batches)
+    gaps = rng.exponential(100.0, size=n_batches - 1)
+    services = rng.exponential(1.0, size=int(sizes.sum()))
+    batch_arrival = np.concatenate(([5.0], 5.0 + np.cumsum(gaps)))
+    return services, batch_arrival, batch_fifo(gaps, sizes, services)
+
+
+def bits(array) -> bytes:
+    return np.ascontiguousarray(array, dtype=float).tobytes()
+
+
+class TestBatchLevelReads:
+    """The batch-level reads equal the full per-key array, bit for bit."""
+
+    @pytest.mark.parametrize("seed,n_batches", [(1, 1), (2, 2), (3, 80), (4, 300)])
+    def test_last_and_at_equal_sojourn_gathered(self, seed, n_batches):
+        _, _, fifo = random_stream(seed, n_batches)
+        sojourn = fifo.sojourn()
+        ends = fifo.starts + fifo.sizes - 1
+        assert bits(fifo.last()) == bits(sojourn[ends])
+        batch_of_key = np.repeat(np.arange(fifo.sizes.size), fifo.sizes)
+        keys = np.sort(
+            np.random.default_rng(seed).choice(
+                sojourn.size, size=min(sojourn.size, 50), replace=False
+            )
+        )
+        assert bits(fifo.at(keys, batch_of_key[keys])) == bits(sojourn[keys])
+        assert bits(fifo.at(ends, np.arange(ends.size))) == bits(sojourn[ends])
+
+    @pytest.mark.parametrize("seed,n_batches", [(5, 1), (6, 60), (7, 250)])
+    def test_service_done_by_equals_mask_sum(self, seed, n_batches):
+        services, batch_arrival, fifo = random_stream(seed, n_batches)
+        server = _ServerPass(services, batch_arrival, fifo)
+        completion = server.completions()
+        assert (completion[1:] >= completion[:-1]).all()
+        # An interior key of the largest batch, and its successor.
+        big = int(np.argmax(fifo.sizes))
+        key = int(fifo.starts[big]) + int(fifo.sizes[big]) // 2 - 1
+        cutoffs = [
+            completion[0] - 1.0,  # before the first completion
+            float(np.nextafter(completion[key + 1], -np.inf)),  # inside
+            completion[key],  # exactly at a completion
+            completion[fifo.starts[-1]],  # at the last batch's first key
+            completion[-1],  # exactly at the last completion
+            completion[-1] + 1.0,  # after the last
+        ]
+        for cutoff in cutoffs:
+            done = _finished_between(completion, -np.inf, cutoff)
+            expected = float(services[done].sum())
+            assert server.service_done_by(cutoff) == expected, cutoff
+
+    def test_idle_server_did_no_work(self):
+        server = _ServerPass.idle()
+        assert server.service_done_by(1.0) == 0.0
+        arrival, start, finish = server.jobs(0.0, 1.0)
+        assert arrival.size == start.size == finish.size == 0
+
+    def test_backwards_batch_boundary_takes_the_mask_path(self):
+        # Batch 1's first key finishes one ulp before batch 0's last, so
+        # the keys done by that instant are not a prefix.
+        behind = float(np.nextafter(2.0, 0.0))
+        services = np.array([1.0, 1.0, 0.5, 1.0])
+        fifo = BatchFifo(
+            sizes=np.array([2, 2]),
+            starts=np.array([0, 2]),
+            prefix=np.cumsum(services),
+            before=np.array([0.0, 2.0]),
+            waits=np.array([0.0, behind - 0.5]),
+        )
+        server = _ServerPass(services, np.zeros(2), fifo)
+        completion = server.completions()
+        assert completion[2] == behind < completion[1] == 2.0
+        for cutoff in (0.5, 1.0, behind, 2.0, 2.5, 4.0):
+            mask = (completion > -np.inf) & (completion <= cutoff)
+            assert server.service_done_by(cutoff) == float(
+                services[mask].sum()
+            ), cutoff
+        assert server.service_done_by(behind) == 1.5
