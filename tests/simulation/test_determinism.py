@@ -31,8 +31,9 @@ from repro.simulation.scheduler import HeapScheduler
 from repro.units import kps, msec, usec
 
 
-def fingerprint(**overrides):
-    """Hash every stage recorder's raw samples for one seeded run."""
+def run_case(overrides, **extra):
+    """One seeded run of the determinism scenario with ``overrides``
+    (and simulator keywords ``extra``, such as an observability bundle)."""
     kwargs = dict(
         n_keys_per_request=10,
         request_rate=200.0,
@@ -41,12 +42,17 @@ def fingerprint(**overrides):
         database_rate=1.0 / msec(1),
         seed=99,
     )
-    kwargs.update(overrides)
+    kwargs.update(overrides, **extra)
     cluster = kwargs.pop("cluster", ClusterModel.balanced(2, kps(80)))
     n_requests = kwargs.pop("n_requests", 200)
     warmup = kwargs.pop("warmup_requests", 0)
     system = MemcachedSystemSimulator(cluster, **kwargs)
-    results = system.run(n_requests=n_requests, warmup_requests=warmup)
+    return system.run(n_requests=n_requests, warmup_requests=warmup)
+
+
+def fingerprint(**overrides):
+    """Hash every stage recorder's raw samples for one seeded run."""
+    results = run_case(overrides)
     digest = hashlib.sha256()
     for recorder in (
         results.total,
