@@ -25,8 +25,9 @@ Run modes:
 * ``python benchmarks/bench_speed_backends.py`` — full measurement
   (best of 3, 4000 requests / 1M events).
 * ``python benchmarks/bench_speed_backends.py --quick`` — CI smoke
-  (single repeat, 600 requests / 300k events; the engine pair and
-  ``fastpath-system`` take the best of five) writing to ``--out``;
+  (single repeat, 600 requests / 300k events; ``fastpath-system`` takes
+  the best of five, and the engine pair runs five paired rounds of
+  3000 requests) writing to ``--out``;
   still asserts the fast path's >= 10x speedup over the engine and the
   engine dispatch-rate floors.
 * ``pytest benchmarks/bench_speed_backends.py`` — same measurement via
@@ -36,6 +37,7 @@ Run modes:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import time
 from pathlib import Path
@@ -68,6 +70,11 @@ MIN_SPEEDUP = 10.0
 #: least this fraction of the telemetry-off throughput (hot-path cost is
 #: one tuple append per job; all window math is deferred to run end).
 MIN_TIMELINE_RATIO = 0.9
+
+#: Requests per engine-pair run in quick mode. The ratio above is read
+#: from paired rounds: a 600-request engine run lasts about 60 ms, short
+#: enough for host noise to swing one pair's ratio by a third.
+QUICK_PAIR_REQUESTS = 3_000
 
 #: Raw engine dispatch-rate floors (events/sec).
 #: Batched dispatch drains homogeneous event runs without per-event
@@ -123,21 +130,33 @@ def _run_once(scenario: Scenario, backend: str) -> float:
         backend, options = "simulate", {"timeline": 48}
     else:
         options = {"pool_size": 50_000} if backend == "fastpath" else {}
+    # The previous run's simulator is cyclic garbage. Collected inside
+    # the next timed run, it made the second run of every engine pair
+    # the slower one: over twelve 3000-request rounds the paired
+    # timeline ratio had median 0.82 without this collection, 0.94
+    # with it.
+    gc.collect()
     start = time.perf_counter()
     scenario.run(backend, **options)
     return time.perf_counter() - start
 
 
 def measure(
-    n_requests: int, repeats: int, backends: Sequence[str] = BACKENDS
+    n_requests: int,
+    repeats: int,
+    backends: Sequence[str] = BACKENDS,
+    *,
+    pair_requests: Optional[int] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Best-of-``repeats`` wall time per backend on the same scenario.
 
-    The two engine entries (telemetry off/on) are timed *interleaved*
-    (off, on, off, on, ...) with at least five repeats each: their
-    ratio is an enforced CI contract, and back-to-back independent
-    timings drift enough (CPU frequency, cache warmth) to flake it.
-    ``fastpath-system``, the numerator of the 10x contract, also takes
+    The two engine entries (telemetry off/on) run ``pair_requests``
+    requests (default ``n_requests``) in at least five *paired* rounds
+    (off, on, off, on, ...): their ratio is an enforced CI contract,
+    and it is the best of the per-round paired ratios, as for
+    ``attr_sink_ratio``. Adjacent runs share CPU frequency and cache
+    state, so pairing cancels the drift that independent best-of walls
+    keep. ``fastpath-system``, the numerator of the 10x contract, takes
     the best of at least five.
     """
     scenario = speed_scenario(n_requests)
@@ -146,19 +165,25 @@ def measure(
     engine_pair = {"simulate", "simulate+timeline"} <= set(backends)
     for backend in backends:
         if engine_pair and backend == "simulate":
-            reps = max(repeats, 5)
+            pair = speed_scenario(pair_requests or n_requests)
+            pair_keys = pair.n_requests * pair.n_keys
             off = []
             on = []
-            for _ in range(reps):
-                off.append(_run_once(scenario, "simulate"))
-                on.append(_run_once(scenario, "simulate+timeline"))
+            for _ in range(max(repeats, 5)):
+                off.append(_run_once(pair, "simulate"))
+                on.append(_run_once(pair, "simulate+timeline"))
             walls = {"simulate": min(off), "simulate+timeline": min(on)}
             for name, wall in walls.items():
                 results[name] = {
-                    "keys_per_sec": total_keys / wall,
+                    "keys_per_sec": pair_keys / wall,
                     "wall_s": wall,
-                    "n_keys": total_keys,
+                    "n_keys": pair_keys,
                 }
+            paired = sorted(a / b for a, b in zip(off, on))
+            results["simulate+timeline"].update(
+                timeline_overhead_ratio=paired[-1],
+                timeline_paired_median=paired[len(paired) // 2],
+            )
             continue
         if engine_pair and backend == "simulate+timeline":
             continue  # timed with its telemetry-off twin above
@@ -171,10 +196,6 @@ def measure(
             "wall_s": wall,
             "n_keys": total_keys,
         }
-    if "simulate" in results and "simulate+timeline" in results:
-        results["simulate+timeline"]["timeline_overhead_ratio"] = (
-            timeline_ratio(results)
-        )
     return results
 
 
@@ -327,11 +348,9 @@ def speedup(results: Dict[str, Dict[str, float]]) -> float:
 
 
 def timeline_ratio(results: Dict[str, Dict[str, float]]) -> float:
-    """Engine throughput retained with windowed telemetry on."""
-    return (
-        results["simulate+timeline"]["keys_per_sec"]
-        / results["simulate"]["keys_per_sec"]
-    )
+    """Engine throughput retained with windowed telemetry on: the best
+    paired-round ratio :func:`measure` stored."""
+    return results["simulate+timeline"]["timeline_overhead_ratio"]
 
 
 def report(
@@ -351,7 +370,8 @@ def report(
     if "simulate+timeline" in results:
         print(
             "engine throughput retained with timeline on: "
-            f"{timeline_ratio(results):.1%}"
+            f"{timeline_ratio(results):.1%} (best paired round; median "
+            f"{results['simulate+timeline']['timeline_paired_median']:.1%})"
         )
     payload: Dict[str, Dict[str, float]] = dict(results)
     if engine:
@@ -383,8 +403,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     n_requests, repeats = (600, 1) if args.quick else (4_000, 3)
+    pair_requests = QUICK_PAIR_REQUESTS if args.quick else n_requests
     n_events = 300_000 if args.quick else 1_000_000
-    results = measure(n_requests, repeats)
+    results = measure(n_requests, repeats, pair_requests=pair_requests)
     engine = measure_engine(n_events, max(repeats, 2))
     report(results, args.out, engine)
     if speedup(results) < MIN_SPEEDUP:
@@ -405,7 +426,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def test_backend_speed(benchmark, tmp_path):
     results = measure(
-        600, repeats=1, backends=("simulate", "simulate+timeline", "fastpath")
+        600,
+        repeats=1,
+        backends=("simulate", "simulate+timeline", "fastpath"),
+        pair_requests=QUICK_PAIR_REQUESTS,
     )
     results["fastpath-system"] = {}
     scenario = speed_scenario(600)

@@ -48,7 +48,9 @@ def main() -> None:
     records = []
     server = ServerSim.exponential(
         sim, mu_s, rng,
-        on_complete=lambda job: records.append((job.arrival_time, job.sojourn)),
+        on_complete=lambda context, arrival, start, finish: records.append(
+            (arrival, finish - arrival)
+        ),
     )
     process = TimeVaryingPoissonProcess.sinusoidal(
         mean_rate, amplitude, period, rng

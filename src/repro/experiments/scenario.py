@@ -99,6 +99,8 @@ class Scenario:
             raise ValidationError(f"n_keys must be >= 1, got {self.n_keys}")
         if self.n_servers < 1:
             raise ValidationError(f"n_servers must be >= 1, got {self.n_servers}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.shares is not None and len(self.shares) != self.n_servers:
             raise ConfigError(
                 f"shares has {len(self.shares)} entries for "

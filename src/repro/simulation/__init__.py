@@ -31,7 +31,7 @@ from .fastpath_system import SystemSample, simulate_system_requests
 from .metrics import LatencyRecorder, SummaryStats, UtilizationMeter
 from .network import NetworkSim
 from .results import SimulationResult, StageStats
-from .server import KeyJob, ServerSim
+from .server import ServerSim
 from .service_models import SizeDependentService, exponential_assumption_error
 from .system import (
     BernoulliMissModel,
@@ -47,7 +47,6 @@ __all__ = [
     "CacheBackend",
     "DatabaseSim",
     "EventHandle",
-    "KeyJob",
     "LatencyRecorder",
     "MemcachedSystemSimulator",
     "NetworkSim",

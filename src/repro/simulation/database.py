@@ -16,7 +16,7 @@ import numpy as np
 from ..distributions import Distribution, Exponential
 from ..observability import MetricsRegistry
 from .engine import Simulator
-from .server import KeyJob, ServerSim
+from .server import CompletionSink, ServerSim
 
 
 class DatabaseSim(ServerSim):
@@ -32,7 +32,7 @@ class DatabaseSim(ServerSim):
         service_rate: float,
         rng: np.random.Generator,
         *,
-        on_complete: Optional[Callable[[KeyJob], None]] = None,
+        on_complete: Optional[CompletionSink] = None,
         metrics: Optional[MetricsRegistry] = None,
         rate_factor: Optional[Callable[[float], float]] = None,
         trace: Optional[list] = None,

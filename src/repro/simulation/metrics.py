@@ -230,14 +230,12 @@ class UtilizationMeter:
         self._busy = 0.0
         self._busy_since: Optional[float] = None
         self._start: Optional[float] = None
-        self._end = 0.0
 
     def server_started(self, now: float) -> None:
         """Server transitioned idle -> busy."""
         if self._start is None:
             self._start = now
         self._busy_since = now
-        self._end = max(self._end, now)
 
     def server_stopped(self, now: float) -> None:
         """Server transitioned busy -> idle."""
@@ -245,7 +243,6 @@ class UtilizationMeter:
             raise ValidationError("server was not busy")
         self._busy += now - self._busy_since
         self._busy_since = None
-        self._end = max(self._end, now)
 
     def utilization(self, now: float) -> float:
         """Fraction of time busy over the observed span."""

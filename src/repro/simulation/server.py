@@ -1,16 +1,22 @@
 """Simulated Memcached server: a FIFO queue with pluggable service times.
 
-Keys enter (possibly in batches), wait FIFO, and are served one at a
-time; per-key wait and sojourn are reported to a completion callback.
-The exponential-service default matches the paper's model, and any
-:class:`~repro.distributions.Distribution` can be substituted for
-model-robustness ablations.
+Keys arrive in batches (a request's keys for one server reach it
+together, the paper's GI^X/M/1 model) and are served one at a time in
+arrival order. The queue holds one entry per batch,
+``[arrival, contexts, payload, next, size]``: the batch's per-key
+contexts (or ``None`` when its keys share ``payload``), the index of
+its next key to start, and its key count. A key starts service lazily,
+when the key ahead of it finishes: its service time is drawn then, and
+the fault hooks are read at that instant. Each finished key is handed
+to the completion callback as plain values ``(context, arrival, start,
+finish)``. The exponential-service default matches the paper's model,
+and any :class:`~repro.distributions.Distribution` can be substituted
+for model-robustness ablations.
 """
 
 from __future__ import annotations
 
 import collections
-import dataclasses
 from typing import Callable, Deque, Optional
 
 import numpy as np
@@ -21,42 +27,8 @@ from ..observability import MetricsRegistry
 from .engine import Simulator
 from .metrics import UtilizationMeter
 
-
-@dataclasses.dataclass
-class KeyJob:
-    """One key's passage through a server queue.
-
-    ``abandoned`` marks a job cancelled by a client-side policy (timeout
-    or cancel-on-winner): a queued abandoned job is dropped when it
-    reaches the head without consuming service capacity; one already in
-    service runs out (the server cannot un-serve it) but is reported
-    with the flag set so sinks can ignore it.
-    """
-
-    key_id: int
-    arrival_time: float
-    batch_id: int
-    position_in_batch: int
-    start_time: Optional[float] = None
-    finish_time: Optional[float] = None
-    context: object = None
-    abandoned: bool = False
-
-    @property
-    def wait(self) -> float:
-        if self.start_time is None:
-            raise ValidationError("job has not started service")
-        return self.start_time - self.arrival_time
-
-    @property
-    def sojourn(self) -> float:
-        if self.finish_time is None:
-            raise ValidationError("job has not finished service")
-        return self.finish_time - self.arrival_time
-
-
-#: Completion callback: receives the finished job.
-CompletionSink = Callable[[KeyJob], None]
+#: Completion callback: ``(context, arrival, start, finish)`` per key.
+CompletionSink = Callable[[object, float, float, float], None]
 
 #: Fault hooks: time -> service-rate multiplier / pause-end instant.
 RateFactor = Callable[[float], float]
@@ -64,7 +36,14 @@ PauseUntil = Callable[[float], float]
 
 
 class ServerSim:
-    """FIFO single-server queue living on the event engine."""
+    """FIFO single-server queue living on the event engine.
+
+    A key whose context has a true ``abandoned`` attribute when it
+    reaches the head (a client-side policy cancelled it while it was
+    queued) is dropped without taking service. One abandoned while in
+    service runs out (the server cannot un-serve it) and is reported
+    as usual; its owner ignores it.
+    """
 
     def __init__(
         self,
@@ -90,25 +69,24 @@ class ServerSim:
         self.name = name
         self._on_complete = on_complete
         # Timeline sink: ``(arrival, service_start, finish)`` per served
-        # job, consumed by TimelineBuilder.stage_sink. Abandoned jobs
+        # key, consumed by TimelineBuilder.stage_sink. Abandoned keys
         # that reached service are included — they consumed capacity.
-        # The bound append keeps the per-job cost to one call.
-        self._trace = trace
         self._trace_append = trace.append if trace is not None else None
         # Fault hooks. ``rate_factor(t)`` scales the service *rate* for
-        # jobs starting at t (a sampled service time is divided by it);
+        # keys starting at t (a sampled service time is divided by it);
         # ``pause_until(t)`` returns when a pause covering t lifts (t
         # itself when unpaused) — paused servers start no new service,
         # in-flight service finishes (the GC-pause model).
         self._rate_factor = rate_factor
         self._pause_until = pause_until
         self._pause_pending = False
-        self._queue: Deque[KeyJob] = collections.deque()
-        # The job in service (None when idle); its completion is the
-        # bound ``_finish``, so a service start allocates no closure.
-        self._in_service: Optional[KeyJob] = None
-        self._next_key_id = 0
-        self._next_batch_id = 0
+        self._queue: Deque[list] = collections.deque()
+        # The key in service: its arrival (None when idle), context and
+        # start instant. Its completion is the bound ``_finish``, so a
+        # service start allocates nothing.
+        self._arrival: Optional[float] = None
+        self._context: object = None
+        self._started = 0.0
         self._completed = 0
         self.utilization_meter = UtilizationMeter()
         # Optional per-queue observability: wait/service distributions
@@ -141,60 +119,68 @@ class ServerSim:
     @property
     def queue_length(self) -> int:
         """Keys waiting (excluding the one in service)."""
-        return len(self._queue)
+        return sum(entry[4] - entry[3] for entry in self._queue)
 
     @property
     def busy(self) -> bool:
-        return self._in_service is not None
+        return self._arrival is not None
 
     @property
     def completed(self) -> int:
         return self._completed
 
-    def offer_batch(self, now: float, size: int, *, contexts: Optional[list] = None) -> list[KeyJob]:
-        """Enqueue a batch of ``size`` keys arriving together at ``now``."""
+    def offer_batch(
+        self,
+        now: float,
+        size: int,
+        *,
+        contexts: Optional[list] = None,
+        context: object = None,
+    ) -> None:
+        """Enqueue a batch of ``size`` keys arriving together at ``now``.
+
+        Each key is reported with its entry of ``contexts`` when given,
+        else with the batch's shared ``context``.
+        """
         if size < 1:
             raise ValidationError(f"batch size must be >= 1, got {size}")
         if contexts is not None and len(contexts) != size:
             raise ValidationError("contexts must match the batch size")
-        batch_id = self._next_batch_id
-        self._next_batch_id += 1
         if self._ctr_arrivals is not None:
             self._ctr_arrivals.inc(size)
-        jobs = []
-        for position in range(size):
-            if self._hist_depth is not None:
-                # Jobs ahead of this key: queued + the one in service.
-                in_service = 0 if self._in_service is None else 1
-                self._hist_depth.record(len(self._queue) + in_service)
-            job = KeyJob(
-                key_id=self._next_key_id,
-                arrival_time=now,
-                batch_id=batch_id,
-                position_in_batch=position + 1,
-                context=contexts[position] if contexts is not None else None,
-            )
-            self._next_key_id += 1
-            self._queue.append(job)
-            jobs.append(job)
-        if self._in_service is None:
+        if self._hist_depth is not None:
+            # Keys ahead of each key: queued + the one in service, and
+            # the batch's earlier keys.
+            ahead = self.queue_length + (self._arrival is not None)
+            for position in range(size):
+                self._hist_depth.record(ahead + position)
+        self._queue.append([now, contexts, context, 0, size])
+        if self._arrival is None:
             self._start_next()
-        return jobs
 
-    def offer_key(self, now: float, *, context: object = None) -> KeyJob:
-        """Enqueue a single key (batch of one)."""
-        return self.offer_batch(now, 1, contexts=[context])[0]
+    def offer_key(self, now: float, *, context: object = None) -> None:
+        """Enqueue a single key (batch of one) with its own ``context``."""
+        self.offer_batch(now, 1, contexts=[context])
 
     # ------------------------------------------------------------------
 
     def _start_next(self) -> None:
-        if self._in_service is not None:
+        if self._arrival is not None:
             raise SimulationError(f"{self.name}: server already busy")
-        # Abandoned jobs are dropped at the head: a cancelled key that
+        queue = self._queue
+        # Abandoned keys are dropped at the head: a cancelled key that
         # never reached service consumes no capacity.
-        while self._queue and self._queue[0].abandoned:
-            self._queue.popleft()
-        if not self._queue:
+        while queue:
+            entry = queue[0]
+            contexts = entry[1]
+            if contexts is None:
+                break
+            if not getattr(contexts[entry[3]], "abandoned", False):
+                break
+            entry[3] += 1
+            if entry[3] == entry[4]:
+                queue.popleft()
+        else:
             return
         sim = self._sim
         now = sim.now
@@ -205,36 +191,38 @@ class ServerSim:
                     self._pause_pending = True
                     sim.schedule(resume - now, self._resume_from_pause)
                 return
-        job = self._queue.popleft()
+        index = entry[3]
+        entry[3] = index + 1
+        if index + 1 == entry[4]:
+            queue.popleft()
+        self._arrival = entry[0]
+        self._context = entry[2] if contexts is None else contexts[index]
+        self._started = now
         self.utilization_meter.server_started(now)
-        job.start_time = now
         service_time = self._service_window.get()
         if self._rate_factor is not None:
             factor = self._rate_factor(now)
             if factor != 1.0:
                 service_time /= factor
-        self._in_service = job
         sim.schedule(service_time, self._finish)
 
     def _resume_from_pause(self) -> None:
         self._pause_pending = False
-        if self._in_service is None:
+        if self._arrival is None:
             self._start_next()
 
     def _finish(self) -> None:
         now = self._sim.now
-        job = self._in_service
-        self._in_service = None
-        job.finish_time = now
+        arrival = self._arrival
+        start = self._started
+        self._arrival = None
         self.utilization_meter.server_stopped(now)
         self._completed += 1
         if self._hist_wait is not None:
-            self._hist_wait.record(job.wait)
-            self._hist_service.record(job.finish_time - job.start_time)
+            self._hist_wait.record(start - arrival)
+            self._hist_service.record(now - start)
         if self._trace_append is not None:
-            self._trace_append(
-                (job.arrival_time, job.start_time, job.finish_time)
-            )
+            self._trace_append((arrival, start, now))
         if self._on_complete is not None:
-            self._on_complete(job)
+            self._on_complete(self._context, arrival, start, now)
         self._start_next()

@@ -7,7 +7,10 @@ Models the paper's Fig. 1 end to end on the event engine:
    share probabilities ``{p_j}`` or by hashing real key names through a
    consistent-hash ring from :mod:`repro.memcached`.
 3. Each key crosses the network (constant delay), queues FIFO at its
-   server, and is served ``Exp(muS)``.
+   server, and is served ``Exp(muS)``. A request's keys for one server
+   travel and queue as one batch, one queue entry; without a request
+   policy, cache backend or tracer they have no per-key objects at all
+   and share the request as their payload.
 4. A miss (Bernoulli ``r``, or a *real* cache lookup when a cache
    backend is attached) relays the key to the M/M/1 database.
 5. The request completes when its last key's value returns; one row of
@@ -50,7 +53,7 @@ from .database import DatabaseSim
 from .engine import EventHandle, Simulator
 from .metrics import LatencyRecorder
 from .network import NetworkSim
-from .server import KeyJob, ServerSim
+from .server import ServerSim
 
 #: spawn_child tag for the policy decision stream (hedge/retry server
 #: picks). A tagged child never collides with the split_rng children
@@ -151,6 +154,11 @@ class _KeyState:
 
 @dataclasses.dataclass
 class _KeyContext:
+    """One key (or one policy attempt) that something reads per key: a
+    policy's state machine, the cache backend's key name or the tracer's
+    key span. Other keys have no context; their batch shares its
+    request as the payload the server hands back."""
+
     request: _RequestState
     key_name: Optional[str]
     server_index: int
@@ -158,6 +166,11 @@ class _KeyContext:
     span: Optional[Span] = None
     # Policy-path fields (inert when no policy is attached).
     state: Optional[_KeyState] = None
+    #: The client gave up on this attempt: whatever it returns is spent
+    #: load, recorded nowhere.
+    cancelled: bool = False
+    #: Read by the queue holding the attempt: cancelled while queued
+    #: there, so it is dropped when it reaches the head.
     abandoned: bool = False
     server_sojourn: float = 0.0
     database_sojourn: float = 0.0
@@ -167,7 +180,6 @@ class _KeyContext:
     #: for primaries; later for hedges/retries). The gap is the policy
     #: overhead on the critical path when this attempt finishes last.
     launched: float = 0.0
-    job: Optional[KeyJob] = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -502,20 +514,9 @@ class MemcachedSystemSimulator:
                 self._n_keys, self._effective_shares(self.sim.now)
             )
         if self._policy is None:
-            born = request.born
             for server_index, count in enumerate(counts):
-                if count == 0:
-                    continue
-                contexts = [
-                    _KeyContext(
-                        request=request,
-                        key_name=name,
-                        server_index=server_index,
-                        launched=born,
-                    )
-                    for name in self._key_names(request, int(count))
-                ]
-                self._dispatch_batch(server_index, contexts)
+                if count:
+                    self._dispatch_batch(server_index, request, int(count))
             return
         # Policy path: each key gets its own state machine; keys bound
         # for the same server still travel as one batch (identical
@@ -537,7 +538,7 @@ class MemcachedSystemSimulator:
                 state.attempts.append(context)
                 contexts.append(context)
                 armed.append(state)
-            self._dispatch_batch(server_index, contexts)
+            self._dispatch_batch(server_index, request, len(contexts), contexts)
         for state in armed:
             self._arm_timers(state)
 
@@ -598,7 +599,7 @@ class MemcachedSystemSimulator:
             launched=self.sim.now,
         )
         state.attempts.append(context)
-        self._dispatch_batch(server_index, [context])
+        self._dispatch_batch(server_index, state.request, 1, [context])
 
     def _fire_hedge(self, state: _KeyState) -> None:
         state.hedge_timer = None
@@ -625,20 +626,42 @@ class MemcachedSystemSimulator:
         )
 
     def _abandon_attempt(self, context: _KeyContext) -> None:
-        if context.abandoned:
+        if context.cancelled:
             return
+        context.cancelled = True
         context.abandoned = True
-        job = context.job
-        if job is not None and job.finish_time is None:
-            job.abandoned = True
 
-    def _dispatch_batch(self, server_index: int, contexts: List[_KeyContext]) -> None:
-        # One network traversal per key; all keys of the batch arrive
-        # together at the server (they left the client together).
+    def _dispatch_batch(
+        self,
+        server_index: int,
+        request: _RequestState,
+        count: int,
+        contexts: Optional[List[_KeyContext]] = None,
+    ) -> None:
+        """Send ``count`` keys of ``request`` to one server as one batch:
+        they left the client together, so they arrive together.
+
+        Policy attempts come with their ``contexts``. Without a policy a
+        key gets a context only when a cache backend or the tracer reads
+        its name; otherwise the batch's keys share the request.
+        """
+        if contexts is None and self._named_keys:
+            contexts = [
+                _KeyContext(
+                    request=request,
+                    key_name=name,
+                    server_index=server_index,
+                    launched=request.born,
+                )
+                for name in self._key_names(request, count)
+            ]
         server = self._servers[server_index]
 
         def deliver() -> None:
             now = self.sim.now
+            if contexts is None:
+                server.offer_batch(now, count, context=request)
+                return
             if contexts[0].span is not None:
                 # Queue depth every key of the batch sees at enqueue:
                 # earlier batch members count as ahead of later ones.
@@ -647,18 +670,22 @@ class MemcachedSystemSimulator:
                     context.span.attributes["queue_depth_at_enqueue"] = (
                         base_depth + position
                     )
-            jobs = server.offer_batch(now, len(contexts), contexts=contexts)
             if self._policy is not None:
-                for context, job in zip(contexts, jobs):
-                    context.job = job
+                # An attempt cancelled on the wire still reaches the
+                # server, which cannot know, and takes service; only one
+                # cancelled while queued is dropped at the head.
+                for context in contexts:
+                    context.abandoned = False
+            server.offer_batch(now, count, contexts=contexts)
 
         delay = self._network.send(deliver)
+        if contexts is None:
+            return
         now = self.sim.now
         for context in contexts:
             context.network_so_far += delay
-            request_span = context.request.span
-            if request_span is not None:
-                context.span = request_span.child(
+            if request.span is not None:
+                context.span = request.span.child(
                     "key",
                     now,
                     key=context.key_name,
@@ -670,68 +697,81 @@ class MemcachedSystemSimulator:
     # Completion plumbing.
     # ------------------------------------------------------------------
 
-    def _on_server_complete(self, job: KeyJob) -> None:
-        context = job.context
-        assert isinstance(context, _KeyContext)
-        if context.abandoned:
+    def _on_server_complete(
+        self, context: object, arrival: float, start: float, finish: float
+    ) -> None:
+        if context.__class__ is _RequestState:
+            # A key of a batch sharing its request: policy-free and
+            # unnamed, so the miss model is the Bernoulli one, which
+            # reads neither the server nor the key name.
+            request = context
+            context = None
+        elif context.cancelled:
             # A cancelled attempt that was already in service: the
             # capacity is spent, but it contributes nothing further.
             return
-        request = context.request
-        sojourn = job.sojourn
-        if context.state is None:
+        else:
+            request = context.request
+        sojourn = finish - arrival
+        if context is None or context.state is None:
             # ">=" keeps the same float as max() while carrying the
             # wait split of the max-attaining key for attribution.
             if sojourn >= request.max_server:
                 request.max_server = sojourn
-                request.server_wait = job.wait
+                request.server_wait = start - arrival
         else:
             context.server_sojourn = sojourn
-            context.server_wait = job.wait
+            context.server_wait = start - arrival
         self._key_sojourns.append(sojourn)
         if self._hist_key_sojourn is not None:
             self._hist_key_sojourn.record(sojourn)
         self._keys_processed += 1
-        hit = self._cache.lookup(context.server_index, context.key_name)
-        span = context.span
-        if span is not None:
-            span.attributes["hit"] = bool(hit)
-            span.child("queue", job.arrival_time, end=job.start_time)
-            span.child("service", job.start_time, end=self.sim.now)
+        if context is None:
+            hit = self._cache.lookup(-1, None)
+        else:
+            hit = self._cache.lookup(context.server_index, context.key_name)
+            span = context.span
+            if span is not None:
+                span.attributes["hit"] = bool(hit)
+                span.child("queue", arrival, end=start)
+                span.child("service", start, end=finish)
         if hit or self._database is None:
             if not hit:
                 self._misses += 1
-            self._finish_key(context, database_time=0.0)
+            self._finish_key(request, context)
         else:
             self._misses += 1
-            db_job = self._database.offer_key(self.sim.now, context=context)
-            if self._policy is not None:
-                context.job = db_job
-
-    def _on_database_complete(self, job: KeyJob) -> None:
-        context = job.context
-        assert isinstance(context, _KeyContext)
-        if context.abandoned:
-            return
-        if context.state is None:
-            if job.sojourn >= context.request.max_database:
-                context.request.max_database = job.sojourn
-                context.request.database_wait = job.wait
-        else:
-            context.database_sojourn = job.sojourn
-            context.database_wait = job.wait
-        if context.span is not None:
-            context.span.child(
-                "database",
-                job.arrival_time,
-                end=self.sim.now,
-                wait=job.wait,
+            self._database.offer_key(
+                finish, context=request if context is None else context
             )
-        self._finish_key(context, database_time=job.sojourn)
 
-    def _finish_key(self, context: _KeyContext, *, database_time: float) -> None:
-        request = context.request
-        if context.state is not None:
+    def _on_database_complete(
+        self, context: object, arrival: float, start: float, finish: float
+    ) -> None:
+        if context.__class__ is _RequestState:
+            request = context
+            context = None
+        elif context.cancelled:
+            return
+        else:
+            request = context.request
+        sojourn = finish - arrival
+        if context is None or context.state is None:
+            if sojourn >= request.max_database:
+                request.max_database = sojourn
+                request.database_wait = start - arrival
+        else:
+            context.database_sojourn = sojourn
+            context.database_wait = start - arrival
+        if context is not None and context.span is not None:
+            context.span.child("database", arrival, end=finish, wait=start - arrival)
+        self._finish_key(request, context)
+
+    def _finish_key(
+        self, request: _RequestState, context: Optional[_KeyContext]
+    ) -> None:
+        """A key's value leaves its last stage for the client."""
+        if context is not None and context.state is not None:
             # Policy path: the return hop is an event of its own, since
             # timers and cancel-on-winner act on in-flight keys.
             delay = self._network.send(partial(self._key_done, context))
@@ -743,18 +783,19 @@ class MemcachedSystemSimulator:
         # The network is a constant delay, which keeps FIFO order: the
         # key's return is accounted now, and only the request's last key
         # schedules an event — the request's completion, at the instant
-        # its value arrives.
+        # its value arrives. Both legs take that one delay.
         delay = self._network.traverse()
-        context.network_so_far += delay
-        request.max_network = max(request.max_network, context.network_so_far)
-        if context.span is not None:
+        network = delay + delay
+        if network > request.max_network:
+            request.max_network = network
+        if context is not None and context.span is not None:
             now = self.sim.now
             context.span.child("network.in", now, end=now + delay)
             context.span.finish(now + delay)
         request.pending -= 1
         if request.pending == 0:
             self.sim.schedule(
-                delay, partial(self._complete_request, request, context.launched)
+                delay, partial(self._complete_request, request, request.born)
             )
         elif request.pending < 0:  # pragma: no cover - defensive
             raise SimulationError("request completed more keys than it has")
@@ -763,7 +804,7 @@ class MemcachedSystemSimulator:
         """A policy attempt's value arrived back at the client."""
         request = context.request
         state = context.state
-        if context.abandoned or state.done:
+        if context.cancelled or state.done:
             # A losing attempt arriving after the key resolved (or after
             # its timeout): spent load, nothing to record.
             if context.span is not None:

@@ -224,6 +224,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             small_scenario(n_servers=0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            small_scenario(seed=-1)
+        assert small_scenario(seed=0).seed == 0
+
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             small_scenario().n_keys = 10

@@ -35,7 +35,10 @@ class TestBatchLawAgainstEventSim:
         sim = Simulator()
         sojourns = []
         server = ServerSim.exponential(
-            sim, kps(80), rng, on_complete=lambda job: sojourns.append(job.sojourn)
+            sim, kps(80), rng,
+            on_complete=lambda context, arrival, start, finish: sojourns.append(
+                finish - arrival
+            ),
         )
         arrivals = BatchArrivalProcess.from_workload(workload, rng)
         arrivals.start(sim, lambda t, size: server.offer_batch(t, size))
@@ -55,7 +58,9 @@ class TestBatchLawAgainstEventSim:
         sojourns = []
         server = ServerSim.exponential(
             sim, kps(80), rng,
-            on_complete=lambda job: sojourns.append(job.sojourn),
+            on_complete=lambda context, arrival, start, finish: sojourns.append(
+                finish - arrival
+            ),
         )
         arrivals = BatchArrivalProcess.from_workload(workload, rng)
         arrivals.start(sim, lambda t, size: server.offer_batch(t, size))

@@ -107,7 +107,9 @@ class TestInServerSim:
         sojourns = []
         server = ServerSim(
             sim, service, rng,
-            on_complete=lambda job: sojourns.append(job.sojourn),
+            on_complete=lambda context, arrival, start, finish: sojourns.append(
+                finish - arrival
+            ),
         )
         PoissonProcess(800.0, rng).start(
             sim, lambda t, size: server.offer_batch(t, size)

@@ -107,8 +107,8 @@ class TestDiurnalLatency:
         records = []
         server = ServerSim.exponential(
             sim, 1000.0, rng,
-            on_complete=lambda job: records.append(
-                (job.arrival_time, job.sojourn)
+            on_complete=lambda context, arrival, start, finish: records.append(
+                (arrival, finish - arrival)
             ),
         )
         period = 20.0

@@ -291,6 +291,17 @@ class TestBadArguments:
         )
 
 
+    @pytest.mark.parametrize(
+        "command", ["simulate", "explain", "monitor", "capacity"]
+    )
+    def test_negative_seed_rejected(self, command, capsys):
+        code = main([command, "--seed", "-1", "--requests", "20", "--n-keys", "5"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be >= 0, got -1")
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestTail:
     def test_percentile_table(self, capsys):
         assert main(["tail"]) == 0
