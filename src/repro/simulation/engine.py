@@ -22,6 +22,17 @@ Two scheduling shapes exist:
   other scheduled event fire back-to-back without touching the
   scheduler at all.
 
+Tie order within a batch: every event of a batch carries the ``seq`` of
+the :meth:`~Simulator.schedule_batch` call, so at an equal time it fires
+before anything scheduled after that call and after anything scheduled
+before it. A server that schedules the rest of a batch as one run (see
+:mod:`repro.simulation.server`) therefore ranks each key's finish at the
+instant the run's head key started, not at the key's own start, where a
+key-at-a-time schedule would rank it. The two orders differ only when
+another event falls on exactly the same instant as a finish: a
+measure-zero event under continuous service laws, but not under
+``Deterministic`` service.
+
 An optional :class:`~repro.observability.EngineProfiler` can be
 attached to attribute wall-clock time to callback categories; when no
 profiler is attached the event loop pays one ``is None`` check per
@@ -32,6 +43,7 @@ profiled when a profiler is present).
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Callable, Optional, Sequence
 
 from ..errors import SimulationError, ValidationError
@@ -184,6 +196,24 @@ class Simulator:
         """
         self._stop = True
 
+    def discard_pending(self) -> None:
+        """Drop every pending event; the clock, the processed count and
+        the profiler stay.
+
+        A pending callback is usually a bound method of the component
+        that scheduled it, and the scheduler keeps it, so a finished
+        simulation and its components refer to each other until a
+        cyclic GC pass. Discarded events are marked cancelled and let go
+        of their callbacks; their handles stay safe to cancel. Call it
+        between runs, not from a callback.
+        """
+        for obj in self._scheduler.clear():
+            obj.cancelled = True
+            obj.callback = None
+            if type(obj) is _Batch:
+                obj.queued = False
+        self._live = 0
+
     def schedule(self, delay: float, callback: Callback) -> EventHandle:
         """Run ``callback`` ``delay`` seconds from now."""
         # One chained comparison rejects negative, NaN and infinite
@@ -223,7 +253,7 @@ class Simulator:
         the call. Ties against other events resolve by scheduling
         order, exactly as for :meth:`schedule`.
         """
-        times = [float(t) for t in times]
+        times = list(map(float, times))
         if not times:
             raise ValidationError("schedule_batch needs at least one time")
         if not self._now <= times[0] < _INF or not times[-1] < _INF:
@@ -231,8 +261,8 @@ class Simulator:
                 f"batch times must be finite and not in the past: "
                 f"{times[0]}..{times[-1]} (now {self._now})"
             )
-        # ``not a <= b`` also catches a NaN anywhere in the window.
-        if any(not a <= b for a, b in zip(times, times[1:])):
+        # ``a <= b`` is also false for a NaN anywhere in the window.
+        if not all(map(operator.le, times, itertools.islice(times, 1, None))):
             raise ValidationError("batch times must be non-decreasing")
         batch = _Batch(times, next(self._counter), callback)
         self._scheduler.push(batch.time, batch.seq, batch)
@@ -364,35 +394,22 @@ class Simulator:
                 if budget is not None:
                     budget -= 1
                 continue
-            # Batch entry: fire elements inline. The first one always
-            # fires (we just popped the queue minimum); later ones fire
-            # as long as they still beat the new head. Callbacks may
-            # re-read profiler state mid-drain, so keep it fresh.
+            # Batch entry: fire elements inline. The first one fires at
+            # once (it is the queue minimum we just popped); later ones
+            # fire as long as they still beat the new head.
             obj.queued = False
             times = obj.times
             n = len(times)
             callback = obj.callback
+            index = obj.index
             while True:
-                index = obj.index
-                t_next = times[index]
-                head = scheduler.peek()
-                if head is not None and (
-                    head[0] < t_next or (head[0] == t_next and head[1] < seq)
-                ):
-                    # Another event fires first: park the batch back in
-                    # the scheduler at its next time and return to the
-                    # outer loop.
-                    obj.time = t_next
-                    scheduler.push(t_next, seq, obj)
-                    obj.queued = True
-                    break
                 if budget is not None:
                     if budget <= 0:
                         raise SimulationError(
                             f"event budget exhausted at t={self._now}"
                         )
                     budget -= 1
-                self._now = t_next
+                self._now = times[index]
                 obj.index = index + 1
                 self._live -= 1
                 if profiler is None:
@@ -407,13 +424,26 @@ class Simulator:
                         pending=self._live,
                     )
                 self._processed += 1
-                if obj.cancelled or obj.index >= n:
+                index = obj.index
+                if obj.cancelled or index >= n:
                     break  # exhausted or cancelled mid-drain; not queued
+                t_next = times[index]
                 if self._stop:
                     # Park the rest of the batch so scheduler state stays
                     # consistent across the pause, then let the outer
                     # loop return.
-                    obj.time = times[obj.index]
-                    scheduler.push(obj.time, seq, obj)
+                    obj.time = t_next
+                    scheduler.push(t_next, seq, obj)
+                    obj.queued = True
+                    break
+                head = scheduler.peek()
+                if head is not None and (
+                    head[0] < t_next or (head[0] == t_next and head[1] < seq)
+                ):
+                    # Another event fires first: park the batch back in
+                    # the scheduler at its next time and return to the
+                    # outer loop.
+                    obj.time = t_next
+                    scheduler.push(t_next, seq, obj)
                     obj.queued = True
                     break

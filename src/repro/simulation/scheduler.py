@@ -71,6 +71,13 @@ class HeapScheduler:
         if self._dead > COMPACT_MIN_DEAD and self._dead * 2 > len(self._heap):
             self.compact()
 
+    def clear(self) -> List[object]:
+        """Remove every entry; returns their objects, dead ones included."""
+        objs = [entry[2] for entry in self._heap]
+        self._heap = []
+        self._dead = 0
+        return objs
+
     def compact(self) -> None:
         """Drop cancelled entries and re-heapify."""
         self._heap = [entry for entry in self._heap if not entry[2].cancelled]

@@ -5,13 +5,25 @@ together, the paper's GI^X/M/1 model) and are served one at a time in
 arrival order. The queue holds one entry per batch,
 ``[arrival, contexts, payload, next, size]``: the batch's per-key
 contexts (or ``None`` when its keys share ``payload``), the index of
-its next key to start, and its key count. A key starts service lazily,
-when the key ahead of it finishes: its service time is drawn then, and
-the fault hooks are read at that instant. Each finished key is handed
-to the completion callback as plain values ``(context, arrival, start,
-finish)``. The exponential-service default matches the paper's model,
-and any :class:`~repro.distributions.Distribution` can be substituted
-for model-robustness ablations.
+its next key to start, and its key count. A key starts service when
+the key ahead of it finishes, and the fault hooks are read at that
+instant.
+
+Once nothing can interrupt it, the rest of a batch is fixed when its
+head key starts: with a shared payload (no per-key contexts, so no key
+can be abandoned) and no ``pause_until`` hook, every start is the
+previous key's finish. The server then schedules that *run* at once:
+it draws the run's service times from its window in order, divides
+each by ``rate_factor`` at that key's start, accumulates the finish
+times with the engine's own float addition and hands them to one
+:meth:`~repro.simulation.engine.Simulator.schedule_batch`. Every other
+key starts lazily, one scheduled ``_finish`` at a time. Either way
+``_finish`` reports each key as plain values ``(context, arrival,
+start, finish)`` and keeps the queue cursor, the utilization meter and
+the histograms exactly where the key-at-a-time path puts them. The
+exponential-service default matches the paper's model, and any
+:class:`~repro.distributions.Distribution` can be substituted for
+model-robustness ablations.
 """
 
 from __future__ import annotations
@@ -83,10 +95,13 @@ class ServerSim:
         self._queue: Deque[list] = collections.deque()
         # The key in service: its arrival (None when idle), context and
         # start instant. Its completion is the bound ``_finish``, so a
-        # service start allocates nothing.
+        # service start allocates nothing. ``_run_last`` is the index,
+        # within the scheduled run, of the run's last key (0 for a key
+        # scheduled on its own).
         self._arrival: Optional[float] = None
         self._context: object = None
         self._started = 0.0
+        self._run_last = 0
         self._completed = 0
         self.utilization_meter = UtilizationMeter()
         # Optional per-queue observability: wait/service distributions
@@ -192,26 +207,51 @@ class ServerSim:
                     sim.schedule(resume - now, self._resume_from_pause)
                 return
         index = entry[3]
+        size = entry[4]
         entry[3] = index + 1
-        if index + 1 == entry[4]:
+        if index + 1 == size:
             queue.popleft()
         self._arrival = entry[0]
         self._context = entry[2] if contexts is None else contexts[index]
         self._started = now
         self.utilization_meter.server_started(now)
-        service_time = self._service_window.get()
-        if self._rate_factor is not None:
-            factor = self._rate_factor(now)
-            if factor != 1.0:
-                service_time /= factor
-        sim.schedule(service_time, self._finish)
+        draw = self._service_window.get
+        rate_factor = self._rate_factor
+        # Per-key contexts can be abandoned and a pause can hold a key
+        # back, so only a shared-payload batch on an unpausable server
+        # fixes its later starts now.
+        if contexts is not None or self._pause_until is not None or index + 1 == size:
+            service_time = draw()
+            if rate_factor is not None:
+                factor = rate_factor(now)
+                if factor != 1.0:
+                    service_time /= factor
+            self._run_last = 0
+            sim.schedule(service_time, self._finish)
+            return
+        # A run: each key starts when the one ahead of it finishes, so
+        # its draw, its rate factor and its finish are known now. The
+        # finish accumulates as ``Simulator.schedule`` computes it.
+        finish = now
+        times = []
+        for _ in range(size - index):
+            service_time = draw()
+            if rate_factor is not None:
+                factor = rate_factor(finish)
+                if factor != 1.0:
+                    service_time /= factor
+            finish = finish + service_time
+            times.append(finish)
+        self._run_last = size - index - 1
+        sim.schedule_batch(times, self._finish)
 
     def _resume_from_pause(self) -> None:
         self._pause_pending = False
         if self._arrival is None:
             self._start_next()
 
-    def _finish(self) -> None:
+    def _finish(self, index: int = 0) -> None:
+        """Key ``index`` of the scheduled run finishes now."""
         now = self._sim.now
         arrival = self._arrival
         start = self._started
@@ -225,4 +265,27 @@ class ServerSim:
             self._trace_append((arrival, start, now))
         if self._on_complete is not None:
             self._on_complete(self._context, arrival, start, now)
-        self._start_next()
+        if index == self._run_last:
+            self._start_next()
+            return
+        # The run's next key starts: the cursor and the meter move as
+        # _start_next would move them; its service is already drawn.
+        if self._arrival is not None:
+            raise SimulationError(f"{self.name}: server already busy")
+        entry = self._queue[0]
+        entry[3] += 1
+        if entry[3] == entry[4]:
+            self._queue.popleft()
+        self._arrival = arrival
+        self._started = now
+        self.utilization_meter.server_started(now)
+
+    def release(self) -> None:
+        """Drop the completion callback.
+
+        The callback is usually a bound method of the object that owns
+        this server, so the two reference each other; a finished run
+        releases it to be freed by reference counting alone. Counters,
+        the utilization meter and the queue stay readable.
+        """
+        self._on_complete = None

@@ -1,11 +1,20 @@
 """Tests for arrival processes and the simulated server."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.core import WorkloadPattern
-from repro.distributions import Exponential, FixedCount, Geometric, RandomWindow
-from repro.errors import ValidationError
+from repro.distributions import (
+    Deterministic,
+    Exponential,
+    FixedCount,
+    Geometric,
+    RandomWindow,
+)
+from repro.errors import SimulationError, ValidationError
+from repro.observability import MetricsRegistry
 from repro.simulation import (
     Batch,
     BatchArrivalProcess,
@@ -15,6 +24,7 @@ from repro.simulation import (
     TraceReplay,
     generate_batches,
 )
+from repro.simulation.scheduler import HeapScheduler
 
 
 class TestBatchArrivalProcess:
@@ -408,3 +418,154 @@ class TestServerSim:
         assert server.completed == 5
         assert server.queue_length == 0
         assert not server.busy
+
+
+def _served_both_ways(rate_factor=None):
+    """The same batches, seed and probes on a shared-payload server (a
+    batch is scheduled as one run) and on a per-key-context server (one
+    key at a time). Returns per side: each completion with the queue
+    state the callback sees, each probe's reading, utilization, and the
+    queue histograms."""
+    batches = [(0.0, 5), (1e-5, 3), (2e-5, 1), (0.5, 4), (0.5 + 1e-5, 2)]
+    probes = [1.5e-5, 3e-5, 4e-5, 5e-5, 0.5 + 2e-5, 0.5 + 4e-5]
+    sides = []
+    for per_key in (False, True):
+        sim = Simulator()
+        registry = MetricsRegistry()
+        done, readings = [], []
+        server = ServerSim.exponential(
+            sim,
+            100_000.0,
+            np.random.default_rng(17),
+            metrics=registry,
+            rate_factor=rate_factor,
+            on_complete=lambda context, arrival, start, finish: done.append(
+                (arrival, start, finish, server.queue_length, server.busy)
+            ),
+        )
+        for number, (at, size) in enumerate(batches):
+            if per_key:
+                contexts = [f"b{number}k{i}" for i in range(size)]
+                offer = partial(server.offer_batch, size=size, contexts=contexts)
+            else:
+                offer = partial(server.offer_batch, size=size, context=f"b{number}")
+            sim.schedule_at(at, lambda offer=offer: offer(sim.now))
+        for at in probes:
+            sim.schedule_at(
+                at, lambda: readings.append((server.queue_length, server.busy))
+            )
+        sim.run()
+        sides.append(
+            dict(
+                done=done,
+                readings=readings,
+                utilization=server.utilization_meter.utilization(sim.now),
+                now=sim.now,
+                histograms={
+                    name: registry.histogram(f"server.{name}").to_dict()
+                    for name in ("wait", "service", "queue_depth")
+                },
+            )
+        )
+    return sides
+
+
+class TestServerRuns:
+    """A shared-payload batch without a pause hook is scheduled as one
+    run when its head key starts; every per-key value must equal the
+    key-at-a-time path's bit for bit."""
+
+    @pytest.mark.parametrize(
+        "switching", [False, True], ids=["no-hooks", "rate-switch"]
+    )
+    def test_run_matches_key_at_a_time_path(self, switching):
+        rate_factor = None
+        if switching:
+            # Faster service for keys starting past the middle of the
+            # first batch, so the factor changes inside a run.
+            stream = service_stream(100_000.0, 17)
+            switch = sum(stream.get() for _ in range(3))
+
+            def rate_factor(t):
+                return 2.5 if t >= switch else 1.0
+
+        run, per_key = _served_both_ways(rate_factor)
+        assert len(run["done"]) == 15
+        assert run == per_key
+        # The probes caught keys waiting behind the one in service.
+        assert any(length > 0 for length, _ in run["readings"])
+
+    def test_lone_batch_is_one_scheduler_push(self, monkeypatch):
+        pushes = []
+        original = HeapScheduler.push
+
+        def push(self, time, seq, obj):
+            pushes.append(time)
+            original(self, time, seq, obj)
+
+        monkeypatch.setattr(HeapScheduler, "push", push)
+        sim = Simulator()
+        server, done = recording_server(sim, 100.0, 4)
+        server.offer_batch(0.0, 7)
+        sim.run()
+        assert len(pushes) == 1
+        assert len(done) == 7
+        assert sim.events_processed == 7
+        # The one push carries the first finish; the run drains inline.
+        assert pushes[0] == done[0][3]
+
+    def test_run_keys_rank_at_the_run_seq(self):
+        """Tie order: a run's keys carry the seq of the run's scheduling
+        (its head key's start), not of each key's own start. With
+        deterministic service, a delivery scheduled after the run and
+        landing exactly on a key's finish fires after that finish; on
+        the key-at-a-time path it fires first, since the finish was
+        scheduled only when the key started. Every key's (arrival,
+        start, finish) is the same either way."""
+        seen = {}
+        for per_key in (False, True):
+            sim = Simulator()
+            done = []
+            server = ServerSim(
+                sim,
+                Deterministic(1.0),
+                np.random.default_rng(0),
+                on_complete=lambda context, *times: done.append((context, *times)),
+            )
+            if per_key:
+                server.offer_batch(0.0, 3, contexts=["a", "a", "a"])
+            else:
+                server.offer_batch(0.0, 3, context="a")
+
+            def deliver():
+                seen[per_key] = (len(done), server.queue_length, server.busy)
+                server.offer_batch(sim.now, 1, context="x")
+
+            sim.schedule_at(2.0, deliver)
+            sim.run()
+            assert done == [
+                ("a", 0.0, 0.0, 1.0),
+                ("a", 0.0, 1.0, 2.0),
+                ("a", 0.0, 2.0, 3.0),
+                ("x", 2.0, 3.0, 4.0),
+            ]
+        # Run: the second key's finish (seq of the run) fires first, so
+        # the delivery finds the third key in service and none queued.
+        assert seen[False] == (2, 0, True)
+        # Key at a time: the delivery fires first and finds the second
+        # key in service and the third queued.
+        assert seen[True] == (1, 1, True)
+
+    def test_reentrant_offer_from_completion_is_refused(self):
+        """A completion callback cannot start this server's next key:
+        the run path refuses it like the key-at-a-time path does."""
+        sim = Simulator()
+        server = ServerSim.exponential(
+            sim,
+            100.0,
+            np.random.default_rng(2),
+            on_complete=lambda *values: server.offer_batch(sim.now, 1),
+        )
+        server.offer_batch(0.0, 3)
+        with pytest.raises(SimulationError, match="already busy"):
+            sim.run()

@@ -133,6 +133,30 @@ class TestCancellation:
         handle.cancel()  # must not raise
 
 
+class TestDiscardPending:
+    def test_drops_events_and_their_callbacks(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append("early"))
+        late = sim.schedule(5.0, lambda: fired.append("late"))
+        batch = sim.schedule_batch([6.0, 7.0], fired.append)
+        sim.run_until(2.0)
+        sim.discard_pending()
+        assert (sim.now, sim.events_processed, sim.pending_events) == (2.0, 1, 0)
+        assert sim.scheduler_entries == 0
+        assert late.cancelled and late.callback is None
+        assert batch.cancelled and batch.remaining == 0
+        late.cancel()  # handles stay safe to cancel
+        batch.cancel()
+        assert sim.pending_events == 0
+        sim.run()
+        assert fired == ["early"]
+        # The simulator stays usable.
+        sim.schedule(1.0, lambda: fired.append("after"))
+        sim.run()
+        assert fired == ["early", "after"] and sim.now == 3.0
+
+
 class TestRunUntil:
     def test_stops_at_end_time(self):
         sim = Simulator()

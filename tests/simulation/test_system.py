@@ -1,10 +1,14 @@
 """Tests for the closed-loop system simulator."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core import ClusterModel
 from repro.errors import ValidationError
+from repro.faults import DatabaseOverload, FaultSchedule, ServerPause, ServerSlowdown
 from repro.observability import Histogram, Observability
 from repro.policies import RequestPolicy
 from repro.simulation import (
@@ -13,6 +17,7 @@ from repro.simulation import (
     MemcachedSystemSimulator,
 )
 from repro.simulation import system as system_module
+from repro.simulation.scheduler import HeapScheduler
 from repro.units import kps, msec, usec
 
 
@@ -233,6 +238,29 @@ class TestEventsPerKey:
         completed = 300 + 30
         assert system._network.delivered >= completed * self.N_KEYS + spawned
 
+    def test_fewer_scheduler_pushes_than_keys(self, monkeypatch):
+        """A batch's keys finish as one scheduled run, so the whole system
+        pushes fewer scheduler entries than it generates keys; scheduling
+        each key's finish on its own needs one push per key."""
+        pushes = 0
+        original = HeapScheduler.push
+
+        def push(self, time, seq, obj):
+            nonlocal pushes
+            pushes += 1
+            original(self, time, seq, obj)
+
+        monkeypatch.setattr(HeapScheduler, "push", push)
+        system, results = self.run()
+        keys_generated = system._next_request_id * self.N_KEYS
+        assert 0 < pushes < keys_generated
+        bound = (
+            keys_generated
+            + results.misses
+            + (self.N_SERVERS + 2) * system._next_request_id
+        )
+        assert keys_generated <= system.sim.events_processed <= bound
+
     def test_key_spans_end_with_their_return_hop(self):
         obs = Observability(trace=True)
         system, results = self.run(observability=obs)
@@ -250,6 +278,61 @@ class TestEventsPerKey:
                 assert len(network_in) == 1
                 assert key.end == network_in[0].end
                 assert key.end <= root.end
+
+
+class TestFinishedRunIsFreed:
+    """A finished run breaks its reference cycles (pending events hold
+    the simulator's bound methods, queues hold its completion
+    callbacks), so dropping the last reference frees it at once."""
+
+    CASES = {
+        "plain": {},
+        "policy": dict(
+            policy=RequestPolicy(hedge_delay=msec(0.2), timeout=msec(1), max_retries=1)
+        ),
+        "tracer": dict(observability=Observability(trace=True, metrics=True)),
+        "faults": dict(
+            faults=FaultSchedule(
+                (
+                    ServerSlowdown(start=1.0, duration=2.0, factor=0.5, server=0),
+                    ServerPause(start=2.5, duration=0.05, server=1),
+                    DatabaseOverload(start=1.5, duration=1.0),
+                )
+            )
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_freed_by_reference_counting(self, case):
+        expected = build_system(seed=11, **self.CASES[case]).run(n_requests=500)
+        gc.collect()
+        gc.disable()
+        try:
+            system = build_system(seed=11, **self.CASES[case])
+            results = system.run(n_requests=500)
+            # What callers read after the run stays readable.
+            sim = system.sim
+            assert sim.pending_events == 0
+            assert sim.events_processed > 0
+            assert [
+                server.utilization_meter.utilization(sim.now)
+                for server in system._servers
+            ] == results.server_utilizations
+            alive = weakref.ref(system)
+            del system, sim
+            assert alive() is None
+        finally:
+            gc.enable()
+        assert results.record.tobytes() == expected.record.tobytes()
+        assert results.server_utilizations == expected.server_utilizations
+        assert (
+            results.per_key_server.samples().tobytes()
+            == expected.per_key_server.samples().tobytes()
+        )
+        assert (results.keys_processed, results.misses) == (
+            expected.keys_processed,
+            expected.misses,
+        )
 
 
 class TestPerKeySojourns:
