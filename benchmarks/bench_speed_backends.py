@@ -130,11 +130,8 @@ def _run_once(scenario: Scenario, backend: str) -> float:
         backend, options = "simulate", {"timeline": 48}
     else:
         options = {"pool_size": 50_000} if backend == "fastpath" else {}
-    # The previous run's simulator is cyclic garbage. Collected inside
-    # the next timed run, it made the second run of every engine pair
-    # the slower one: over twelve 3000-request rounds the paired
-    # timeline ratio had median 0.82 without this collection, 0.94
-    # with it.
+    # Start each timed run from a collected heap, so no earlier run's
+    # cyclic garbage is collected inside it.
     gc.collect()
     start = time.perf_counter()
     scenario.run(backend, **options)
