@@ -39,7 +39,6 @@ from .capacity import (
     capacity_curve,
     find_capacity,
 )
-from .config import ExperimentConfig
 from .core import (
     AdvisorReport,
     ClusterModel,
@@ -140,7 +139,6 @@ __all__ = [
     "DatabaseStage",
     "Deterministic",
     "Distribution",
-    "ExperimentConfig",
     "ExperimentRunner",
     "Exponential",
     "FaultSchedule",

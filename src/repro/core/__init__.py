@@ -6,18 +6,13 @@ Build a :class:`LatencyModel` from a :class:`WorkloadPattern`, a
 """
 
 from .analysis import (
-    SweepResult,
-    concurrency_scaling_check,
-    database_regime_boundary,
     fit_linear_slope,
     fit_log_slope,
     goodness_of_linear_fit,
     marginal_benefit_fewer_keys,
     marginal_benefit_lower_miss_ratio,
-    sweep_database_stage,
-    sweep_server_stage,
 )
-from .cluster import ClusterModel, HeterogeneousCluster
+from .cluster import ClusterModel
 from .latency import LatencyEstimate, LatencyModel
 from .recommendations import AdvisorReport, Recommendation, Severity, advise
 from .redundancy import (
@@ -54,7 +49,6 @@ __all__ = [
     "FACEBOOK_CONCURRENCY",
     "FACEBOOK_KEY_RATE",
     "FACEBOOK_TRACE_CONCURRENCY",
-    "HeterogeneousCluster",
     "LatencyEstimate",
     "LatencyModel",
     "NetworkStage",
@@ -70,17 +64,12 @@ __all__ = [
     "Severity",
     "StageComparison",
     "ValidationReport",
-    "SweepResult",
     "WorkloadPattern",
     "advise",
-    "concurrency_scaling_check",
-    "database_regime_boundary",
     "fit_linear_slope",
     "fit_log_slope",
     "goodness_of_linear_fit",
     "marginal_benefit_fewer_keys",
     "marginal_benefit_lower_miss_ratio",
-    "sweep_database_stage",
-    "sweep_server_stage",
     "validate_configuration",
 ]

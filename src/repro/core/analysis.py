@@ -1,11 +1,10 @@
 """Quantitative analysis of the latency estimate (paper §5.2).
 
-The paper turns Theorem 1 into scaling laws and sweeps; this module
-implements both the sweeps (parameterized re-evaluation of the model)
-and the law extraction used to verify them:
+The paper turns Theorem 1 into scaling laws; this module holds the
+least-squares fits that verify them and the marginal-benefit figures
+the advisor reports:
 
 * ``E[TS(N)] = Theta(1/(1-q))`` in the concurrency (Fig. 5);
-* cliff behaviour in ``lambda``/``muS`` (Figs. 7-9, Prop. 2);
 * ``E[TS(N)] = Theta(log N)`` (Fig. 12);
 * ``E[TD(N)] = Theta(r)`` small N / ``Theta(log r)`` large N (eq. (25),
   Fig. 11) and ``Theta(log N)`` (Fig. 13).
@@ -13,62 +12,12 @@ and the law extraction used to verify them:
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable, Dict, List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import ValidationError
-from .stages import DatabaseStage, ServerStage
-from .workload import WorkloadPattern
-
-
-@dataclasses.dataclass(frozen=True)
-class SweepResult:
-    """One factor sweep: parameter values and per-value latency estimates."""
-
-    parameter: str
-    values: List[float]
-    lower: List[float]
-    upper: List[float]
-
-    @property
-    def midpoint(self) -> List[float]:
-        return [0.5 * (lo + up) for lo, up in zip(self.lower, self.upper)]
-
-    def as_rows(self) -> List[Dict[str, float]]:
-        """Rows for tabular output (benches, CLI)."""
-        return [
-            {self.parameter: v, "lower": lo, "upper": up}
-            for v, lo, up in zip(self.values, self.lower, self.upper)
-        ]
-
-
-def sweep_server_stage(
-    parameter: str,
-    values: Sequence[float],
-    stage_factory: Callable[[float], ServerStage],
-    n_keys: float,
-) -> SweepResult:
-    """Evaluate ``E[TS(N)]`` bounds across a parameter sweep."""
-    lower: List[float] = []
-    upper: List[float] = []
-    for value in values:
-        estimate = stage_factory(float(value)).mean_latency_bounds(n_keys)
-        lower.append(estimate.lower)
-        upper.append(estimate.upper)
-    return SweepResult(parameter, [float(v) for v in values], lower, upper)
-
-
-def sweep_database_stage(
-    parameter: str,
-    values: Sequence[float],
-    stage_factory: Callable[[float], DatabaseStage],
-    n_keys: float,
-) -> SweepResult:
-    """Evaluate ``E[TD(N)]`` across a parameter sweep (point estimate)."""
-    points = [stage_factory(float(v)).mean_latency(n_keys) for v in values]
-    return SweepResult(parameter, [float(v) for v in values], points, points)
+from .stages import DatabaseStage
 
 
 # ----------------------------------------------------------------------
@@ -107,36 +56,6 @@ def goodness_of_linear_fit(xs: Sequence[float], ys: Sequence[float]) -> float:
     if total == 0:
         return 1.0
     return 1.0 - float((residuals**2).sum()) / total
-
-
-def concurrency_scaling_check(
-    workload: WorkloadPattern,
-    service_rate: float,
-    n_keys: float,
-    qs: Sequence[float],
-) -> float:
-    """R^2 of ``E[TS(N)]`` (upper bound) against ``1/(1-q)``.
-
-    The paper claims Theta(1/(1-q)) growth (Fig. 5 discussion); a value
-    near 1 confirms it on the chosen grid.
-    """
-    xs = [1.0 / (1.0 - q) for q in qs]
-    ys = []
-    for q in qs:
-        stage = ServerStage(workload.with_q(float(q)), service_rate)
-        ys.append(stage.mean_latency_bounds(n_keys).upper)
-    return goodness_of_linear_fit(xs, ys)
-
-
-def database_regime_boundary(miss_ratio: float) -> float:
-    """The N at which ``E[TD(N)]`` switches regimes: ``N* = 1/r``.
-
-    Below it, latency is ~linear in r (misses are rare events); above
-    it, logarithmic (eq. (25)).
-    """
-    if not 0.0 < miss_ratio <= 1.0:
-        raise ValidationError(f"miss_ratio must be in (0, 1], got {miss_ratio}")
-    return 1.0 / miss_ratio
 
 
 def marginal_benefit_fewer_keys(

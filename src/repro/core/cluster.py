@@ -182,80 +182,3 @@ class ClusterModel:
         """Utilization of the heaviest server."""
         return self.heaviest_share * float(total_key_rate) / self.service_rate
 
-
-@dataclasses.dataclass(frozen=True)
-class HeterogeneousCluster:
-    """A cluster whose servers differ in service rate (mixed hardware).
-
-    The paper assumes a uniform ``muS``; real fleets mix generations.
-    The latency-dominating server is then the one with the highest
-    *utilization* ``p_j * Lambda / mu_j`` — not necessarily the one with
-    the largest share — and Prop. 1's heaviest-server bounding carries
-    over with that server in the heavy role.
-    """
-
-    shares: tuple
-    service_rates: tuple
-
-    def __init__(
-        self, shares: Sequence[float], service_rates: Sequence[float]
-    ) -> None:
-        object.__setattr__(self, "shares", _normalize_shares(shares))
-        rates = tuple(
-            require_positive(f"service_rates[{i}]", rate)
-            for i, rate in enumerate(service_rates)
-        )
-        if len(rates) != len(self.shares):
-            raise ValidationError("shares and service_rates must align")
-        object.__setattr__(self, "service_rates", rates)
-
-    @property
-    def n_servers(self) -> int:
-        return len(self.shares)
-
-    @property
-    def total_capacity(self) -> float:
-        """Aggregate service capacity (keys/second)."""
-        return float(sum(self.service_rates))
-
-    def utilizations(self, total_key_rate: float) -> List[float]:
-        """Per-server utilizations ``p_j Lambda / mu_j``."""
-        require_positive("total_key_rate", total_key_rate)
-        return [
-            share * total_key_rate / rate
-            for share, rate in zip(self.shares, self.service_rates)
-        ]
-
-    def bottleneck_index(self, total_key_rate: float) -> int:
-        """The server with the highest utilization."""
-        utils = self.utilizations(total_key_rate)
-        return max(range(len(utils)), key=utils.__getitem__)
-
-    def max_utilization(self, total_key_rate: float) -> float:
-        return max(self.utilizations(total_key_rate))
-
-    def capacity_weighted_shares(self) -> List[float]:
-        """Shares proportional to capacity — the balanced target.
-
-        Routing ``p_j proportional to mu_j`` equalizes utilizations; a
-        weighted hash ring (more virtual nodes on faster servers)
-        implements it.
-        """
-        total = self.total_capacity
-        return [rate / total for rate in self.service_rates]
-
-    def bottleneck_stage(
-        self, total_key_rate: float, pattern: WorkloadPattern
-    ):
-        """The ServerStage of the utilization-dominating server."""
-        from .stages import ServerStage
-
-        index = self.bottleneck_index(total_key_rate)
-        workload = pattern.with_rate(self.shares[index] * float(total_key_rate))
-        balanced = len(set(self.utilizations(total_key_rate))) == 1
-        return ServerStage(
-            workload,
-            self.service_rates[index],
-            heaviest_share=self.shares[index],
-            balanced=balanced,
-        )

@@ -7,34 +7,30 @@ Everything random in the library flows through these classes; see
 from .base import (
     DiscreteDistribution,
     Distribution,
-    require_nonnegative,
     require_positive,
     require_probability,
     require_weights,
 )
 from .discrete import FixedCount, Geometric, TruncatedBinomial, Zipf
-from .empirical import Empirical, Mixture, Shifted
+from .empirical import Empirical
 from .exponential import Deterministic, Exponential
 from .fitting import (
     CONCURRENCY_WINDOW_SECONDS,
     WorkloadFit,
-    empirical_cv2,
     estimate_concurrency,
-    fit_exponential_rate,
     fit_generalized_pareto,
     fit_workload_from_timestamps,
     lilliefors_exponential_distance,
 )
 from .generalized_pareto import GeneralizedPareto
 from .heavy_tail import Lognormal, Pareto, Weibull
-from .laplace import laplace_derivative, laplace_from_survival
+from .laplace import laplace_from_survival
 from .phase_type import Erlang, Gamma, Hyperexponential, Uniform
 from .rng import (
     DEFAULT_RNG_WINDOW,
     RandomWindow,
     RngLike,
     make_rng,
-    rng_stream,
     seed_sequence,
     spawn_child,
     split_rng,
@@ -55,30 +51,23 @@ __all__ = [
     "Geometric",
     "Hyperexponential",
     "Lognormal",
-    "Mixture",
     "Pareto",
     "RandomWindow",
     "RngLike",
-    "Shifted",
     "TruncatedBinomial",
     "Uniform",
     "Weibull",
     "WorkloadFit",
     "Zipf",
-    "empirical_cv2",
     "estimate_concurrency",
-    "fit_exponential_rate",
     "fit_generalized_pareto",
     "fit_workload_from_timestamps",
-    "laplace_derivative",
     "laplace_from_survival",
     "lilliefors_exponential_distance",
     "make_rng",
-    "require_nonnegative",
     "require_positive",
     "require_probability",
     "require_weights",
-    "rng_stream",
     "seed_sequence",
     "spawn_child",
     "split_rng",

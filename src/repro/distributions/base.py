@@ -227,14 +227,6 @@ def require_positive(name: str, value: float) -> float:
     return value
 
 
-def require_nonnegative(name: str, value: float) -> float:
-    """Validate ``value >= 0`` and return it as float."""
-    value = float(value)
-    if value < 0:
-        raise ValidationError(f"{name} must be >= 0, got {value}")
-    return value
-
-
 def require_probability(name: str, value: float, *, closed: bool = True) -> float:
     """Validate that ``value`` is a probability and return it as float.
 

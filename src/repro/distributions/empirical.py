@@ -1,4 +1,4 @@
-"""Empirical (trace-driven) distributions and mixtures.
+"""Empirical (trace-driven) distributions.
 
 :class:`Empirical` wraps a sample of observed gaps/latencies so measured
 traces can be plugged anywhere a parametric law is accepted — including
@@ -8,13 +8,12 @@ of ``exp(-s t)``.
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ..errors import ValidationError
-from .base import Distribution, require_weights
+from .base import Distribution
 
 
 class Empirical(Distribution):
@@ -59,101 +58,3 @@ class Empirical(Distribution):
         if size is None:
             return float(rng.choice(self._sorted))
         return rng.choice(self._sorted, size=size)
-
-
-class Mixture(Distribution):
-    """Finite mixture of component distributions with given weights."""
-
-    def __init__(self, weights: Sequence[float], components: Sequence[Distribution]) -> None:
-        self._weights = require_weights("weights", weights)
-        if len(components) != self._weights.size:
-            raise ValidationError("weights and components must have equal length")
-        self._components = list(components)
-
-    @property
-    def components(self) -> list:
-        return list(self._components)
-
-    @property
-    def mean(self) -> float:
-        return float(
-            sum(w * c.mean for w, c in zip(self._weights, self._components))
-        )
-
-    @property
-    def variance(self) -> float:
-        # Law of total variance: E[Var] + Var[E].
-        mean = self.mean
-        second = sum(
-            w * (c.variance + c.mean**2)
-            for w, c in zip(self._weights, self._components)
-        )
-        if any(not math.isfinite(c.variance) for c in self._components):
-            return math.inf
-        return float(second - mean**2)
-
-    def cdf(self, t: float) -> float:
-        return float(
-            sum(w * c.cdf(t) for w, c in zip(self._weights, self._components))
-        )
-
-    def pdf(self, t: float) -> float:
-        return float(
-            sum(w * c.pdf(t) for w, c in zip(self._weights, self._components))
-        )
-
-    def laplace(self, s: float) -> float:
-        return float(
-            sum(w * c.laplace(s) for w, c in zip(self._weights, self._components))
-        )
-
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        if size is None:
-            idx = rng.choice(len(self._components), p=self._weights)
-            return self._components[idx].sample(rng)
-        idx = rng.choice(len(self._components), size=size, p=self._weights)
-        out = np.empty(size, dtype=float)
-        for i, component in enumerate(self._components):
-            mask = idx == i
-            count = int(mask.sum())
-            if count:
-                out[mask] = np.asarray(component.sample(rng, count))
-        return out
-
-
-class Shifted(Distribution):
-    """``offset + T`` for a base distribution ``T``.
-
-    Models a fixed floor under a random component, e.g. constant
-    propagation delay plus random queueing.
-    """
-
-    def __init__(self, base: Distribution, offset: float) -> None:
-        offset = float(offset)
-        if offset < 0:
-            raise ValidationError(f"offset must be >= 0, got {offset}")
-        self._base = base
-        self._offset = offset
-
-    @property
-    def mean(self) -> float:
-        return self._base.mean + self._offset
-
-    @property
-    def variance(self) -> float:
-        return self._base.variance
-
-    def cdf(self, t: float) -> float:
-        return self._base.cdf(t - self._offset)
-
-    def pdf(self, t: float) -> float:
-        return self._base.pdf(t - self._offset)
-
-    def quantile(self, k: float) -> float:
-        return self._offset + self._base.quantile(k)
-
-    def laplace(self, s: float) -> float:
-        return math.exp(-s * self._offset) * self._base.laplace(s)
-
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        return self._base.sample(rng, size) + self._offset

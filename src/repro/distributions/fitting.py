@@ -8,7 +8,6 @@ can calibrate the analytic model to their own deployments:
 * :func:`fit_generalized_pareto` — MLE (scipy) of ``(rate, xi)`` for gaps.
 * :func:`estimate_concurrency` — fraction of gaps below the concurrency
   window, the paper's ``q``.
-* :func:`fit_exponential_rate` — MLE service rate from service samples.
 * :func:`fit_workload_from_timestamps` — the full pipeline: timestamps ->
   (lambda, xi, q).
 """
@@ -95,19 +94,6 @@ def estimate_concurrency(
     return float(np.mean(data < window))
 
 
-def fit_exponential_rate(samples: Sequence[float]) -> float:
-    """MLE of an exponential rate: ``n / sum(samples)``."""
-    data = np.asarray(samples, dtype=float)
-    if data.ndim != 1 or data.size == 0:
-        raise ValidationError("need at least one sample")
-    if np.any(data < 0) or not np.all(np.isfinite(data)):
-        raise ValidationError("samples must be finite and non-negative")
-    total = float(data.sum())
-    if total <= 0:
-        raise ValidationError("samples must not all be zero")
-    return data.size / total
-
-
 def fit_workload_from_timestamps(
     timestamps: Sequence[float],
     *,
@@ -146,17 +132,6 @@ def fit_workload_from_timestamps(
         n_gaps=int(gaps.size),
         log_likelihood=loglik,
     )
-
-
-def empirical_cv2(samples: Sequence[float]) -> float:
-    """Squared coefficient of variation of a sample."""
-    data = np.asarray(samples, dtype=float)
-    if data.ndim != 1 or data.size < 2:
-        raise ValidationError("need at least two samples")
-    mean = float(data.mean())
-    if mean == 0:
-        raise ValidationError("cv2 undefined for zero-mean sample")
-    return float(data.var(ddof=1)) / (mean * mean)
 
 
 def lilliefors_exponential_distance(samples: Sequence[float]) -> float:

@@ -80,19 +80,3 @@ def laplace_from_survival(
             last_value=result,
         )
     return result
-
-
-def laplace_derivative(
-    laplace: Callable[[float], float], s: float, *, h: Optional[float] = None
-) -> float:
-    """First derivative ``d/ds E[exp(-s T)]`` by central difference.
-
-    Useful for checking ``-L'(0) = E[T]`` in tests and for Newton steps in
-    the fixed-point solver.
-    """
-    if h is None:
-        h = max(1e-8, abs(s) * 1e-6)
-    if s - h < 0:
-        # One-sided at the boundary; the LST is only defined for s >= 0.
-        return (laplace(s + h) - laplace(s)) / h
-    return (laplace(s + h) - laplace(s - h)) / (2.0 * h)

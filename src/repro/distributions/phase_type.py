@@ -86,7 +86,7 @@ class Erlang(Gamma):
 
 
 class Hyperexponential(Distribution):
-    """Mixture of exponentials: with prob ``w_i`` the rate is ``rates[i]``.
+    """A mixture of exponentials: with prob ``w_i`` the rate is ``rates[i]``.
 
     cv2 >= 1 always, which makes it the canonical *bursty but light-tailed*
     renewal process for GI/M/1 studies.

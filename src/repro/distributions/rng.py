@@ -8,7 +8,7 @@ stream splitting.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -180,13 +180,6 @@ def split_rng(rng: np.random.Generator, count: int) -> list[np.random.Generator]
         raise ValidationError(f"count must be >= 0, got {count}")
     children = seed_sequence(rng).spawn(count)
     return [np.random.Generator(np.random.PCG64(child)) for child in children]
-
-
-def rng_stream(rng: np.random.Generator) -> Iterator[np.random.Generator]:
-    """Infinite iterator of independent child generators."""
-    seq = seed_sequence(rng)
-    while True:
-        yield np.random.Generator(np.random.PCG64(seq.spawn(1)[0]))
 
 
 def spawn_child(rng: np.random.Generator, tag: Optional[int] = None) -> np.random.Generator:

@@ -22,7 +22,6 @@ from .grid import Cell, Grid, Suite, sweep_suite
 from .options import (
     BackendOption,
     backend_options,
-    option_names,
     options_from_args,
     validate_options,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "cell_metrics",
     "factor_names",
     "get_factor",
-    "option_names",
     "options_from_args",
     "register_factor",
     "run_suite",

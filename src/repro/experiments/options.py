@@ -28,7 +28,6 @@ __all__ = [
     "ABSENT",
     "BackendOption",
     "backend_options",
-    "option_names",
     "options_from_args",
     "validate_options",
 ]
@@ -193,10 +192,6 @@ def backend_options(backend: str) -> Tuple[BackendOption, ...]:
         raise ConfigError(
             f"unknown backend {backend!r} (have {tuple(BACKEND_OPTIONS)})"
         ) from None
-
-
-def option_names(backend: str) -> Tuple[str, ...]:
-    return tuple(option.name for option in backend_options(backend))
 
 
 def _accepted_by(name: str) -> Tuple[str, ...]:

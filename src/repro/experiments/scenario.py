@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
@@ -52,6 +53,28 @@ BACKENDS = ("estimate", "simulate", "fastpath", "fastpath-system")
 
 #: Default per-server latency pool size for the fast-path backend.
 DEFAULT_POOL_SIZE = 200_000
+
+
+#: The valid range of every numeric field, checked at construction so a
+#: bad value fails with the field's name on every backend. NaN fails
+#: every rule; the float rules also exclude infinities.
+_FIELD_RANGES = {
+    "key_rate": ("finite and > 0", lambda v: 0.0 < v < math.inf),
+    "burst_xi": ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    "concurrency_q": ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    "n_servers": (">= 1", lambda v: v >= 1),
+    "service_rate": ("finite and > 0", lambda v: 0.0 < v < math.inf),
+    "n_keys": (">= 1", lambda v: v >= 1),
+    "network_delay": ("finite and >= 0", lambda v: 0.0 <= v < math.inf),
+    "miss_ratio": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "database_rate": (
+        "finite and > 0 when given",
+        lambda v: v is None or 0.0 < v < math.inf,
+    ),
+    "seed": (">= 0", lambda v: v >= 0),
+    "n_requests": (">= 1", lambda v: v >= 1),
+    "warmup_requests": (">= 0", lambda v: v >= 0),
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,12 +118,10 @@ class Scenario:
             object.__setattr__(self, "faults", FaultSchedule.from_dict(self.faults))
         if isinstance(self.policy, dict):
             object.__setattr__(self, "policy", RequestPolicy.from_dict(self.policy))
-        if self.n_keys < 1:
-            raise ValidationError(f"n_keys must be >= 1, got {self.n_keys}")
-        if self.n_servers < 1:
-            raise ValidationError(f"n_servers must be >= 1, got {self.n_servers}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        for name, (rule, holds) in _FIELD_RANGES.items():
+            value = getattr(self, name)
+            if not holds(value):
+                raise ValidationError(f"{name} must be {rule}, got {value}")
         if self.shares is not None and len(self.shares) != self.n_servers:
             raise ConfigError(
                 f"shares has {len(self.shares)} entries for "

@@ -18,7 +18,6 @@ from .hitrate import (
     lru_hit_ratio,
     lru_miss_ratio,
     miss_ratio_curve,
-    zipf_miss_ratio,
 )
 from .lru import LRUList
 from .protocol import (
@@ -81,7 +80,6 @@ __all__ = [
     "lru_miss_ratio",
     "miss_ratio_curve",
     "parse_command",
-    "zipf_miss_ratio",
     "render_get_response",
     "render_stats",
     "stable_hash",

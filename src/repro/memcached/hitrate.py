@@ -24,7 +24,6 @@ from typing import List, Sequence
 import numpy as np
 from scipy import optimize
 
-from ..distributions import Zipf
 from ..errors import ValidationError
 
 
@@ -120,11 +119,6 @@ def capacity_for_miss_ratio(
         if hi - lo < 1e-6 * n:
             break
     return hi
-
-
-def zipf_miss_ratio(n_items: int, zipf_s: float, capacity_items: float) -> float:
-    """Convenience: miss ratio of an LRU cache for a Zipf catalog."""
-    return lru_miss_ratio(Zipf(n_items, zipf_s).probabilities, capacity_items)
 
 
 def items_per_capacity_bytes(

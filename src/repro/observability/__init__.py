@@ -33,7 +33,6 @@ from .attribution import (
     AttributionSet,
     AttributionSink,
     TailAttribution,
-    analytic_reference,
     coerce_attribution,
     residual_slack,
 )
@@ -164,7 +163,6 @@ __all__ = [
     "TimelineBuilder",
     "TimelineSpec",
     "Tracer",
-    "analytic_reference",
     "callback_category",
     "detection_scores",
     "git_sha",

@@ -57,7 +57,6 @@ __all__ = [
     "AttributionSink",
     "AttributionSet",
     "TailAttribution",
-    "analytic_reference",
     "residual_slack",
 ]
 
@@ -636,27 +635,3 @@ def coerce_attribution(
         "attribution must be None, a bool, an int capacity, or an "
         f"AttributionSink, got {type(option).__name__}"
     )
-
-
-def analytic_reference(estimate) -> Dict[str, float]:
-    """The analytic per-group expectation (the ``estimate`` column).
-
-    Maps a :class:`~repro.core.LatencyEstimate` onto the :data:`GROUPS`
-    vocabulary: constant network ``TN``, the Theorem 1 server-stage
-    midpoint for ``TS``, the eq. (23) database estimate for ``TD``,
-    zero policy overhead (the analytic model has no retries), and the
-    slack the eq. (1) midpoint leaves against the serial stage sum —
-    the analytic twin of the simulated ``join_slack``.
-    """
-    network = float(estimate.network)
-    server = float(estimate.server.midpoint)
-    database = float(estimate.database)
-    total = float(estimate.total_midpoint)
-    return {
-        "network": network,
-        "server": server,
-        "database": database,
-        "policy": 0.0,
-        "join_slack": total - (network + server + database),
-        "total": total,
-    }

@@ -22,7 +22,6 @@ from .cliff import (
 )
 from .forkjoin import (
     SplitMergeBounds,
-    fork_join_scaling_exponent,
     nelson_tantawi_mean,
     varma_makowski_interpolation,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "expected_max_of_exponential",
     "expected_max_quantile_rule",
     "fixed_point_iterate",
-    "fork_join_scaling_exponent",
     "harmonic_expected_max_of_exponential",
     "knee_point",
     "max_cdf_power",

@@ -19,8 +19,6 @@ same workloads:
 
 from __future__ import annotations
 
-import math
-
 from ..distributions import Distribution
 from ..errors import StabilityError, ValidationError
 from .maxstat import expected_max_exact, expected_max_quantile_rule
@@ -131,21 +129,3 @@ class SplitMergeBounds:
     def as_tuple(self) -> tuple[float, float]:
         """``(lower, upper_exact)``."""
         return self.lower, self.upper_exact
-
-
-def fork_join_scaling_exponent(means: list[float], ns: list[int]) -> float:
-    """Fit ``E[T(N)] = a + b log N`` and return ``b``.
-
-    Utility for tests/benches asserting the paper's Theta(log N) growth:
-    regress the measured means on ``log N`` and report the slope.
-    """
-    if len(means) != len(ns) or len(means) < 2:
-        raise ValidationError("need matching means/ns with at least two points")
-    logs = [math.log(n) for n in ns]
-    mean_x = sum(logs) / len(logs)
-    mean_y = sum(means) / len(means)
-    sxx = sum((x - mean_x) ** 2 for x in logs)
-    if sxx == 0:
-        raise ValidationError("ns must not be all equal")
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(logs, means))
-    return sxy / sxx

@@ -32,18 +32,11 @@ from .metrics import LatencyRecorder, SummaryStats, UtilizationMeter
 from .network import NetworkSim
 from .results import SimulationResult, StageStats
 from .server import ServerSim
-from .service_models import SizeDependentService, exponential_assumption_error
-from .system import (
-    BernoulliMissModel,
-    CacheBackend,
-    MemcachedSystemSimulator,
-    SystemResults,
-)
+from .system import CacheBackend, MemcachedSystemSimulator, SystemResults
 
 __all__ = [
     "Batch",
     "BatchArrivalProcess",
-    "BernoulliMissModel",
     "CacheBackend",
     "DatabaseSim",
     "EventHandle",
@@ -54,7 +47,6 @@ __all__ = [
     "RequestSample",
     "ServerSim",
     "SimulationResult",
-    "SizeDependentService",
     "Simulator",
     "StageStats",
     "SummaryStats",
@@ -63,7 +55,6 @@ __all__ = [
     "TimeVaryingPoissonProcess",
     "TraceReplay",
     "UtilizationMeter",
-    "exponential_assumption_error",
     "expected_max_from_pool",
     "expected_max_from_pools",
     "generate_batches",

@@ -104,26 +104,6 @@ class CacheBackend(Protocol):
         """Return True on hit. Implementations may mutate cache state."""
 
 
-class BernoulliMissModel:
-    """The paper's miss model: independent misses with probability r.
-
-    Uniform draws come from a pre-drawn :class:`RandomWindow` — the
-    value sequence is bit-identical to per-lookup ``rng.random()``
-    calls (vectorized uniforms fill from the same bit stream), it just
-    amortizes the Generator call overhead across the window.
-    """
-
-    def __init__(self, miss_ratio: float, rng: np.random.Generator) -> None:
-        if not 0.0 <= miss_ratio <= 1.0:
-            raise ValidationError(f"miss_ratio must be in [0, 1], got {miss_ratio}")
-        self._r = miss_ratio
-        self._rng = rng
-        self._window = RandomWindow.uniform(rng)
-
-    def lookup(self, server_index: int, key: str) -> bool:
-        return self._window.get() >= self._r
-
-
 @dataclasses.dataclass
 class _RequestState:
     request_id: int
@@ -913,6 +893,10 @@ class MemcachedSystemSimulator:
         """
         if n_requests < 1:
             raise ValidationError(f"n_requests must be >= 1, got {n_requests}")
+        if warmup_requests < 0:
+            raise ValidationError(
+                f"warmup_requests must be >= 0, got {warmup_requests}"
+            )
         self._warmup_target = warmup_requests
         self._run_target = n_requests + warmup_requests
         self._schedule_request_window()

@@ -1,5 +1,5 @@
-"""Workload models: the Facebook/ETC statistical model, synthetic
-request streams, and trace record/replay/fitting."""
+"""Workload models: the Facebook/ETC statistical model and trace
+record/replay/fitting."""
 
 from .facebook import (
     ETC_BURST,
@@ -9,10 +9,7 @@ from .facebook import (
     ETC_MEAN_VALUE_BYTES,
     ETC_ZIPF_EXPONENT,
     FacebookWorkload,
-    facebook_pattern,
-    popularity_shares,
 )
-from .synthetic import Request, RequestStream, empirical_shares, per_server_key_rates
 from .traces import KeyTrace
 
 __all__ = [
@@ -24,10 +21,4 @@ __all__ = [
     "ETC_ZIPF_EXPONENT",
     "FacebookWorkload",
     "KeyTrace",
-    "Request",
-    "RequestStream",
-    "empirical_shares",
-    "facebook_pattern",
-    "per_server_key_rates",
-    "popularity_shares",
 ]

@@ -21,7 +21,7 @@ theorems.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -112,26 +112,3 @@ class FacebookWorkload:
     def head_concentration(self, fraction: float = 0.01) -> float:
         """Access mass of the hottest ``fraction`` of keys (§2.1 skew)."""
         return self.popularity.head_mass(fraction)
-
-
-def facebook_pattern(
-    rate: float = ETC_KEY_RATE,
-    xi: float = ETC_BURST,
-    q: float = 0.1,
-) -> WorkloadPattern:
-    """Shortcut for the paper's §5.1 arrival pattern (q rounded to 0.1)."""
-    return WorkloadPattern(rate=rate, xi=xi, q=q)
-
-
-def popularity_shares(
-    popularity: Zipf, server_of_rank: List[int], n_servers: int
-) -> List[float]:
-    """Aggregate popularity mass per server: the induced ``{p_j}``."""
-    if len(server_of_rank) != popularity.n_items:
-        raise ValidationError("server_of_rank must cover the whole catalog")
-    shares = np.zeros(int(n_servers))
-    np.add.at(shares, np.asarray(server_of_rank), popularity.probabilities)
-    total = shares.sum()
-    if total <= 0:
-        raise ValidationError("no popularity mass assigned")
-    return (shares / total).tolist()

@@ -17,7 +17,7 @@ from typing import Iterable, List, Union
 import numpy as np
 
 from ..distributions import fit_workload_from_timestamps, WorkloadFit
-from ..errors import ValidationError
+from ..errors import ConfigError, ValidationError
 from ..simulation.arrivals import Batch
 
 
@@ -87,8 +87,11 @@ class KeyTrace:
     @classmethod
     def load_csv(cls, path: Union[str, Path]) -> "KeyTrace":
         """Read a trace written by :meth:`save_csv`."""
-        with open(path, newline="") as handle:
-            return cls._from_reader(handle)
+        try:
+            with open(path, newline="") as handle:
+                return cls._from_reader(handle)
+        except OSError as exc:
+            raise ConfigError(f"cannot read trace {path}: {exc}") from exc
 
     @classmethod
     def from_csv_text(cls, text: str) -> "KeyTrace":

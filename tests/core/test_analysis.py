@@ -6,20 +6,14 @@ import pytest
 
 from repro.core import (
     DatabaseStage,
-    ServerStage,
-    WorkloadPattern,
-    concurrency_scaling_check,
-    database_regime_boundary,
     fit_linear_slope,
     fit_log_slope,
     goodness_of_linear_fit,
     marginal_benefit_fewer_keys,
     marginal_benefit_lower_miss_ratio,
-    sweep_database_stage,
-    sweep_server_stage,
 )
 from repro.errors import ValidationError
-from repro.units import kps, msec
+from repro.units import msec
 
 
 class TestFits:
@@ -48,67 +42,6 @@ class TestFits:
             fit_linear_slope([1], [1])
         with pytest.raises(ValidationError):
             fit_linear_slope([1, 1], [1, 2])
-
-
-class TestSweeps:
-    def test_server_sweep_rows(self, facebook_workload, service_rate):
-        sweep = sweep_server_stage(
-            "q",
-            [0.0, 0.2, 0.4],
-            lambda q: ServerStage(facebook_workload.with_q(q), service_rate),
-            150,
-        )
-        assert sweep.parameter == "q"
-        assert len(sweep.lower) == 3
-        assert all(lo <= up for lo, up in zip(sweep.lower, sweep.upper))
-        rows = sweep.as_rows()
-        assert rows[0]["q"] == 0.0
-
-    def test_server_sweep_monotone_in_q(self, facebook_workload, service_rate):
-        sweep = sweep_server_stage(
-            "q",
-            [0.0, 0.25, 0.5],
-            lambda q: ServerStage(facebook_workload.with_q(q), service_rate),
-            150,
-        )
-        assert sweep.upper[0] < sweep.upper[1] < sweep.upper[2]
-
-    def test_database_sweep(self):
-        sweep = sweep_database_stage(
-            "r",
-            [0.001, 0.01, 0.1],
-            lambda r: DatabaseStage(1.0 / msec(1), r),
-            150,
-        )
-        assert sweep.lower == sweep.upper  # point estimate
-        assert sweep.lower[0] < sweep.lower[2]
-
-    def test_midpoint(self, facebook_workload, service_rate):
-        sweep = sweep_server_stage(
-            "q",
-            [0.1],
-            lambda q: ServerStage(facebook_workload.with_q(q), service_rate),
-            150,
-        )
-        assert sweep.midpoint[0] == pytest.approx(
-            (sweep.lower[0] + sweep.upper[0]) / 2
-        )
-
-
-class TestScalingLaws:
-    def test_concurrency_theta_one_over_one_minus_q(self, facebook_workload, service_rate):
-        # Paper Fig. 5: E[TS(N)] grows linearly in 1/(1-q).
-        r2 = concurrency_scaling_check(
-            facebook_workload, service_rate, 150, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
-        )
-        assert r2 > 0.99
-
-    def test_database_regime_boundary(self):
-        assert database_regime_boundary(0.01) == pytest.approx(100.0)
-
-    def test_regime_boundary_rejects_zero(self):
-        with pytest.raises(ValidationError):
-            database_regime_boundary(0.0)
 
 
 class TestMarginalBenefits:

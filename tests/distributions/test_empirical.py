@@ -1,11 +1,11 @@
-"""Tests for Empirical, Mixture, Shifted."""
+"""Tests for the Empirical distribution."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.distributions import Empirical, Exponential, Mixture, Shifted
+from repro.distributions import Empirical
 from repro.errors import ValidationError
 
 
@@ -49,74 +49,3 @@ class TestEmpirical:
             Empirical([1.0, float("nan")])
 
 
-class TestMixture:
-    def test_mean_is_weighted(self):
-        mix = Mixture([0.3, 0.7], [Exponential(1.0), Exponential(2.0)])
-        assert mix.mean == pytest.approx(0.3 * 1.0 + 0.7 * 0.5)
-
-    def test_cdf_is_weighted(self):
-        a, b = Exponential(1.0), Exponential(4.0)
-        mix = Mixture([0.5, 0.5], [a, b])
-        assert mix.cdf(0.7) == pytest.approx(0.5 * a.cdf(0.7) + 0.5 * b.cdf(0.7))
-
-    def test_laplace_is_weighted(self):
-        a, b = Exponential(1.0), Exponential(4.0)
-        mix = Mixture([0.2, 0.8], [a, b])
-        assert mix.laplace(1.5) == pytest.approx(
-            0.2 * a.laplace(1.5) + 0.8 * b.laplace(1.5)
-        )
-
-    def test_total_variance_law(self):
-        a, b = Exponential(1.0), Exponential(2.0)
-        mix = Mixture([0.5, 0.5], [a, b])
-        second = 0.5 * (a.variance + a.mean**2) + 0.5 * (b.variance + b.mean**2)
-        assert mix.variance == pytest.approx(second - mix.mean**2)
-
-    def test_sampling_mean(self, rng):
-        mix = Mixture([0.5, 0.5], [Exponential(1.0), Exponential(10.0)])
-        samples = mix.sample(rng, 200_000)
-        assert samples.mean() == pytest.approx(mix.mean, rel=0.02)
-
-    def test_scalar_sample(self, rng):
-        mix = Mixture([1.0], [Exponential(2.0)])
-        assert mix.sample(rng) > 0
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValidationError):
-            Mixture([0.5, 0.5], [Exponential(1.0)])
-
-
-class TestShifted:
-    def test_mean_shifts(self):
-        dist = Shifted(Exponential(2.0), 1.0)
-        assert dist.mean == pytest.approx(1.5)
-
-    def test_variance_unchanged(self):
-        base = Exponential(2.0)
-        assert Shifted(base, 1.0).variance == base.variance
-
-    def test_cdf_shifts(self):
-        base = Exponential(1.0)
-        dist = Shifted(base, 0.5)
-        assert dist.cdf(0.4) == 0.0
-        assert dist.cdf(1.5) == pytest.approx(base.cdf(1.0))
-
-    def test_quantile_shifts(self):
-        base = Exponential(1.0)
-        dist = Shifted(base, 0.5)
-        assert dist.quantile(0.7) == pytest.approx(0.5 + base.quantile(0.7))
-
-    def test_laplace_factorizes(self):
-        base = Exponential(1.0)
-        dist = Shifted(base, 2.0)
-        assert dist.laplace(0.5) == pytest.approx(
-            math.exp(-1.0) * base.laplace(0.5)
-        )
-
-    def test_samples_above_offset(self, rng):
-        samples = Shifted(Exponential(1.0), 3.0).sample(rng, 1000)
-        assert np.all(samples >= 3.0)
-
-    def test_rejects_negative_offset(self):
-        with pytest.raises(ValidationError):
-            Shifted(Exponential(1.0), -1.0)

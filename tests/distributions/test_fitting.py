@@ -6,9 +6,7 @@ import pytest
 from repro.distributions import (
     GeneralizedPareto,
     Geometric,
-    empirical_cv2,
     estimate_concurrency,
-    fit_exponential_rate,
     fit_generalized_pareto,
     fit_workload_from_timestamps,
     lilliefors_exponential_distance,
@@ -52,15 +50,6 @@ class TestConcurrency:
             estimate_concurrency([1.0, 2.0], window=0.0)
 
 
-class TestExponentialRate:
-    def test_mle(self):
-        assert fit_exponential_rate([1.0, 3.0]) == pytest.approx(0.5)
-
-    def test_rejects_all_zero(self):
-        with pytest.raises(ValidationError):
-            fit_exponential_rate([0.0, 0.0])
-
-
 class TestFullPipeline:
     def test_recovers_facebook_like_model(self, rng):
         # Build a synthetic trace: GPD batch gaps + geometric batches
@@ -92,14 +81,6 @@ class TestFullPipeline:
 
 
 class TestDiagnostics:
-    def test_cv2_of_exponential_near_one(self, rng):
-        samples = rng.exponential(1.0, 100_000)
-        assert empirical_cv2(samples) == pytest.approx(1.0, abs=0.05)
-
-    def test_cv2_rejects_single(self):
-        with pytest.raises(ValidationError):
-            empirical_cv2([1.0])
-
     def test_ks_distance_small_for_exponential(self, rng):
         samples = rng.exponential(2.0, 10_000)
         assert lilliefors_exponential_distance(samples) < 0.02

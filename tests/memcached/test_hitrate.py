@@ -13,7 +13,6 @@ from repro.memcached import (
     lru_hit_ratio,
     lru_miss_ratio,
     miss_ratio_curve,
-    zipf_miss_ratio,
 )
 
 UNIFORM_100 = [0.01] * 100
@@ -65,10 +64,6 @@ class TestHitRatio:
     def test_hit_plus_miss_is_one(self):
         probs = Zipf(300, 0.8).probabilities
         assert lru_hit_ratio(probs, 60) + lru_miss_ratio(probs, 60) == pytest.approx(1.0)
-
-    def test_zipf_convenience(self):
-        direct = lru_miss_ratio(Zipf(500, 0.9).probabilities, 100)
-        assert zipf_miss_ratio(500, 0.9, 100) == pytest.approx(direct)
 
 
 class TestCapacityInversion:

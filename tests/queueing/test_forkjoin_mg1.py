@@ -1,15 +1,13 @@
 """Tests for the fork-join baselines and the M/G/1 queue."""
 
-import math
-
 import pytest
 
+from repro.core import fit_log_slope
 from repro.distributions import Deterministic, Exponential, Hyperexponential
 from repro.errors import StabilityError, ValidationError
 from repro.queueing import (
     MG1Queue,
     SplitMergeBounds,
-    fork_join_scaling_exponent,
     nelson_tantawi_mean,
     varma_makowski_interpolation,
 )
@@ -68,10 +66,10 @@ class TestNelsonTantawi:
         # The classic fork-join result: E[T_N] = Theta(log N).
         ns = [4, 8, 16, 32, 64, 128]
         means = [nelson_tantawi_mean(n, 50.0, 100.0) for n in ns]
-        slope = fork_join_scaling_exponent(means, ns)
+        slope = fit_log_slope(ns, means)
         assert slope > 0
         # Ratio of consecutive log-slopes should be stable (log-linear).
-        mid = fork_join_scaling_exponent(means[:3], ns[:3])
+        mid = fit_log_slope(ns[:3], means[:3])
         assert slope == pytest.approx(mid, rel=0.2)
 
     def test_rejects_unstable(self):
@@ -126,14 +124,3 @@ class TestSplitMergeBounds:
             SplitMergeBounds(Exponential(1.0), 0)
 
 
-class TestScalingExponent:
-    def test_perfect_log_fit(self):
-        ns = [10, 100, 1000]
-        means = [2.0 + 3.0 * math.log(n) for n in ns]
-        assert fork_join_scaling_exponent(means, ns) == pytest.approx(3.0)
-
-    def test_rejects_degenerate(self):
-        with pytest.raises(ValidationError):
-            fork_join_scaling_exponent([1.0], [10])
-        with pytest.raises(ValidationError):
-            fork_join_scaling_exponent([1.0, 2.0], [10, 10])

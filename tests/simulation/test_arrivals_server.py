@@ -12,9 +12,11 @@ from repro.distributions import (
     FixedCount,
     Geometric,
     RandomWindow,
+    Uniform,
 )
 from repro.errors import SimulationError, ValidationError
 from repro.observability import MetricsRegistry
+from repro.queueing import MG1Queue
 from repro.simulation import (
     Batch,
     BatchArrivalProcess,
@@ -375,6 +377,24 @@ class TestServerSim:
         sim.run_until(200.0)
         # M/M/1: E[T] = 1/(mu - lam) = 2.5 ms.
         assert np.mean(sojourns) == pytest.approx(1.0 / 400.0, rel=0.06)
+
+    def test_mg1_sojourn_matches_theory(self, rng):
+        # A non-exponential service law: Uniform with mean 0.5 ms.
+        service = Uniform(2.5e-4, 7.5e-4)
+        sim = Simulator()
+        sojourns = []
+        server = ServerSim(
+            sim, service, rng,
+            on_complete=lambda context, arrival, start, finish: sojourns.append(
+                finish - arrival
+            ),
+        )
+        PoissonProcess(800.0, rng).start(
+            sim, lambda t, size: server.offer_batch(t, size)
+        )
+        sim.run_until(100.0)
+        expected = MG1Queue(800.0, service).mean_sojourn
+        assert np.mean(sojourns) == pytest.approx(expected, rel=0.1)
 
     def test_utilization_measured(self, rng):
         sim = Simulator()

@@ -12,9 +12,9 @@ from repro.faults import DatabaseOverload, FaultSchedule, ServerPause, ServerSlo
 from repro.observability import Histogram, Observability
 from repro.policies import RequestPolicy
 from repro.simulation import (
-    BernoulliMissModel,
     LatencyRecorder,
     MemcachedSystemSimulator,
+    simulate_system_requests,
 )
 from repro.simulation import system as system_module
 from repro.simulation.scheduler import HeapScheduler
@@ -150,20 +150,20 @@ class TestValidation:
         with pytest.raises(ValidationError):
             build_system().run(n_requests=0)
 
-
-class TestBernoulliMissModel:
-    def test_rate(self, rng):
-        model = BernoulliMissModel(0.2, rng)
-        hits = sum(model.lookup(0, f"k{i}") for i in range(10_000))
-        assert hits / 10_000 == pytest.approx(0.8, abs=0.02)
-
-    def test_zero_ratio_always_hits(self, rng):
-        model = BernoulliMissModel(0.0, rng)
-        assert all(model.lookup(0, f"k{i}") for i in range(100))
-
-    def test_rejects_bad_ratio(self, rng):
-        with pytest.raises(ValidationError):
-            BernoulliMissModel(1.5, rng)
+    def test_rejects_negative_warmup_like_fastpath_system(self):
+        message = "^warmup_requests must be >= 0, got -3$"
+        with pytest.raises(ValidationError, match=message):
+            build_system().run(n_requests=10, warmup_requests=-3)
+        with pytest.raises(ValidationError, match=message):
+            simulate_system_requests(
+                [0.25] * 4,
+                kps(80),
+                n_keys=20,
+                request_rate=100.0,
+                n_requests=10,
+                rng=np.random.default_rng(0),
+                warmup_requests=-3,
+            )
 
 
 class TestOneRecord:

@@ -301,6 +301,22 @@ class TestBadArguments:
         assert err.startswith("error: seed must be >= 0, got -1")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--rate", "inf", "key_rate must be finite and > 0, got inf"),
+            ("--rate", "-1", "key_rate must be finite and > 0, got -1000.0"),
+            ("--network-delay", "nan", "network_delay must be finite and >= 0"),
+        ],
+        ids=["rate-inf", "rate-negative", "network-delay-nan"],
+    )
+    @pytest.mark.parametrize("command", ["estimate", "simulate"])
+    def test_bad_number_names_the_field(self, command, flag, value, message, capsys):
+        assert main([command, flag, value, "--n-keys", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestTail:
     def test_percentile_table(self, capsys):
@@ -349,6 +365,14 @@ class TestFit:
         trace.save_csv(path)
         assert main(["fit", str(path)]) == 0
         assert "E[TS" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["missing.csv", "."])
+    def test_unreadable_trace_is_one_line_error(self, tmp_path, name, capsys):
+        path = tmp_path / name
+        assert main(["fit", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read trace {path}: ")
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestJsonOutput:

@@ -39,7 +39,6 @@ EXPECTED = (
     "DatabaseStage",
     "Deterministic",
     "Distribution",
-    "ExperimentConfig",
     "ExperimentRunner",
     "Exponential",
     "FaultSchedule",

@@ -5,8 +5,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.units import kps
-from repro.workloads import FacebookWorkload, facebook_pattern, popularity_shares
-from repro.distributions import Zipf
+from repro.workloads import FacebookWorkload
 
 
 class TestDefaults:
@@ -15,11 +14,6 @@ class TestDefaults:
         assert workload.pattern.rate == kps(62.5)
         assert workload.pattern.xi == 0.15
         assert workload.pattern.q == pytest.approx(0.1159)
-
-    def test_facebook_pattern_shortcut(self):
-        pattern = facebook_pattern()
-        assert pattern.q == 0.1
-        assert pattern.xi == 0.15
 
     def test_size_models_positive_means(self):
         workload = FacebookWorkload.build()
@@ -71,14 +65,3 @@ class TestTimestampGeneration:
             FacebookWorkload.build().generate_key_timestamps(0.0, rng)
 
 
-class TestPopularityShares:
-    def test_aggregation(self):
-        popularity = Zipf(4, 1.0)
-        shares = popularity_shares(popularity, [0, 0, 1, 1], 2)
-        probs = popularity.probabilities
-        assert shares[0] == pytest.approx(probs[0] + probs[1])
-        assert sum(shares) == pytest.approx(1.0)
-
-    def test_rejects_partial_coverage(self):
-        with pytest.raises(ValidationError):
-            popularity_shares(Zipf(4, 1.0), [0, 1], 2)

@@ -1,75 +1,10 @@
-"""Tests for synthetic request streams and trace persistence."""
+"""Tests for key-trace persistence, batching and fitting."""
 
 import numpy as np
 import pytest
 
-from repro.distributions import Geometric, Zipf
 from repro.errors import ValidationError
-from repro.workloads import KeyTrace, Request, RequestStream, empirical_shares
-from repro.workloads.synthetic import per_server_key_rates
-
-
-class TestRequestStream:
-    def test_take_materializes(self):
-        stream = RequestStream(100.0, 5, Zipf(50, 1.0), seed=1)
-        requests = stream.take(20)
-        assert len(requests) == 20
-        assert all(r.n_keys == 5 for r in requests)
-        times = [r.time for r in requests]
-        assert times == sorted(times)
-
-    def test_rate(self):
-        stream = RequestStream(1000.0, 1, Zipf(10, 1.0), seed=2)
-        requests = stream.take(2000)
-        span = requests[-1].time - requests[0].time
-        assert 2000 / span == pytest.approx(1000.0, rel=0.1)
-
-    def test_random_key_counts(self):
-        stream = RequestStream(10.0, Geometric(0.5), Zipf(10, 1.0), seed=3)
-        counts = [r.n_keys for r in stream.take(500)]
-        assert np.mean(counts) == pytest.approx(2.0, rel=0.15)
-
-    def test_key_ranks_in_catalog(self):
-        stream = RequestStream(10.0, 10, Zipf(25, 1.0), seed=4)
-        for request in stream.take(50):
-            assert all(1 <= rank <= 25 for rank in request.key_ranks)
-
-    def test_key_names(self):
-        request = Request(request_id=0, time=0.0, key_ranks=(3, 7))
-        assert request.key_names() == ["item:3", "item:7"]
-
-    def test_deterministic_with_seed(self):
-        a = RequestStream(10.0, 3, Zipf(10, 1.0), seed=9).take(10)
-        b = RequestStream(10.0, 3, Zipf(10, 1.0), seed=9).take(10)
-        assert [r.key_ranks for r in a] == [r.key_ranks for r in b]
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValidationError):
-            RequestStream(0.0, 5, Zipf(10, 1.0))
-        with pytest.raises(ValidationError):
-            RequestStream(1.0, 0, Zipf(10, 1.0))
-        with pytest.raises(ValidationError):
-            RequestStream(1.0, "five", Zipf(10, 1.0))
-        stream = RequestStream(1.0, 1, Zipf(10, 1.0))
-        with pytest.raises(ValidationError):
-            stream.take(0)
-
-
-class TestShareMeasurement:
-    def test_empirical_shares(self):
-        requests = [
-            Request(0, 0.0, (1, 1, 2)),
-            Request(1, 1.0, (2, 3, 3)),
-        ]
-        # ranks 1,2 -> server 0; rank 3 -> server 1.
-        shares = empirical_shares(requests, [0, 0, 1], 2)
-        assert shares[0] == pytest.approx(4 / 6)
-        assert shares[1] == pytest.approx(2 / 6)
-
-    def test_rates_positive_span_required(self):
-        requests = [Request(0, 0.0, (1,))]
-        with pytest.raises(ValidationError):
-            per_server_key_rates(requests, [0], 1)
+from repro.workloads import KeyTrace
 
 
 class TestKeyTrace:
