@@ -12,15 +12,15 @@ into the paper's pipeline stages and keeps the decomposition queryable:
     attaining ``TD(N)``, critical-path policy overhead (hedge/retry
     launch delay), and the fork-join ``join_slack`` residual.
 ``AttributionSink``
-    The recording half. Both simulators hand it column arrays
-    (:meth:`~AttributionSink.record_columns`; the event engine derives
-    them from its per-request record); row-at-a-time callers get a
-    plain-list tuple append. Exact per-column sums over *every* record,
-    a bounded reservoir of full-fidelity records, and the slowest-K set
-    are maintained in amortized vectorized flushes. The reservoir's
-    replacement draws come from the sink's own deterministic generator,
-    never the simulator's streams, so attaching a sink leaves seeded
-    runs bit-identical.
+    The recording half. Both simulators hand it their per-request
+    record (:meth:`~AttributionSink.record_matrix`); column arrays go
+    in through :meth:`~AttributionSink.record_columns`, and row-at-a-
+    time callers get a plain-list tuple append. Exact per-column sums
+    over *every* record, a bounded reservoir of full-fidelity records,
+    and the slowest-K set are maintained in amortized vectorized
+    flushes. The reservoir's replacement draws come from the sink's own
+    deterministic generator, never the simulator's streams, so
+    attaching a sink leaves seeded runs bit-identical.
 ``AttributionSet``
     The built, columnar (numpy) result: mean stage values/shares from
     the exact sums, :meth:`~AttributionSet.tail` conditional shares
@@ -103,7 +103,7 @@ ROW_FIELDS = (
 )
 _ROW_WIDTH = len(ROW_FIELDS)
 
-#: The event engine's per-request record: :data:`ROW_FIELDS` with the
+#: The simulators' per-request record: :data:`ROW_FIELDS` with the
 #: stage maxima ``TS``/``TD`` in place of the service columns. The
 #: maxima are stored as measured (``(max - wait) + wait`` need not give
 #: the max back bit-exactly); :meth:`AttributionSink.record_columns`
@@ -536,6 +536,17 @@ class AttributionSink:
         )
         if mat.shape[0]:
             self._ingest(mat)
+
+    def record_matrix(self, record: np.ndarray) -> None:
+        """Bulk-record a :data:`RECORD_FIELDS` matrix, one row per request.
+
+        The rows go in ``_FLUSH_CHUNK`` slices, the sink's own flush
+        chunks, so the exact sums keep one summation order however the
+        rows reached the record.
+        """
+        for start in range(0, record.shape[0], _FLUSH_CHUNK):
+            chunk = record[start : start + _FLUSH_CHUNK]
+            self.record_columns(**dict(zip(RECORD_FIELDS, chunk.T)))
 
     def _ingest(self, mat: np.ndarray) -> None:
         """One vectorized pass: derive columns, sums, reservoir, slowest."""

@@ -27,12 +27,12 @@ from .fastpath import (
     simulate_key_latencies,
     simulate_server_stage_mean,
 )
-from .fastpath_system import SystemSample, simulate_system_requests
+from .fastpath_system import simulate_system_requests
 from .metrics import LatencyRecorder, SummaryStats, UtilizationMeter
 from .network import NetworkSim
-from .results import SimulationResult, StageStats
+from .results import SimulationResult, StageStats, SystemResults
 from .server import ServerSim
-from .system import CacheBackend, MemcachedSystemSimulator, SystemResults
+from .system import CacheBackend, MemcachedSystemSimulator
 
 __all__ = [
     "Batch",
@@ -51,7 +51,6 @@ __all__ = [
     "StageStats",
     "SummaryStats",
     "SystemResults",
-    "SystemSample",
     "TimeVaryingPoissonProcess",
     "TraceReplay",
     "UtilizationMeter",

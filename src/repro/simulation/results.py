@@ -1,30 +1,118 @@
 """Typed simulation results shared by every simulator entry point.
 
-Historically ``estimate`` returned a typed
-:class:`~repro.core.latency.LatencyEstimate` while the event-driven and
-fast-path simulators handed back ad-hoc recorder bundles and numpy
-arrays, so every comparison script re-invented the same key juggling.
-:class:`SimulationResult` is the common shape: one
-:class:`StageStats` per stage (``total``, ``server``, ``database``,
-``network``) with the same field names everywhere (``mean``, ``p50``,
-``p95``, ``p99``), a ``breakdown()`` whose keys match
-:meth:`LatencyEstimate.breakdown`, and a JSON round trip for
-checkpointing.
+:class:`SimulationResult` is the common shape: one :class:`StageStats`
+per stage (``total``, ``server``, ``database``, ``network``) with the
+same field names everywhere (``mean``, ``p50``, ``p95``, ``p99``), a
+``breakdown()`` whose keys match :meth:`LatencyEstimate.breakdown`, and
+a JSON round trip for checkpointing.
+
+:class:`SystemResults` is what both whole-system simulators (the event
+engine and ``fastpath-system``) return: the run's per-request record,
+one :data:`~repro.observability.attribution.RECORD_FIELDS` row per
+request, and every per-request view derived from it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..observability.attribution import AttributionSet
+from ..faults import RequestRecord
+from ..observability.attribution import RECORD_FIELDS, AttributionSet
 from ..observability.timeline import Timeline
 from .metrics import LatencyRecorder
 
-__all__ = ["StageStats", "SimulationResult"]
+__all__ = ["StageStats", "SimulationResult", "SystemResults"]
+
+
+@dataclasses.dataclass(frozen=True)
+class SystemResults:
+    """A whole-system run's per-request record and the views derived
+    from it (all latencies in seconds).
+
+    ``record`` holds one :data:`RECORD_FIELDS` row per recorded request
+    (warmup dropped), in completion order: eq. (1)'s ``T(N)`` as
+    ``total``, the constant round trip ``network``, the stage maxima
+    ``TS(N)``/``TD(N)`` as ``server_max``/``db_max`` and the queue waits
+    of the keys attaining them. The stage recorders are built from its
+    columns on first read, each in one vectorized fill.
+
+    ``keys_processed`` and ``misses`` keep each backend's own counting
+    population: the event engine counts every key served, warmup
+    included; ``fastpath-system`` every key of every request its pass
+    spawned. ``per_key_server`` (every key's server sojourn) exists on
+    the event engine only and is ``None`` on ``fastpath-system``.
+    """
+
+    record: np.ndarray
+    keys_processed: int
+    misses: int
+    server_utilizations: Sequence[float]
+    per_key_server: Optional[LatencyRecorder] = None
+    observability: Optional[object] = None
+    #: Windowed telemetry (a Timeline) when the run recorded one.
+    timeline: Optional[Timeline] = None
+    #: Per-request stage attribution (an AttributionSet) when recorded.
+    attribution: Optional[AttributionSet] = None
+
+    def column(self, name: str) -> np.ndarray:
+        """One :data:`RECORD_FIELDS` column of the record."""
+        return self.record[:, RECORD_FIELDS.index(name)]
+
+    def _recorder(self, name: str) -> LatencyRecorder:
+        recorder = LatencyRecorder()
+        recorder.record_many(self.column(name))
+        return recorder
+
+    @functools.cached_property
+    def total(self) -> LatencyRecorder:
+        """``T(N)`` per request."""
+        return self._recorder("total")
+
+    @functools.cached_property
+    def server_stage(self) -> LatencyRecorder:
+        """``TS(N)`` per request."""
+        return self._recorder("server_max")
+
+    @functools.cached_property
+    def database_stage(self) -> LatencyRecorder:
+        """``TD(N)`` per request (zero without a miss)."""
+        return self._recorder("db_max")
+
+    @functools.cached_property
+    def network_stage(self) -> LatencyRecorder:
+        """The network round trip per request."""
+        return self._recorder("network")
+
+    @property
+    def requests_completed(self) -> int:
+        return int(self.record.shape[0])
+
+    @property
+    def measured_miss_ratio(self) -> float:
+        if self.keys_processed == 0:
+            return 0.0
+        return self.misses / self.keys_processed
+
+    @property
+    def request_log(self) -> Tuple[RequestRecord, ...]:
+        """The record as :class:`~repro.faults.RequestRecord` objects."""
+        column = dict(zip(RECORD_FIELDS, self.record.T.tolist()))
+        return tuple(
+            map(
+                RequestRecord,
+                column["born"],
+                column["completed"],
+                column["total"],
+                column["server_max"],
+                column["db_max"],
+                column["network"],
+            )
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -125,10 +213,11 @@ class SimulationResult:
     attribution: Optional[object] = dataclasses.field(
         default=None, compare=False
     )
-    #: The backend's native result bundle (the event engine's
-    #: ``SystemResults``) when one exists — run reports need its raw
-    #: recorders (``per_key_server``, miss counts) that the summary
-    #: statistics cannot reconstruct. Never serialized, never compared.
+    #: The whole-system backends' :class:`SystemResults` (``simulate``
+    #: and ``fastpath-system``; ``None`` elsewhere): the per-request
+    #: record the summary statistics were built from, and the raw
+    #: counts and recorders run reports read. Never serialized, never
+    #: compared.
     raw: Optional[object] = dataclasses.field(
         default=None, compare=False, repr=False
     )
@@ -174,8 +263,10 @@ class SimulationResult:
     # -- Constructors ---------------------------------------------------
 
     @classmethod
-    def from_system(cls, results, *, n_keys: int) -> "SimulationResult":
-        """Wrap :class:`~repro.simulation.system.SystemResults`."""
+    def from_system(
+        cls, results: SystemResults, *, n_keys: int
+    ) -> "SimulationResult":
+        """Summarize a whole-system run's :class:`SystemResults`."""
         return cls(
             n_keys=int(n_keys),
             n_requests=int(results.requests_completed),
@@ -185,8 +276,8 @@ class SimulationResult:
             network=StageStats.from_recorder(results.network_stage),
             measured_miss_ratio=float(results.measured_miss_ratio),
             server_utilizations=tuple(results.server_utilizations),
-            timeline=getattr(results, "timeline", None),
-            attribution=getattr(results, "attribution", None),
+            timeline=results.timeline,
+            attribution=results.attribution,
             raw=results,
         )
 
@@ -194,39 +285,13 @@ class SimulationResult:
     def from_sample(cls, sample, *, n_keys: int) -> "SimulationResult":
         """Wrap a fast-path :class:`~repro.simulation.fastpath.RequestSample`."""
         n_requests = sample.n_requests
-        network = float(sample.network)
-        constant_network = StageStats(
-            count=n_requests,
-            mean=network,
-            std=0.0,
-            p50=network,
-            p95=network,
-            p99=network,
-            minimum=network,
-            maximum=network,
-            ci_low=network,
-            ci_high=network,
-        )
         return cls(
             n_keys=int(n_keys),
             n_requests=n_requests,
             total=StageStats.from_samples(sample.total),
             server=StageStats.from_samples(sample.server_max),
             database=StageStats.from_samples(sample.database_max),
-            network=constant_network,
-            timeline=getattr(sample, "timeline", None),
-            attribution=getattr(sample, "attribution", None),
-        )
-
-    @classmethod
-    def from_system_sample(cls, sample, *, n_keys: int) -> "SimulationResult":
-        """Wrap a whole-system fast-path
-        :class:`~repro.simulation.fastpath_system.SystemSample`."""
-        base = cls.from_sample(sample, n_keys=n_keys)
-        return dataclasses.replace(
-            base,
-            measured_miss_ratio=float(sample.measured_miss_ratio),
-            server_utilizations=tuple(sample.server_utilizations),
+            network=StageStats.from_samples(np.full(n_requests, sample.network)),
         )
 
     # -- Persistence ----------------------------------------------------

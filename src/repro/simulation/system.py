@@ -19,9 +19,11 @@ Models the paper's Fig. 1 end to end on the event engine:
 5. The request completes when its last key's value returns; one row of
    the run's per-request record keeps ``T(N)``, the per-stage maxima
    ``TS(N)``/``TD(N)`` and the critical keys' queue waits, and every
-   per-request view (recorders, request log, timeline, registry
-   histograms, attribution) is derived from that record when the run
-   ends. The constant network delay keeps FIFO order, so without a
+   per-request view is derived from that record: the timeline,
+   registry histograms and attribution when the run ends, the stage
+   recorders and request log of the returned
+   :class:`~repro.simulation.results.SystemResults` on first read.
+   The constant network delay keeps FIFO order, so without a
    request policy a key's return hop is accounted when it leaves its
    server and schedules no event: the request's last key schedules the
    one completion event, at the instant its value arrives. A request
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 from functools import partial
-from typing import List, Optional, Protocol, Tuple
+from typing import List, Optional, Protocol
 
 import numpy as np
 
@@ -51,7 +53,7 @@ from ..core.cluster import ClusterModel
 from ..core.workload import WorkloadPattern
 
 from ..errors import SimulationError, ValidationError
-from ..faults import FaultSchedule, RequestRecord
+from ..faults import FaultSchedule
 from ..observability import Observability, Span
 from ..observability.attribution import _FLUSH_CHUNK, RECORD_FIELDS, _row_matrix
 from ..policies import RequestPolicy
@@ -59,6 +61,7 @@ from .database import DatabaseSim
 from .engine import EventHandle, Simulator
 from .metrics import LatencyRecorder
 from .network import NetworkSim
+from .results import SystemResults
 from .server import ServerSim
 
 #: spawn_child tag for the policy decision stream (hedge/retry server
@@ -166,52 +169,6 @@ class _KeyContext:
     #: for primaries; later for hedges/retries). The gap is the policy
     #: overhead on the critical path when this attempt finishes last.
     launched: float = 0.0
-
-
-@dataclasses.dataclass(frozen=True)
-class SystemResults:
-    """A run's per-request record and the views derived from it (all
-    latencies in seconds)."""
-
-    total: LatencyRecorder
-    server_stage: LatencyRecorder
-    database_stage: LatencyRecorder
-    network_stage: LatencyRecorder
-    per_key_server: LatencyRecorder
-    requests_completed: int
-    keys_processed: int
-    misses: int
-    server_utilizations: List[float]
-    #: The per-request record: one :data:`RECORD_FIELDS` row per
-    #: post-warmup request, in completion order.
-    record: np.ndarray
-    observability: Optional["Observability"] = None
-    #: Windowed telemetry (a Timeline) when the run recorded one.
-    timeline: Optional[object] = None
-    #: Per-request stage attribution (an AttributionSet) when recorded.
-    attribution: Optional[object] = None
-
-    @property
-    def measured_miss_ratio(self) -> float:
-        if self.keys_processed == 0:
-            return 0.0
-        return self.misses / self.keys_processed
-
-    @property
-    def request_log(self) -> Tuple[RequestRecord, ...]:
-        """The record as :class:`~repro.faults.RequestRecord` objects."""
-        column = dict(zip(RECORD_FIELDS, self.record.T.tolist()))
-        return tuple(
-            map(
-                RequestRecord,
-                column["born"],
-                column["completed"],
-                column["total"],
-                column["server_max"],
-                column["db_max"],
-                column["network"],
-            )
-        )
 
 
 class MemcachedSystemSimulator:
@@ -910,13 +867,6 @@ class MemcachedSystemSimulator:
             self._chunks + [_row_matrix(self._rows, len(RECORD_FIELDS))]
         )
         column = dict(zip(RECORD_FIELDS, record.T))
-        recorders = {}
-        for field in ("total", "server_max", "db_max", "network"):
-            # Scalar records in completion order keep the Welford
-            # moments bit-identical to recording on the hot path.
-            recorder = recorders[field] = LatencyRecorder()
-            for value in column[field].tolist():
-                recorder.record(value)
         _flush_sojourns(self._per_key_server, self._key_sojourns)
         registry = self._registry
         if registry is not None:
@@ -940,26 +890,17 @@ class MemcachedSystemSimulator:
         )
         attribution = None
         if self._attr is not None:
-            # The sink's own flush chunks, so its exact sums keep their
-            # summation order.
-            for start in range(0, record.shape[0], _FLUSH_CHUNK):
-                chunk = record[start : start + _FLUSH_CHUNK]
-                self._attr.record_columns(**dict(zip(RECORD_FIELDS, chunk.T)))
+            self._attr.record_matrix(record)
             attribution = self._attr.build(meta=meta)
         return SystemResults(
-            total=recorders["total"],
-            server_stage=recorders["server_max"],
-            database_stage=recorders["db_max"],
-            network_stage=recorders["network"],
-            per_key_server=self._per_key_server,
-            requests_completed=record.shape[0],
+            record=record,
             keys_processed=self._keys_processed,
             misses=self._misses,
             server_utilizations=[
                 server.utilization_meter.utilization(self.sim.now)
                 for server in self._servers
             ],
-            record=record,
+            per_key_server=self._per_key_server,
             observability=self.observability,
             timeline=timeline,
             attribution=attribution,

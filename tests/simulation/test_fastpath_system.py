@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import StabilityError, ValidationError
-from repro.simulation import SystemSample, simulate_system_requests
+from repro.observability.attribution import RECORD_FIELDS
+from repro.simulation import SystemResults, simulate_system_requests
 from repro.simulation.fastpath import BatchFifo, batch_fifo, lindley_waits
 from repro.simulation.fastpath_system import _finished_between, _ServerPass
 
@@ -62,33 +63,33 @@ class TestValidation:
 class TestStructure:
     def test_shapes_and_network_constant(self):
         sample = run_small()
-        assert isinstance(sample, SystemSample)
-        assert sample.n_requests == 400
-        assert sample.total.shape == (400,)
-        assert sample.network == pytest.approx(40e-6)
+        assert isinstance(sample, SystemResults)
+        assert sample.requests_completed == 400
+        assert sample.record.shape == (400, len(RECORD_FIELDS))
+        assert np.all(sample.column("network") == pytest.approx(40e-6))
         assert len(sample.server_utilizations) == 2
 
     def test_total_decomposition_bounds(self):
         # T = 2d + max_i(s_i + d_i) >= 2d + max(TS, TD) and
         # T <= 2d + TS + TD for every request.
         sample = run_small()
-        lower = sample.network + np.maximum(
-            sample.server_max, sample.database_max
-        )
-        upper = sample.network + sample.server_max + sample.database_max
-        assert np.all(sample.total >= lower - 1e-12)
-        assert np.all(sample.total <= upper + 1e-12)
+        network, total = sample.column("network"), sample.column("total")
+        server_max, database_max = sample.column("server_max"), sample.column("db_max")
+        lower = network + np.maximum(server_max, database_max)
+        upper = network + server_max + database_max
+        assert np.all(total >= lower - 1e-12)
+        assert np.all(total <= upper + 1e-12)
 
     def test_no_misses_means_zero_database_stage(self):
         sample = run_small(miss_ratio=0.0, database_rate=None)
-        assert np.all(sample.database_max == 0.0)
+        assert np.all(sample.column("db_max") == 0.0)
         assert sample.measured_miss_ratio == 0.0
 
     def test_deterministic_given_seed(self):
         a = run_small(rng=np.random.default_rng(5))
         b = run_small(rng=np.random.default_rng(5))
-        assert np.array_equal(a.total, b.total)
-        assert np.array_equal(a.database_max, b.database_max)
+        assert np.array_equal(a.column("total"), b.column("total"))
+        assert np.array_equal(a.column("db_max"), b.column("db_max"))
 
     def test_utilization_tracks_load(self):
         light = run_small(request_rate=500.0, rng=np.random.default_rng(2))
@@ -99,7 +100,7 @@ class TestStructure:
     def test_single_server_share_vector(self):
         sample = run_small(shares=[1.0])
         assert len(sample.server_utilizations) == 1
-        assert sample.n_requests == 400
+        assert sample.requests_completed == 400
 
 
 class TestLaw:
@@ -116,7 +117,7 @@ class TestLaw:
             warmup_requests=12_000,
             rng=np.random.default_rng(3),
         )
-        assert sample.server_max.mean() == pytest.approx(
+        assert sample.column("server_max").mean() == pytest.approx(
             1.0 / (mu - lam), rel=0.05
         )
 
@@ -136,7 +137,7 @@ class TestLaw:
             warmup_requests=15_000,
             rng=np.random.default_rng(4),
         )
-        assert sample.server_max.mean() == pytest.approx(
+        assert sample.column("server_max").mean() == pytest.approx(
             expected_wait + k / mu, rel=0.05
         )
 
@@ -165,7 +166,7 @@ class TestLaw:
             rng=np.random.default_rng(6),
             **kwargs,
         )
-        assert long.database_max.mean() > 2.0 * short.database_max.mean()
+        assert long.column("db_max").mean() > 2.0 * short.column("db_max").mean()
 
     def test_fork_join_grows_with_n_keys(self):
         means = []
@@ -175,7 +176,7 @@ class TestLaw:
                 request_rate=20_000.0 / n_keys,
                 rng=np.random.default_rng(8),
             )
-            means.append(sample.server_max.mean())
+            means.append(sample.column("server_max").mean())
         assert means[0] < means[1] < means[2]
 
 

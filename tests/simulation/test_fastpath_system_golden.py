@@ -129,7 +129,9 @@ def run_fingerprint(miss_ratio: float) -> dict:
     stages = [timeline.stages[name] for name in timeline.stage_names]
     return {
         "samples": _digest(
-            sample.total, sample.server_max, sample.database_max
+            sample.column("total"),
+            sample.column("server_max"),
+            sample.column("db_max"),
         ),
         "utilizations": list(sample.server_utilizations),
         "counts": _digest(
@@ -241,7 +243,9 @@ def fault_fingerprint() -> dict:
     sample = run_section_5_1(FAULT_MISS_RATIO, faults=FAULTS)
     return {
         "samples": _digest(
-            sample.total, sample.server_max, sample.database_max
+            sample.column("total"),
+            sample.column("server_max"),
+            sample.column("db_max"),
         ),
         "utilizations": [u.hex() for u in sample.server_utilizations],
     }

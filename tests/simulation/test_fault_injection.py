@@ -239,10 +239,10 @@ class TestFastpathSystemFaults:
             n_requests=2000, warmup_requests=100
         )
         fast = self._fast(faults=schedule)
-        assert float(np.mean(fast.server_max)) == pytest.approx(
+        assert float(np.mean(fast.column("server_max"))) == pytest.approx(
             engine.server_stage.mean, rel=0.15
         )
-        assert float(np.mean(fast.total)) == pytest.approx(
+        assert float(np.mean(fast.column("total"))) == pytest.approx(
             engine.total.mean, rel=0.15
         )
 
@@ -263,6 +263,6 @@ class TestFastpathSystemFaults:
                 DatabaseOverload(start=0.0, duration=1e6, factor=0.25)
             ),
         )
-        assert float(np.mean(faulted.database_max)) > 2.0 * float(
-            np.mean(base.database_max)
+        assert float(np.mean(faulted.column("db_max"))) > 2.0 * float(
+            np.mean(base.column("db_max"))
         )

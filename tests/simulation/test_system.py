@@ -267,7 +267,10 @@ class TestEventsPerKey:
         roots = obs.tracer.recent()
         assert len(roots) == results.requests_completed == 300
         total = dict(
-            zip(results.record[:, 0].astype(int).tolist(), results.record[:, 3].tolist())
+            zip(
+                results.column("request_id").astype(int).tolist(),
+                results.column("total").tolist(),
+            )
         )
         for root in roots:
             assert root.duration == total[root.attributes["request_id"]]
