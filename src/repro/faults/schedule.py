@@ -383,7 +383,13 @@ class FaultSchedule:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "FaultSchedule":
-        return cls.from_json(Path(path).read_text())
+        try:
+            text = Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(
+                f"cannot read fault schedule {str(path)!r}: {exc}"
+            ) from exc
+        return cls.from_json(text)
 
     def save(self, path: Union[str, Path]) -> None:
         Path(path).write_text(self.to_json())

@@ -668,7 +668,7 @@ class Timeline:
     def load(cls, path: Union[str, Path]) -> "Timeline":
         try:
             payload = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read timeline {path}: {exc}") from exc
         return cls.from_dict(payload)
 

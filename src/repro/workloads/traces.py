@@ -90,7 +90,7 @@ class KeyTrace:
         try:
             with open(path, newline="") as handle:
                 return cls._from_reader(handle)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read trace {path}: {exc}") from exc
 
     @classmethod

@@ -375,6 +375,32 @@ class TestFit:
         assert len(err.strip().splitlines()) == 1
 
 
+class TestUndecodableFiles:
+    """A file that is not UTF-8 gives one ``error: cannot read`` line,
+    as a missing file does, on every command that reads one."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit"], "cannot read trace"),
+            (["report"], "cannot read run report"),
+            (["estimate", "--config"], "cannot read config"),
+            (
+                ["simulate", "--requests", "20", "--n-keys", "5", "--faults"],
+                "cannot read fault schedule",
+            ),
+        ],
+        ids=["fit", "report", "estimate-config", "simulate-faults"],
+    )
+    def test_one_line_error(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "binary.dat"
+        path.write_bytes(b"\x7fELF\x80\xff\xfe\x00\xc3(")
+        assert main(argv + [str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message} ")
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestJsonOutput:
     def test_estimate_json(self, capsys):
         assert main(["estimate", "--json"]) == 0
