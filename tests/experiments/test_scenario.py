@@ -316,6 +316,13 @@ _BAD_FIELD_VALUES = [
     ("concurrency_q", float("nan")),
     ("n_requests", 0),
     ("warmup_requests", -3),
+    # Integer fields reject fractions (n_requests=50.5 once completed 51
+    # requests on simulate and raised inside numpy on fastpath-system).
+    ("n_keys", 2.5),
+    ("n_servers", 1.5),
+    ("n_requests", 50.5),
+    ("warmup_requests", 5.5),
+    ("seed", 1.5),
 ]
 
 
