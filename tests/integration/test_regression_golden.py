@@ -127,7 +127,7 @@ class TestSeededSimulationGoldens:
                     database_rate=1_000.0, n_requests=200,
                     warmup_requests=20, seed=5,
                 ),
-                "75f26b19d14738818ee47a8500e64cdc292289ba8e9bcd7c68202b6c2d9b55b7",
+                "c0e3ee05dfc4e9ae006a60f5d9e3ab81d9f95ee3d214202d69014f2c45c6ef3b",
                 "08888fd84aac1cae9395fb1985ed2bec5bd0837148bb8eec617d18438e6d7a1a",
             ),
             (
@@ -138,7 +138,7 @@ class TestSeededSimulationGoldens:
                     warmup_requests=30, seed=17,
                     policy=RequestPolicy(hedge_delay=0.2e-3, cancel_on_winner=True),
                 ),
-                "46dea57b0113bd34a821d7d2dc6cc73795632f51336f5c83711c221a3458ea6d",
+                "1f432c38480f5206a68bd975030869705bc4ac34e4ba5bbc1466627fe838ac25",
                 "e294dd98a8df7dac250f293db022258d7df0a283e2be654815b9332268b6d2d6",
             ),
         ],
