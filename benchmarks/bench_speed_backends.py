@@ -37,7 +37,6 @@ Run modes:
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import time
 from pathlib import Path
@@ -130,9 +129,9 @@ def _run_once(scenario: Scenario, backend: str) -> float:
         backend, options = "simulate", {"timeline": 48}
     else:
         options = {"pool_size": 50_000} if backend == "fastpath" else {}
-    # Start each timed run from a collected heap, so no earlier run's
-    # cyclic garbage is collected inside it.
-    gc.collect()
+    # No collection before the run: every backend's finished run is
+    # freed by reference counting, so a gc.collect() here finds nothing
+    # to collect.
     start = time.perf_counter()
     scenario.run(backend, **options)
     return time.perf_counter() - start

@@ -10,7 +10,10 @@ Runs the standard speed scenario (the fig-11-style point from
    network hops, database callbacks);
 2. under :mod:`cProfile`, printing the hottest functions by cumulative
    time — the view that catches interpreter-level overheads (scheduler
-   pushes, RNG refills) the category profile folds into its callers.
+   pushes, RNG refills) the category profile folds into its callers —
+   and two counts per generated key (warmup included): Python calls
+   (every function cProfile sees, C built-ins included) and heap
+   operations (``heapq`` push, pop, pushpop and heapify calls).
 
 A third section times the raw dispatch microbench from
 ``bench_speed_backends`` under cProfile, isolating the engine's batched
@@ -30,7 +33,7 @@ import argparse
 import cProfile
 import io
 import pstats
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.observability import Observability
 
@@ -75,6 +78,24 @@ def _print_cprofile(profiler: cProfile.Profile, title: str) -> None:
             print(line)
 
 
+#: The ``heapq`` functions the engine's scheduler and drain call.
+HEAP_FUNCTIONS = ("heappush", "heappop", "heappushpop", "heapify")
+
+
+def per_key_counts(profiler: cProfile.Profile, keys: int) -> Dict[str, float]:
+    """Python calls and heap operations per key of a profiled run."""
+    calls = 0
+    heap_ops: Dict[str, int] = {name: 0 for name in HEAP_FUNCTIONS}
+    for (_, _, function), row in pstats.Stats(profiler).stats.items():
+        calls += row[1]  # every call, recursive ones included
+        for name in HEAP_FUNCTIONS:
+            if function == f"<built-in method _heapq.{name}>":
+                heap_ops[name] += row[1]
+    counts = {"python_calls": calls / keys, "heap_ops": sum(heap_ops.values()) / keys}
+    counts.update({name: count / keys for name, count in heap_ops.items()})
+    return counts
+
+
 def profile_cprofile(n_requests: int, n_events: int) -> None:
     """cProfile the closed-loop run and the raw dispatch microbench."""
     scenario = speed_scenario(n_requests)
@@ -83,6 +104,15 @@ def profile_cprofile(n_requests: int, n_events: int) -> None:
     scenario.run("simulate")
     profiler.disable()
     _print_cprofile(profiler, f"cProfile: closed loop ({n_requests} requests)")
+    keys = (scenario.n_requests + scenario.warmup_requests) * scenario.n_keys
+    counts = per_key_counts(profiler, keys)
+    print(
+        f"per generated key ({keys} keys): "
+        f"{counts['python_calls']:.2f} Python calls, "
+        f"{counts['heap_ops']:.3f} heap operations ("
+        + ", ".join(f"{name} {counts[name]:.3f}" for name in HEAP_FUNCTIONS)
+        + ")"
+    )
 
     profiler = cProfile.Profile()
     profiler.enable()

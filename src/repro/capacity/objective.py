@@ -30,6 +30,7 @@ sampling interval, always decisive.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Dict, Optional
 
@@ -39,11 +40,19 @@ from scipy import stats
 from ..errors import ConfigError, ValidationError
 from ..observability.slo import BurnRateRule, SLORule
 from ..observability.timeline import Timeline
+from ..simulation.metrics import _t_quantile
 
 __all__ = ["CapacityObjective", "Measurement"]
 
 #: Merged-histogram latency metrics the objective can bound.
 _LATENCY_METRICS = ("p50", "p95", "p99", "mean")
+
+
+@functools.lru_cache(maxsize=64)
+def _z_quantile(level: float) -> float:
+    """Standard normal quantile, memoized: every probe of a search asks
+    for the one its confidence level gives."""
+    return float(stats.norm.ppf(level))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -169,14 +178,12 @@ class CapacityObjective:
         batches = self._window_series(timeline)
         if batches.size < 8:
             return 0.0  # too few windows: fall back to the iid interval
-        t = float(
-            stats.t.ppf(0.5 * (1.0 + self.confidence), batches.size - 1)
-        )
+        t = _t_quantile(0.5 * (1.0 + self.confidence), batches.size - 1)
         return t * float(batches.std(ddof=1)) / math.sqrt(batches.size)
 
     def measure(self, timeline: Timeline) -> Measurement:
         """Read the metric and its confidence interval from a timeline."""
-        z = float(stats.norm.ppf(0.5 * (1.0 + self.confidence)))
+        z = _z_quantile(0.5 * (1.0 + self.confidence))
         base, _, stage = self.metric.partition(":")
         if stage:
             series = timeline.utilization(stage)

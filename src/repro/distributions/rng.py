@@ -71,19 +71,23 @@ class RandomWindow:
         self._index = i + 1
         return self._values[i]
 
-    def take(self, count: int) -> np.ndarray:
-        """The next ``count`` values as an array (same stream order)."""
+    def take(self, count: int) -> list:
+        """The next ``count`` values as a list: the values ``count``
+        calls of :meth:`get` would return, refilling as they would."""
         if count < 0:
             raise ValidationError(f"count must be >= 0, got {count}")
-        out: list = []
+        start = self._index
+        stop = start + count
+        if stop <= len(self._values):
+            self._index = stop
+            return self._values[start:stop]
+        out = self._values[start:]
         while len(out) < count:
-            if self._index >= len(self._values):
-                self._values = np.asarray(self._fn(self._size)).tolist()
-                self._index = 0
-            grab = min(count - len(out), len(self._values) - self._index)
-            out.extend(self._values[self._index : self._index + grab])
-            self._index += grab
-        return np.asarray(out)
+            self._values = np.asarray(self._fn(self._size)).tolist()
+            grab = min(count - len(out), len(self._values))
+            out.extend(self._values[:grab])
+            self._index = grab
+        return out
 
     # Convenience constructors for the common simulator streams. ------
 

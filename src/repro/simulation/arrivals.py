@@ -136,7 +136,7 @@ class BatchArrivalProcess:
         count = self._window
         t = sim.now
         times = []
-        for gap in self._gap_window.take(count).tolist():
+        for gap in self._gap_window.take(count):
             t = t + gap
             times.append(t)
         self._batch_handle = sim.schedule_batch(times, self._fire_windowed)

@@ -20,7 +20,10 @@ Two scheduling shapes exist:
   of (say) pre-drawn arrival times costs one event record and — inside
   :meth:`run` — consecutive batch events whose times precede every
   other scheduled event fire back-to-back without touching the
-  scheduler at all.
+  scheduler at all. The drain reads the heap head directly after each
+  firing; when that head comes first, one ``heapq.heappushpop``
+  re-arms the batch and hands the head to the loop, in place of a
+  push of the batch and a pop of the head.
 
 Tie order within a batch: every event of a batch carries the ``seq`` of
 the :meth:`~Simulator.schedule_batch` call, so at an equal time it fires
@@ -31,7 +34,10 @@ instant the run's head key started, not at the key's own start, where a
 key-at-a-time schedule would rank it. The two orders differ only when
 another event falls on exactly the same instant as a finish: a
 measure-zero event under continuous service laws, but not under
-``Deterministic`` service.
+``Deterministic`` service. The drain's handoff keeps the order: no two
+entries share a ``(time, seq)`` key, so the entry ``heappushpop``
+returns is the one a push followed by a pop would return, and
+cancelled heads are dropped first, as a pop drops them.
 
 An optional :class:`~repro.observability.EngineProfiler` can be
 attached to attribute wall-clock time to callback categories; when no
@@ -42,6 +48,7 @@ profiled when a profiler is present).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import operator
 from typing import Callable, Optional, Sequence
@@ -352,21 +359,29 @@ class Simulator:
         inline — while the batch's next event beats everything else in
         the scheduler in ``(time, seq)`` order it fires back-to-back
         with no scheduler traffic and no per-event allocations. The
-        batch stays *out* of the scheduler while draining and is only
-        re-pushed when another event wins the race, so the scheduler
-        never holds a stale key for it.
+        batch stays *out* of the scheduler while draining. After each
+        firing the drain reads the heap head itself; only when that
+        head comes first does it touch the heap, with one
+        ``heapq.heappushpop`` that re-arms the batch at its next time
+        and hands the head straight to the outer loop. The result is
+        the entry a push followed by a pop would return, since every
+        entry's ``(time, seq)`` key is distinct, so the firing order is
+        unchanged.
         """
         budget = max_events
         scheduler = self._scheduler
         self._stop = False
+        entry = None
         while True:
-            if self._stop:
-                return
-            entry = scheduler.pop()
             if entry is None:
-                return
+                if self._stop:
+                    return
+                entry = scheduler.pop()
+                if entry is None:
+                    return
             profiler = self._profiler
             time, seq, obj = entry
+            entry = None
             if time < self._now:  # pragma: no cover - scheduler invariant
                 raise SimulationError(
                     f"time went backwards: {time} < {self._now}"
@@ -395,8 +410,8 @@ class Simulator:
                     budget -= 1
                 continue
             # Batch entry: fire elements inline. The first one fires at
-            # once (it is the queue minimum we just popped); later ones
-            # fire as long as they still beat the new head.
+            # once (it is the queue minimum we just got); later ones
+            # fire as long as they still beat the heap head.
             obj.queued = False
             times = obj.times
             n = len(times)
@@ -436,14 +451,21 @@ class Simulator:
                     scheduler.push(t_next, seq, obj)
                     obj.queued = True
                     break
-                head = scheduler.peek()
-                if head is not None and (
-                    head[0] < t_next or (head[0] == t_next and head[1] < seq)
-                ):
-                    # Another event fires first: park the batch back in
-                    # the scheduler at its next time and return to the
-                    # outer loop.
+                # The callback may have cancelled enough to compact the
+                # heap, which replaces its list: read it afresh.
+                heap = scheduler.heap
+                if not heap:
+                    continue
+                head = heap[0]
+                if head[2].cancelled:
+                    # Drop cancelled heads as pop would; rare.
+                    head = scheduler.peek()
+                    if head is None:
+                        continue
+                if head[0] < t_next or (head[0] == t_next and head[1] < seq):
+                    # Another event fires first: re-arm the batch at its
+                    # next time and take that event in one heap step.
                     obj.time = t_next
-                    scheduler.push(t_next, seq, obj)
                     obj.queued = True
+                    entry = heapq.heappushpop(heap, (t_next, seq, obj))
                     break

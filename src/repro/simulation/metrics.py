@@ -275,6 +275,13 @@ class UtilizationMeter:
         self._busy += now - self._busy_since
         self._busy_since = None
 
+    def server_continued(self, now: float) -> None:
+        """Server finished one job and started the next at ``now``:
+        the same state as :meth:`server_stopped` then
+        :meth:`server_started`, in one step."""
+        self._busy += now - self._busy_since
+        self._busy_since = now
+
     def utilization(self, now: float) -> float:
         """Fraction of time busy over the observed span."""
         if self._start is None:

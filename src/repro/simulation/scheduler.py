@@ -22,24 +22,30 @@ COMPACT_MIN_DEAD = 64
 
 
 class HeapScheduler:
-    """Binary-heap scheduler with threshold compaction of cancelled entries."""
+    """Binary-heap scheduler with threshold compaction of cancelled entries.
 
-    __slots__ = ("_heap", "_dead")
+    ``heap`` is the heap list itself. The engine's batch drain reads
+    its head and hands a batch over with one ``heapq.heappushpop`` on
+    it; :meth:`compact` and :meth:`clear` replace the list, so a reader
+    fetches ``heap`` afresh after any callback that may cancel.
+    """
+
+    __slots__ = ("heap", "_dead")
 
     def __init__(self) -> None:
-        self._heap: List[tuple] = []
+        self.heap: List[tuple] = []
         self._dead = 0
 
     @property
     def entries(self) -> int:
         """Stored entries, including not-yet-collected cancelled ones."""
-        return len(self._heap)
+        return len(self.heap)
 
     def push(self, time: float, seq: int, obj: object) -> None:
-        heapq.heappush(self._heap, (time, seq, obj))
+        heapq.heappush(self.heap, (time, seq, obj))
 
     def pop(self) -> Optional[tuple]:
-        heap = self._heap
+        heap = self.heap
         while heap:
             entry = heapq.heappop(heap)
             if entry[2].cancelled:
@@ -49,7 +55,7 @@ class HeapScheduler:
         return None
 
     def peek(self) -> Optional[Tuple[float, int]]:
-        heap = self._heap
+        heap = self.heap
         while heap:
             head = heap[0]
             if head[2].cancelled:
@@ -68,20 +74,20 @@ class HeapScheduler:
         by twice the live count even under hedge-cancel storms.
         """
         self._dead += 1
-        if self._dead > COMPACT_MIN_DEAD and self._dead * 2 > len(self._heap):
+        if self._dead > COMPACT_MIN_DEAD and self._dead * 2 > len(self.heap):
             self.compact()
 
     def clear(self) -> List[object]:
         """Remove every entry; returns their objects, dead ones included."""
-        objs = [entry[2] for entry in self._heap]
-        self._heap = []
+        objs = [entry[2] for entry in self.heap]
+        self.heap = []
         self._dead = 0
         return objs
 
     def compact(self) -> None:
         """Drop cancelled entries and re-heapify."""
-        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
-        heapq.heapify(self._heap)
+        self.heap = [entry for entry in self.heap if not entry[2].cancelled]
+        heapq.heapify(self.heap)
         self._dead = 0
 
 

@@ -13,14 +13,18 @@ Once nothing can interrupt it, the rest of a batch is fixed when its
 head key starts: with a shared payload (no per-key contexts, so no key
 can be abandoned) and no ``pause_until`` hook, every start is the
 previous key's finish. The server then schedules that *run* at once:
-it draws the run's service times from its window in order, divides
+it takes the run's service times from its window in one read, divides
 each by ``rate_factor`` at that key's start, accumulates the finish
 times with the engine's own float addition and hands them to one
 :meth:`~repro.simulation.engine.Simulator.schedule_batch`. Every other
 key starts lazily, one scheduled ``_finish`` at a time. Either way
 ``_finish`` reports each key as plain values ``(context, arrival,
 start, finish)`` and keeps the queue cursor, the utilization meter and
-the histograms exactly where the key-at-a-time path puts them. The
+the histograms exactly where the key-at-a-time path puts them. A run
+key that is not the run's last reads its finish from the run's times
+and moves the meter with one
+:meth:`~repro.simulation.metrics.UtilizationMeter.server_continued`
+step, the float a stop then a start would give. The
 exponential-service default matches the paper's model, and any
 :class:`~repro.distributions.Distribution` can be substituted for
 model-robustness ablations.
@@ -29,6 +33,7 @@ model-robustness ablations.
 from __future__ import annotations
 
 import collections
+import itertools
 from typing import Callable, Deque, Optional
 
 import numpy as np
@@ -101,6 +106,7 @@ class ServerSim:
         self._arrival: Optional[float] = None
         self._context: object = None
         self._started = 0.0
+        self._run_times: list = []
         self._run_last = 0
         self._completed = 0
         self.utilization_meter = UtilizationMeter()
@@ -215,13 +221,12 @@ class ServerSim:
         self._context = entry[2] if contexts is None else contexts[index]
         self._started = now
         self.utilization_meter.server_started(now)
-        draw = self._service_window.get
         rate_factor = self._rate_factor
         # Per-key contexts can be abandoned and a pause can hold a key
         # back, so only a shared-payload batch on an unpausable server
         # fixes its later starts now.
         if contexts is not None or self._pause_until is not None or index + 1 == size:
-            service_time = draw()
+            service_time = self._service_window.get()
             if rate_factor is not None:
                 factor = rate_factor(now)
                 if factor != 1.0:
@@ -232,16 +237,21 @@ class ServerSim:
         # A run: each key starts when the one ahead of it finishes, so
         # its draw, its rate factor and its finish are known now. The
         # finish accumulates as ``Simulator.schedule`` computes it.
-        finish = now
-        times = []
-        for _ in range(size - index):
-            service_time = draw()
-            if rate_factor is not None:
+        services = self._service_window.take(size - index)
+        if rate_factor is None:
+            times = list(
+                itertools.islice(itertools.accumulate(services, initial=now), 1, None)
+            )
+        else:
+            finish = now
+            times = []
+            for service_time in services:
                 factor = rate_factor(finish)
                 if factor != 1.0:
                     service_time /= factor
-            finish = finish + service_time
-            times.append(finish)
+                finish = finish + service_time
+                times.append(finish)
+        self._run_times = times
         self._run_last = size - index - 1
         sim.schedule_batch(times, self._finish)
 
@@ -252,11 +262,18 @@ class ServerSim:
 
     def _finish(self, index: int = 0) -> None:
         """Key ``index`` of the scheduled run finishes now."""
-        now = self._sim.now
         arrival = self._arrival
         start = self._started
         self._arrival = None
-        self.utilization_meter.server_stopped(now)
+        last = index == self._run_last
+        if last:
+            now = self._sim.now
+            self.utilization_meter.server_stopped(now)
+        else:
+            # The run's next key starts as this one finishes: one meter
+            # step gives the float a stop and a start would give.
+            now = self._run_times[index]
+            self.utilization_meter.server_continued(now)
         self._completed += 1
         if self._hist_wait is not None:
             self._hist_wait.record(start - arrival)
@@ -265,11 +282,11 @@ class ServerSim:
             self._trace_append((arrival, start, now))
         if self._on_complete is not None:
             self._on_complete(self._context, arrival, start, now)
-        if index == self._run_last:
+        if last:
             self._start_next()
             return
-        # The run's next key starts: the cursor and the meter move as
-        # _start_next would move them; its service is already drawn.
+        # The run's next key is in service: the cursor moves as
+        # _start_next would move it; its service is already drawn.
         if self._arrival is not None:
             raise SimulationError(f"{self.name}: server already busy")
         entry = self._queue[0]
@@ -278,7 +295,6 @@ class ServerSim:
             self._queue.popleft()
         self._arrival = arrival
         self._started = now
-        self.utilization_meter.server_started(now)
 
     def release(self) -> None:
         """Drop the completion callback.

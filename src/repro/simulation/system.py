@@ -14,8 +14,12 @@ Models the paper's Fig. 1 end to end on the event engine:
    the batch's finishes as one run once its head key starts.
 4. A miss (Bernoulli ``r`` drawn from the simulator's own uniform
    window, or a *real* cache lookup when a cache backend is attached)
-   relays the key to the M/M/1 database. A key sharing its request's
-   payload takes its whole per-key path in ``_on_server_complete``.
+   relays the key to the M/M/1 database. The k-th served key misses
+   when the k-th uniform of the miss stream is below ``r``; a cursor
+   finds each window's miss ranks in one numpy pass, so a served key
+   pays one integer comparison, not a draw. A key sharing its
+   request's payload takes its whole per-key path in
+   ``_on_server_complete``.
 5. The request completes when its last key's value returns; one row of
    the run's per-request record keeps ``T(N)``, the per-stage maxima
    ``TS(N)``/``TD(N)`` and the critical keys' queue waits, and every
@@ -331,8 +335,11 @@ class MemcachedSystemSimulator:
         # tracer's key spans; the Bernoulli miss model reads neither.
         self._named_keys = cache_backend is not None or self._tracer is not None
         self._cache: Optional[CacheBackend] = cache_backend
-        # Without a cache backend a key misses with probability r: one
-        # uniform from this window per served key (a hit is u >= r).
+        # Without a cache backend a key misses with probability r: the
+        # served key of rank k (its _keys_processed count) misses when
+        # the k-th uniform of this window's stream is below r. The miss
+        # cursor holds the miss ranks of the drawn window, ending with
+        # the window's end; _next_miss is the next one due.
         if cache_backend is None:
             if not 0.0 <= miss_ratio <= 1.0:
                 raise ValidationError(
@@ -340,6 +347,9 @@ class MemcachedSystemSimulator:
                 )
             self._miss_ratio = float(miss_ratio)
             self._miss_window = RandomWindow.uniform(rng_miss)
+            self._miss_ranks: List[int] = [0]
+            self._miss_index = 0
+            self._next_miss = 0
         self._shares = np.asarray(cluster.shares, dtype=float)
         # Routing draws are windowed when the shares are constant over
         # the run; share-shift faults need the per-instant shares, so
@@ -662,8 +672,9 @@ class MemcachedSystemSimulator:
             self._key_sojourns.append(sojourn)
             if self._hist_key_sojourn is not None:
                 self._hist_key_sojourn.record(sojourn)
-            self._keys_processed += 1
-            if self._miss_window.get() < self._miss_ratio:
+            rank = self._keys_processed
+            self._keys_processed = rank + 1
+            if rank == self._next_miss and self._miss_at(rank):
                 self._misses += 1
                 if self._database is not None:
                     self._database.offer_key(finish, context=request)
@@ -693,9 +704,10 @@ class MemcachedSystemSimulator:
         self._key_sojourns.append(sojourn)
         if self._hist_key_sojourn is not None:
             self._hist_key_sojourn.record(sojourn)
-        self._keys_processed += 1
+        rank = self._keys_processed
+        self._keys_processed = rank + 1
         if self._cache is None:
-            hit = self._miss_window.get() >= self._miss_ratio
+            hit = rank != self._next_miss or not self._miss_at(rank)
         else:
             hit = self._cache.lookup(context.server_index, context.key_name)
         span = context.span
@@ -709,6 +721,34 @@ class MemcachedSystemSimulator:
                 self._database.offer_key(finish, context=context)
                 return
         self._finish_key(context)
+
+    def _miss_at(self, rank: int) -> bool:
+        """Whether the served key of ``rank`` misses, where ``rank`` is
+        the cursor's ``_next_miss``: a miss rank, or the end of the
+        drawn window.
+
+        At the window's end the next window of uniforms is drawn, one
+        per rank, and its miss ranks (``u < r``) are found in one pass.
+        A window is drawn only once a key reaches it, so a run draws
+        exactly the windows its keys cover, however rare the misses.
+        """
+        ranks = self._miss_ranks
+        index = self._miss_index
+        if index == len(ranks) - 1:  # at the window's end
+            window = self._miss_window
+            size = window.window_size
+            uniforms = np.array(window.take(size))
+            ranks = (np.flatnonzero(uniforms < self._miss_ratio) + rank).tolist()
+            ranks.append(rank + size)
+            self._miss_ranks = ranks
+            index = 0
+            if ranks[0] != rank:
+                self._miss_index = 0
+                self._next_miss = ranks[0]
+                return False
+        self._miss_index = index + 1
+        self._next_miss = ranks[index + 1]
+        return True
 
     def _on_database_complete(
         self, context: object, arrival: float, start: float, finish: float

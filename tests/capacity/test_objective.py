@@ -128,6 +128,33 @@ class TestMeasure:
         measurement = objective.measure(timeline)
         assert measurement.ci_low == measurement.value == measurement.ci_high
 
+    @pytest.mark.parametrize("metric", ["p99", "mean"])
+    def test_memoized_quantiles_match_scipy(self, metric, monkeypatch):
+        """The z and t quantiles are memoized: a second measurement
+        calls no ``ppf``, and both equal the unmemoized interval."""
+        from scipy import stats
+
+        from repro.capacity import objective as module
+
+        timeline = small_scenario().timeline("fastpath-system", n_windows=16)
+        objective = CapacityObjective(usec(500), metric=metric, confidence=0.93)
+        first = objective.measure(timeline)
+        level = 0.5 * (1.0 + 0.93)
+        assert module._z_quantile(level) == float(stats.norm.ppf(level))
+        batches = objective._window_series(timeline)
+        assert batches.size >= 8
+        t = float(stats.t.ppf(level, batches.size - 1))
+        assert objective._batch_half_width(timeline) == (
+            t * float(batches.std(ddof=1)) / math.sqrt(batches.size)
+        )
+
+        def no_ppf(*args, **kwargs):
+            raise AssertionError("ppf called again")
+
+        monkeypatch.setattr(stats.norm, "ppf", no_ppf)
+        monkeypatch.setattr(stats.t, "ppf", no_ppf)
+        assert objective.measure(timeline) == first
+
     def test_empty_timeline_rejected(self):
         from repro.observability import Timeline
 

@@ -84,6 +84,19 @@ class TestRandomWindowMechanics:
         expected = np.array([reference.get() for _ in range(10)])
         assert np.array_equal(taken, expected)
 
+    @pytest.mark.parametrize("counts", [(0, 3), (3, 5, 8), (20, 1), (8, 8, 8)])
+    def test_take_equals_as_many_gets(self, counts):
+        """Across refills, ``take(n)`` is the list ``n`` gets return,
+        and the stream carries on where it stops."""
+        windowed = RandomWindow.uniform(make_rng(5), size=8)
+        reference = RandomWindow.uniform(make_rng(5), size=8)
+        for count in counts:
+            taken = windowed.take(count)
+            assert isinstance(taken, list)
+            assert taken == [reference.get() for _ in range(count)]
+        assert windowed.get() == reference.get()
+        assert windowed.remaining == reference.remaining
+
     def test_uniform_window_matches_scalar_random(self):
         scalar_rng = make_rng(9)
         window = RandomWindow.uniform(make_rng(9), size=16)

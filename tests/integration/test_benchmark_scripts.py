@@ -25,6 +25,8 @@ def test_profile_cprofile_tiny(profile_engine, capsys):
     out = capsys.readouterr().out
     assert "cProfile: closed loop (20 requests)" in out
     assert "cProfile: raw dispatch (2000 events)" in out
+    assert "per generated key (440 keys): " in out
+    assert " Python calls, " in out and " heap operations (" in out
 
 
 def test_profile_categories_tiny(profile_engine, capsys):

@@ -7,13 +7,16 @@ optimization invisible: interleaving with single events in exact
 ``(time, seq)`` order on both the ``run`` and the ``step`` path,
 cancellation from outside and from inside the batch callback,
 event budgets, and the cooperative ``stop`` used by completion-driven
-runs.
+runs. ``TestDrainHandoff`` covers the drain's exit: when another
+entry comes first, one ``heappushpop`` re-arms the batch and hands that
+entry to the outer loop.
 """
 
 import pytest
 
 from repro.errors import SimulationError, ValidationError
 from repro.simulation import Simulator
+from repro.simulation.scheduler import COMPACT_MIN_DEAD, HeapScheduler
 
 
 def interleaved_sim():
@@ -213,3 +216,142 @@ class TestCancelledEventCollection:
         assert sim.pending_events == 0
         sim.run()
         assert sim.events_processed == 0
+
+
+class CountingScheduler(HeapScheduler):
+    """A heap scheduler that counts its push and pop calls."""
+
+    __slots__ = ("pushes", "pops")
+
+    def __init__(self):
+        super().__init__()
+        self.pushes = 0
+        self.pops = 0
+
+    def push(self, time, seq, obj):
+        self.pushes += 1
+        super().push(time, seq, obj)
+
+    def pop(self):
+        self.pops += 1
+        return super().pop()
+
+
+def counting_sim():
+    sim = Simulator()
+    sim._scheduler = CountingScheduler()
+    return sim, sim._scheduler
+
+
+class TestDrainHandoff:
+    def test_handoff_replaces_park_and_pop(self):
+        """A single event due before the batch's next element is taken
+        by the drain's heappushpop: no push, and no pop for it."""
+        sim, scheduler = counting_sim()
+        order = []
+        sim.schedule_batch([1.0, 2.0, 3.0], lambda i: order.append(f"b{i}"))
+        sim.schedule_at(1.5, lambda: order.append("a"))
+        sim.schedule_at(2.5, lambda: order.append("c"))
+        scheduler.pushes = 0
+        sim.run()
+        assert order == ["b0", "a", "b1", "c", "b2"]
+        assert scheduler.pushes == 0
+        # The batch at 1.0, the batch at 2.0 and 3.0 after each
+        # handed-off event, and the empty queue.
+        assert scheduler.pops == 4
+        assert sim.pending_events == 0
+        assert sim.scheduler_entries == 0
+
+    def test_handoff_skips_cancelled_head(self):
+        sim, scheduler = counting_sim()
+        order = []
+        sim.schedule_batch([1.0, 2.0, 3.0], lambda i: order.append(f"b{i}"))
+        sim.schedule_at(1.2, lambda: order.append("dead")).cancel()
+        sim.schedule_at(1.5, lambda: order.append("a"))
+        sim.schedule_at(2.2, lambda: order.append("dead")).cancel()
+        sim.schedule_at(2.4, lambda: order.append("dead")).cancel()
+        sim.schedule_at(3.5, lambda: order.append("c"))
+        sim.run()
+        assert order == ["b0", "a", "b1", "b2", "c"]
+        assert sim.events_processed == 5
+        assert sim.pending_events == 0
+        assert sim.scheduler_entries == 0
+
+    def test_equal_time_ties_keep_scheduling_order(self):
+        sim = Simulator()
+        order = []
+        sim.schedule_at(2.0, lambda: order.append("before"))
+        sim.schedule_batch([1.0, 2.0, 2.0, 3.0], lambda i: order.append(f"b{i}"))
+        sim.schedule_at(2.0, lambda: order.append("after"))
+        sim.schedule_batch([2.0, 2.0], lambda i: order.append(f"x{i}"))
+        sim.run()
+        assert order == ["b0", "before", "b1", "b2", "after", "x0", "x1", "b3"]
+
+    def test_two_batches_hand_off_to_each_other(self):
+        sim, scheduler = counting_sim()
+        order = []
+        sim.schedule_batch([1.0, 2.0, 3.0], lambda i: order.append(f"a{i}"))
+        sim.schedule_batch([1.0, 2.0, 3.0], lambda i: order.append(f"b{i}"))
+        scheduler.pushes = 0
+        sim.run()
+        assert order == ["a0", "b0", "a1", "b1", "a2", "b2"]
+        assert scheduler.pushes == 0
+        assert sim.pending_events == 0
+
+    def test_handoff_after_mid_drain_compaction(self):
+        """A callback's cancels compact the heap, which replaces its
+        list; the handoff must act on the new list."""
+        sim = Simulator()
+        order = []
+        doomed = [
+            sim.schedule_at(100.0 + k, lambda: order.append("dead"))
+            for k in range(4 * COMPACT_MIN_DEAD)
+        ]
+        sim.schedule_at(1.5, lambda: order.append("a"))
+        heaps = []
+
+        def on_batch(i):
+            order.append(f"b{i}")
+            if i == 0:
+                heaps.append(sim._scheduler.heap)
+                for handle in doomed:
+                    handle.cancel()
+                heaps.append(sim._scheduler.heap)
+
+        sim.schedule_batch([1.0, 2.0, 3.0], on_batch)
+        sim.run()
+        assert heaps[0] is not heaps[1]  # the cancels compacted the heap
+        assert order == ["b0", "a", "b1", "b2"]
+        assert sim.pending_events == 0
+        assert sim.scheduler_entries == 0
+
+    def test_stop_mid_drain_parks_instead_of_handing_off(self):
+        sim = Simulator()
+        order = []
+
+        def on_batch(i):
+            order.append(f"b{i}")
+            if i == 0:
+                sim.stop()
+
+        sim.schedule_batch([1.0, 2.0, 3.0], on_batch)
+        sim.schedule_at(1.5, lambda: order.append("a"))
+        sim.run()
+        assert order == ["b0"]
+        assert sim.now == 1.0
+        assert sim.pending_events == 3
+        sim.run()
+        assert order == ["b0", "a", "b1", "b2"]
+        assert sim.pending_events == 0
+
+    def test_stop_in_a_handed_off_event(self):
+        sim = Simulator()
+        order = []
+        sim.schedule_batch([1.0, 2.0, 3.0], lambda i: order.append(f"b{i}"))
+        sim.schedule_at(1.5, lambda: (order.append("a"), sim.stop()))
+        sim.run()
+        assert order == ["b0", "a"]
+        assert sim.now == 1.5
+        assert sim.pending_events == 2
+        sim.run()
+        assert order == ["b0", "a", "b1", "b2"]
