@@ -13,10 +13,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..distributions import Distribution, Exponential
-from ..observability import MetricsRegistry
+from ..distributions import Exponential
 from .engine import Simulator
-from .server import CompletionSink, ServerSim
+from .server import CompletionSink, QueueLog, ServerSim
 
 
 class DatabaseSim(ServerSim):
@@ -33,9 +32,8 @@ class DatabaseSim(ServerSim):
         rng: np.random.Generator,
         *,
         on_complete: Optional[CompletionSink] = None,
-        metrics: Optional[MetricsRegistry] = None,
         rate_factor: Optional[Callable[[float], float]] = None,
-        trace: Optional[list] = None,
+        log: Optional[QueueLog] = None,
     ) -> None:
         super().__init__(
             sim,
@@ -43,18 +41,6 @@ class DatabaseSim(ServerSim):
             rng,
             name="database",
             on_complete=on_complete,
-            metrics=metrics,
             rate_factor=rate_factor,
-            trace=trace,
+            log=log,
         )
-
-    @classmethod
-    def with_service(
-        cls,
-        sim: Simulator,
-        service: Distribution,
-        rng: np.random.Generator,
-        **kwargs: object,
-    ) -> ServerSim:
-        """A database with a non-exponential service law (ablations)."""
-        return ServerSim(sim, service, rng, name="database", **kwargs)

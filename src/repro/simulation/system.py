@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 from functools import partial
-from typing import List, Optional, Protocol
+from typing import Dict, List, Optional, Protocol
 
 import numpy as np
 
@@ -58,7 +58,7 @@ from ..core.workload import WorkloadPattern
 
 from ..errors import SimulationError, ValidationError
 from ..faults import FaultSchedule
-from ..observability import Observability, Span
+from ..observability import MetricsRegistry, Observability, Span
 from ..observability.attribution import _FLUSH_CHUNK, RECORD_FIELDS, _row_matrix
 from ..policies import RequestPolicy
 from .database import DatabaseSim
@@ -66,7 +66,7 @@ from .engine import EventHandle, Simulator
 from .metrics import LatencyRecorder
 from .network import NetworkSim
 from .results import SystemResults
-from .server import ServerSim
+from .server import QueueLog, ServerSim
 
 #: spawn_child tag for the policy decision stream (hedge/retry server
 #: picks). A tagged child never collides with the split_rng children
@@ -88,8 +88,13 @@ _PER_KEY_SAMPLES = 500_000
 _PER_KEY_CHUNK = 2048
 
 
-def _flush_sojourns(recorder: LatencyRecorder, sojourns: List[float]) -> None:
-    """Move buffered per-key sojourns into ``recorder``; clear the buffer.
+def _flush_sojourns(
+    recorder: LatencyRecorder,
+    sojourns: List[float],
+    registry: Optional[MetricsRegistry] = None,
+) -> None:
+    """Move buffered per-key sojourns into ``recorder`` (and the
+    registry's ``key.server_sojourn`` histogram); clear the buffer.
 
     Values that still fit the stored samples go in with one
     ``record_many``. Values past the cap take the scalar reservoir step,
@@ -101,7 +106,23 @@ def _flush_sojourns(recorder: LatencyRecorder, sojourns: List[float]) -> None:
     recorder.record_many(sojourns[:room])
     for value in sojourns[room:]:
         recorder.record(value)
+    if registry is not None:
+        registry.histogram("key.server_sojourn").record_many(sojourns)
     sojourns.clear()
+
+
+def _fill_queue_metrics(registry: MetricsRegistry, name: str, log: QueueLog) -> None:
+    """Derive one queue's registry collectors from its log's rows:
+    ``{name}.wait``/``.service`` per finished key, and per offered key
+    ``{name}.queue_depth`` (the keys ahead of it) and ``.arrivals``."""
+    arrival, start, finish = _row_matrix(log.jobs, 3).T
+    registry.histogram(f"{name}.wait").record_many(start - arrival)
+    registry.histogram(f"{name}.service").record_many(finish - start)
+    ahead, size = _row_matrix(log.batches, 2).astype(np.int64).T
+    first = np.cumsum(size) - size  # each batch's first key
+    depth = np.repeat(ahead - first, size) + np.arange(size.sum())
+    registry.histogram(f"{name}.queue_depth", min_value=1.0).record_many(depth)
+    registry.counter(f"{name}.arrivals").inc(int(size.sum()))
 
 
 class CacheBackend(Protocol):
@@ -289,6 +310,20 @@ class MemcachedSystemSimulator:
                 hooks["pause_until"] = lambda t, j=j: faults.server_pause_end(j, t)
             return hooks
 
+        # Observed queues log plain rows; run() derives the registry's
+        # per-queue collectors from them, and a timeline stage sink is
+        # the log's job list itself. Keyed by registry name.
+        self._queue_logs: Dict[str, QueueLog] = {}
+
+        def queue_log(name: str, stage: str) -> Optional[QueueLog]:
+            if registry is None and self._timeline is None:
+                return None
+            log = QueueLog(
+                self._timeline.stage_sink(stage) if self._timeline is not None else None
+            )
+            self._queue_logs[name] = log
+            return log
+
         self._network = NetworkSim.constant(self.sim, self._network_delay)
         self._servers = [
             ServerSim.exponential(
@@ -297,12 +332,7 @@ class MemcachedSystemSimulator:
                 server_rngs[j],
                 name=f"server-{j}",
                 on_complete=self._on_server_complete,
-                metrics=registry,
-                trace=(
-                    self._timeline.stage_sink(f"server.{j}")
-                    if self._timeline is not None
-                    else None
-                ),
+                log=queue_log(f"server-{j}", f"server.{j}"),
                 **fault_hooks(j),
             )
             for j in range(cluster.n_servers)
@@ -316,17 +346,12 @@ class MemcachedSystemSimulator:
                 database_rate,
                 rng_db,
                 on_complete=self._on_database_complete,
-                metrics=registry,
                 rate_factor=(
                     faults.database_rate_factor
                     if faults is not None and faults.has_database_overloads
                     else None
                 ),
-                trace=(
-                    self._timeline.stage_sink("database")
-                    if self._timeline is not None
-                    else None
-                ),
+                log=queue_log("database", "database"),
             )
             if needs_db
             else None
@@ -390,11 +415,6 @@ class MemcachedSystemSimulator:
         # completed request) and at run end.
         self._per_key_server = LatencyRecorder(max_samples=_PER_KEY_SAMPLES)
         self._key_sojourns: List[float] = []
-        self._hist_key_sojourn = (
-            registry.histogram("key.server_sojourn")
-            if registry is not None
-            else None
-        )
 
     # ------------------------------------------------------------------
     # Workload drive.
@@ -623,7 +643,7 @@ class MemcachedSystemSimulator:
             if contexts[0].span is not None:
                 # Queue depth every key of the batch sees at enqueue:
                 # earlier batch members count as ahead of later ones.
-                base_depth = server.queue_length + (1 if server.busy else 0)
+                base_depth = server.depth
                 for position, context in enumerate(contexts):
                     context.span.attributes["queue_depth_at_enqueue"] = (
                         base_depth + position
@@ -670,8 +690,6 @@ class MemcachedSystemSimulator:
                 request.max_server = sojourn
                 request.server_wait = start - arrival
             self._key_sojourns.append(sojourn)
-            if self._hist_key_sojourn is not None:
-                self._hist_key_sojourn.record(sojourn)
             rank = self._keys_processed
             self._keys_processed = rank + 1
             if rank == self._next_miss and self._miss_at(rank):
@@ -679,7 +697,7 @@ class MemcachedSystemSimulator:
                 if self._database is not None:
                     self._database.offer_key(finish, context=request)
                     return
-            delay = self._network.traverse()
+            delay = self._network_delay
             network = delay + delay
             if network > request.max_network:
                 request.max_network = network
@@ -702,8 +720,6 @@ class MemcachedSystemSimulator:
             context.server_sojourn = sojourn
             context.server_wait = start - arrival
         self._key_sojourns.append(sojourn)
-        if self._hist_key_sojourn is not None:
-            self._hist_key_sojourn.record(sojourn)
         rank = self._keys_processed
         self._keys_processed = rank + 1
         if self._cache is None:
@@ -801,7 +817,7 @@ class MemcachedSystemSimulator:
         schedules an event — the request's completion, at the instant
         its value arrives. Both legs take that one delay.
         """
-        delay = self._network.traverse()
+        delay = self._network_delay
         network = delay + delay
         if network > request.max_network:
             request.max_network = network
@@ -870,7 +886,7 @@ class MemcachedSystemSimulator:
             self._chunks.append(_row_matrix(rows, len(RECORD_FIELDS)))
             rows.clear()
         if len(self._key_sojourns) >= _PER_KEY_CHUNK:
-            _flush_sojourns(self._per_key_server, self._key_sojourns)
+            _flush_sojourns(self._per_key_server, self._key_sojourns, self._registry)
         if request.span is not None:
             self._tracer.finish_request(request.span, now)
         self._completed_requests += 1
@@ -907,11 +923,13 @@ class MemcachedSystemSimulator:
             self._chunks + [_row_matrix(self._rows, len(RECORD_FIELDS))]
         )
         column = dict(zip(RECORD_FIELDS, record.T))
-        _flush_sojourns(self._per_key_server, self._key_sojourns)
+        _flush_sojourns(self._per_key_server, self._key_sojourns, self._registry)
         registry = self._registry
         if registry is not None:
             for name, field in _REQUEST_HISTOGRAMS:
                 registry.histogram(name).record_many(column[field])
+            for name, log in self._queue_logs.items():
+                _fill_queue_metrics(registry, name, log)
             registry.counter("requests.completed").inc(record.shape[0])
             registry.counter("keys.processed").inc(
                 self._keys_processed - self._keys_offset
@@ -965,9 +983,10 @@ class MemcachedSystemSimulator:
         self._misses_offset = self._misses
         self._per_key_server = LatencyRecorder(max_samples=_PER_KEY_SAMPLES)
         self._key_sojourns.clear()
-        # Observability resets in place: the histogram/counter objects
-        # held by servers and the database stay valid (the timeline
-        # builder clears its sink lists without replacing them).
+        # The queue logs (and with them the timeline's stage sinks) are
+        # cleared in place: the queues hold their bound appends.
+        for log in self._queue_logs.values():
+            log.clear()
         if self.observability is not None:
             self.observability.reset()
         if self._timeline is not None:
