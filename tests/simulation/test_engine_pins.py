@@ -13,9 +13,11 @@ per batch:
   timeline=12)``: every ``server-j.*``, ``database.*`` and
   ``key.server_sojourn`` histogram (bucket counts and exact sums), and
   the sha256 of the retained slowest-K span trees, which carry each
-  key's ``queue_depth_at_enqueue`` and ``hit``;
+  key's ``queue_depth_at_enqueue`` and ``hit``, and of the ``recent()``
+  ring, which holds a request born before the warmup boundary;
 * the same histograms and span trees for the determinism ``hedge``
-  case (per-attempt key spans, cancel-on-winner);
+  case (per-attempt key spans in launch order, cancel-on-winner,
+  attempts dropped unserved and attempts still in flight at the stop);
 * the timeline stage series of the determinism ``faults`` case (a
   server pause and a server slowdown among its windows).
 
@@ -74,8 +76,14 @@ def observed_section_5_1():
     )
 
 
+def _spans_digest(spans) -> str:
+    payload = [span.to_dict() for span in spans]
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
 def observed_fingerprint(results) -> dict:
-    """Queue histograms and slowest-K span trees of an observed run."""
+    """Queue histograms, slowest-K and recent span trees of an observed
+    run."""
     observability = results.observability
     registry = observability.registry
     histograms = {}
@@ -94,13 +102,13 @@ def observed_fingerprint(results) -> dict:
             "min": _hex(payload["min"]),
             "max": _hex(payload["max"]),
         }
-    spans = [span.to_dict() for span in observability.tracer.slowest()]
+    tracer = observability.tracer
     return {
         "histograms": histograms,
-        "slowest_spans": hashlib.sha256(
-            json.dumps(spans, sort_keys=True).encode()
-        ).hexdigest(),
-        "slowest_count": len(spans),
+        "slowest_spans": _spans_digest(tracer.slowest()),
+        "slowest_count": len(tracer.slowest()),
+        "recent_spans": _spans_digest(tracer.recent()),
+        "recent_count": len(tracer.recent()),
     }
 
 
@@ -159,6 +167,26 @@ def test_observed_run_matches_pins(pins, key, run):
         assert got["histograms"][name] == histogram, name
     assert got["slowest_count"] == expected["slowest_count"]
     assert got["slowest_spans"] == expected["slowest_spans"]
+    assert got["recent_count"] == expected["recent_count"]
+    assert got["recent_spans"] == expected["recent_spans"]
+
+
+def test_observed_recent_holds_a_warmup_straddler():
+    """A request in flight across the warmup boundary is retained with
+    every key, including those served before the boundary."""
+    results = observed_section_5_1()
+    boundary = results.timeline.start
+    straddlers = [
+        root
+        for root in results.observability.tracer.recent()
+        if root.start < boundary
+    ]
+    assert straddlers
+    for root in straddlers:
+        keys = [span for span in root.children if span.name == "key"]
+        assert len(keys) == root.attributes["n_keys"]
+        assert all(key.finished for key in keys)
+        assert min(key.children[-1].start for key in keys) < boundary
 
 
 def test_faults_timeline_matches_pins(pins):
