@@ -27,10 +27,10 @@ Run modes:
 * ``python benchmarks/bench_speed_backends.py --quick`` — CI smoke
   (single repeat, 600 requests / 300k events; ``fastpath-system`` takes
   the best of five, and the engine runs five paired rounds of 3000
-  requests: plain, timeline on, registry on) writing to ``--out``;
-  still asserts the fast path's >= 10x speedup over the engine, the
-  two observability-overhead floors and the engine dispatch-rate
-  floors.
+  requests: plain, timeline on, registry on, ``Observability()``
+  defaults on) writing to ``--out``; still asserts the fast path's
+  >= 10x speedup over the engine, the three observability-overhead
+  floors and the engine dispatch-rate floors.
 * ``pytest benchmarks/bench_speed_backends.py`` — same measurement via
   the house pytest-benchmark harness.
 """
@@ -59,20 +59,22 @@ from helpers import print_series
 
 #: Backends being raced. ``estimate`` is excluded: closed-form bounds
 #: answer a different question (and finish in microseconds).
-#: ``simulate+timeline`` and ``simulate+metrics`` are the engine with
-#: windowed telemetry or the metrics registry on — their entries exist
-#: to price the observability layer, not to race.
+#: ``simulate+timeline``, ``simulate+metrics`` and ``simulate+observed``
+#: are the engine with windowed telemetry, the metrics registry or the
+#: ``Observability()`` defaults (tracer and registry) on — their entries
+#: exist to price the observability layer, not to race.
 BACKENDS = (
     "simulate",
     "simulate+timeline",
     "simulate+metrics",
+    "simulate+observed",
     "fastpath",
     "fastpath-system",
 )
 
 #: The engine with an observability collector on, each timed in paired
 #: rounds against the plain engine.
-OBSERVED_ENGINE = ("simulate+timeline", "simulate+metrics")
+OBSERVED_ENGINE = ("simulate+timeline", "simulate+metrics", "simulate+observed")
 
 #: The fast path must beat the engine by at least this factor on
 #: keys/sec — the contract that justifies its existence.
@@ -91,6 +93,12 @@ MIN_TIMELINE_RATIO = 0.9
 #: each key recorded into its histograms as it finished read 0.32 and
 #: 0.40.
 MIN_METRICS_RATIO = 0.6
+
+#: Default-observability budget: the engine with ``Observability()``
+#: (the tracer and the registry) on must keep at least this fraction of
+#: the plain throughput. The tracer adds one root per request at run
+#: end and builds key spans only when they are read.
+MIN_OBSERVED_RATIO = 0.6
 
 #: Requests per engine-pair run in quick mode. The ratio above is read
 #: from paired rounds: a 600-request engine run lasts about 60 ms, short
@@ -153,6 +161,8 @@ def _run_once(scenario: Scenario, backend: str) -> float:
         backend, options = "simulate", {
             "observability": Observability(trace=False, metrics=True)
         }
+    elif backend == "simulate+observed":
+        backend, options = "simulate", {"observability": Observability()}
     else:
         options = {"pool_size": 50_000} if backend == "fastpath" else {}
     # No collection before the run: every backend's finished run is
@@ -174,7 +184,7 @@ def measure(
 
     The plain engine and its observed entries (:data:`OBSERVED_ENGINE`)
     run ``pair_requests`` requests (default ``n_requests``) in at least
-    five *paired* rounds (off, timeline, metrics, off, ...): each
+    five *paired* rounds (off, timeline, metrics, observed, off, ...): each
     observed entry's ratio to the plain engine is an enforced CI
     contract, and it is the best of the per-round paired ratios, as for
     ``attr_sink_ratio``. Adjacent runs share CPU frequency and cache
@@ -386,6 +396,12 @@ def metrics_ratio(results: Dict[str, Dict[str, float]]) -> float:
     return results["simulate+metrics"]["metrics_overhead_ratio"]
 
 
+def observed_ratio(results: Dict[str, Dict[str, float]]) -> float:
+    """Engine throughput retained with the default observability bundle
+    on: the best paired-round ratio :func:`measure` stored."""
+    return results["simulate+observed"]["observed_overhead_ratio"]
+
+
 def report(
     results: Dict[str, Dict[str, float]],
     out: Path,
@@ -411,6 +427,12 @@ def report(
             "engine throughput retained with the metrics registry on: "
             f"{metrics_ratio(results):.1%} (best paired round; median "
             f"{results['simulate+metrics']['metrics_paired_median']:.1%})"
+        )
+    if "simulate+observed" in results:
+        print(
+            "engine throughput retained with Observability() defaults on: "
+            f"{observed_ratio(results):.1%} (best paired round; median "
+            f"{results['simulate+observed']['observed_paired_median']:.1%})"
         )
     payload: Dict[str, Dict[str, float]] = dict(results)
     if engine:
@@ -460,6 +482,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(
             "FAIL: the metrics registry keeps less than "
             f"{MIN_METRICS_RATIO:.0%} of engine throughput"
+        )
+        return 1
+    if observed_ratio(results) < MIN_OBSERVED_RATIO:
+        print(
+            "FAIL: Observability() defaults keep less than "
+            f"{MIN_OBSERVED_RATIO:.0%} of engine throughput"
         )
         return 1
     failed_floor = check_engine_floors(engine)

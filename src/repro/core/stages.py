@@ -246,8 +246,8 @@ class DatabaseStage:
     def miss_probability(self, n_keys: float) -> float:
         """``P(K > 0) = 1 - (1 - r)^N`` (eq. (17))."""
         n_keys = _require_count(n_keys)
-        if self._r == 0.0:
-            return 0.0
+        if self._r in (0.0, 1.0):  # log1p(-1) is undefined at r = 1
+            return self._r
         return -math.expm1(n_keys * math.log1p(-self._r))
 
     def expected_misses(self, n_keys: float) -> float:

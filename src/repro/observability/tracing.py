@@ -5,9 +5,15 @@ which server pushed this request past the 99th percentile*. Each
 completed request leaves a tree of spans (request → key → network /
 queue / service / database) stamped in simulated time, with attributes
 such as the server index, hit/miss, and the queue depth seen at
-enqueue. Retention is bounded two ways so tracing can stay on for
-arbitrarily long runs: a ring buffer of the most recent roots and a
-min-heap of the slowest-K requests ever observed.
+enqueue. Two retention sets pick the roots kept: a ring buffer of the
+most recent roots and a min-heap of the slowest-K requests ever
+observed.
+
+Span trees are a view: the event engine hands the tracer one root per
+completed request when the run ends, and a retained root's key
+subtrees are built from the engine's rows when first read. Retention
+rests on those rows (one per key, which the metrics and timeline read
+too), not on a live span tree per key.
 """
 
 from __future__ import annotations
@@ -15,9 +21,19 @@ from __future__ import annotations
 import collections
 import heapq
 import itertools
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..errors import ValidationError
+
+#: One key (or policy attempt): ``(name, server, out, depth, hit,
+#: served, fetched, back, end)``, with the network hops ``out``/``back``
+#: as ``(start, end)``, the server and database stays ``served``/
+#: ``fetched`` as ``(arrival, start, finish)``, and ``None`` for what it
+#: never reached (``hit`` too when it was served after being cancelled).
+KeyRow = tuple
+
+#: Maps request ids to their keys' :data:`KeyRow` lists, in launch order.
+KeySource = Callable[[Set[int]], Dict[int, List[KeyRow]]]
 
 
 class Span:
@@ -105,13 +121,34 @@ class Span:
         return f"Span({self.name!r}, [{self.start:.6g}, {end}], {len(self.children)} children)"
 
 
+def _key_span(root: Span, row: KeyRow) -> None:
+    """Attach one :data:`KeyRow` to ``root`` as a key span."""
+    name, server, out, depth, hit, served, fetched, back, end = row
+    span = root.child("key", out[0], key=name, server=server)
+    span.child("network.out", out[0], end=out[1])
+    if depth is not None:
+        span.attributes["queue_depth_at_enqueue"] = depth
+    if hit is not None:
+        span.attributes["hit"] = hit
+        arrival, start, finish = served
+        span.child("queue", arrival, end=start)
+        span.child("service", start, end=finish)
+    if fetched is not None:
+        arrival, start, finish = fetched
+        span.child("database", arrival, end=finish, wait=start - arrival)
+    if back is not None:
+        span.child("network.in", back[0], end=back[1])
+    if end is not None:
+        span.finish(end)
+
+
 class Tracer:
     """Collects finished request roots under two retention policies.
 
     ``capacity`` bounds the ring buffer of recent requests;
     ``slowest_k`` bounds the all-time slowest set. Both are O(log K)
-    per finished request and O(1) memory, so tracing every request of a
-    multi-hour run is safe.
+    per finished request; the rows a retained root's key subtrees are
+    built from are held until it is read (see :meth:`defer_keys`).
     """
 
     def __init__(self, *, capacity: int = 1024, slowest_k: int = 10) -> None:
@@ -128,6 +165,9 @@ class Tracer:
         self._seq = itertools.count()
         self._started = 0
         self._finished = 0
+        # Retained roots whose key subtrees are still to be built, by
+        # id, with the source of their key rows.
+        self._unbuilt: Dict[int, Tuple[Span, KeySource]] = {}
 
     # ------------------------------------------------------------------
 
@@ -168,11 +208,36 @@ class Tracer:
         elif entry[0] > self._slow[0][0]:
             heapq.heapreplace(self._slow, entry)
 
+    def defer_keys(self, source: KeySource) -> None:
+        """Build the key subtrees of the retained roots that have none
+        from ``source`` (given their ``request_id`` attributes) when
+        first read. Roots no longer retained, and their sources, are
+        dropped."""
+        self._unbuilt = {
+            id(span): self._unbuilt.get(id(span), (span, source))
+            for span in itertools.chain(self._recent, (e[2] for e in self._slow))
+            if not span.children
+        }
+
+    def _built(self, spans: List[Span]) -> List[Span]:
+        """``spans``, each with its key subtrees."""
+        pending: Dict[KeySource, List[Span]] = {}
+        for span in spans:
+            entry = self._unbuilt.pop(id(span), None)
+            if entry is not None:
+                pending.setdefault(entry[1], []).append(span)
+        for source, roots in pending.items():
+            keys = source({root.attributes["request_id"] for root in roots})
+            for root in roots:
+                for row in keys[root.attributes["request_id"]]:
+                    _key_span(root, row)
+        return spans
+
     # ------------------------------------------------------------------
 
     def recent(self) -> List[Span]:
         """The ring buffer, oldest first."""
-        return list(self._recent)
+        return self._built(list(self._recent))
 
     def slowest(self, k: Optional[int] = None) -> List[Span]:
         """The retained slowest requests, slowest first."""
@@ -180,11 +245,12 @@ class Tracer:
         spans = [span for _, _, span in ranked]
         if k is not None:
             spans = spans[:k]
-        return spans
+        return self._built(spans)
 
     def reset(self) -> None:
         """Drop retained spans (counters restart too)."""
         self._recent.clear()
         self._slow.clear()
+        self._unbuilt.clear()
         self._started = 0
         self._finished = 0

@@ -7,14 +7,7 @@
   simulation for the paper's validation sweeps.
 """
 
-from .arrivals import (
-    Batch,
-    BatchArrivalProcess,
-    PoissonProcess,
-    TimeVaryingPoissonProcess,
-    TraceReplay,
-    generate_batches,
-)
+from .arrivals import Batch, BatchArrivalProcess, TimeVaryingPoissonProcess
 from .database import DatabaseSim
 from .engine import EventHandle, Simulator
 from .fastpath import (
@@ -43,7 +36,6 @@ __all__ = [
     "LatencyRecorder",
     "MemcachedSystemSimulator",
     "NetworkSim",
-    "PoissonProcess",
     "RequestSample",
     "ServerSim",
     "SimulationResult",
@@ -52,11 +44,9 @@ __all__ = [
     "SummaryStats",
     "SystemResults",
     "TimeVaryingPoissonProcess",
-    "TraceReplay",
     "UtilizationMeter",
     "expected_max_from_pool",
     "expected_max_from_pools",
-    "generate_batches",
     "lindley_waits",
     "sample_request_latencies",
     "simulate_batch_times",

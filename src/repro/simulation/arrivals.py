@@ -2,14 +2,14 @@
 
 :class:`BatchArrivalProcess` reproduces the paper's workload: batch gaps
 from any :class:`~repro.distributions.Distribution` (Generalized Pareto
-for the Facebook model) and geometric batch sizes. A Poisson process and
-a trace replayer round out the set.
+for the Facebook model) and geometric batch sizes.
+:class:`TimeVaryingPoissonProcess` drives diurnal load curves.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from ..core.workload import WorkloadPattern
 from ..distributions import (
     DiscreteDistribution,
     Distribution,
-    Exponential,
     FixedCount,
     RandomWindow,
     split_rng,
@@ -149,34 +148,6 @@ class BatchArrivalProcess:
             self._schedule_window()
 
 
-class PoissonProcess(BatchArrivalProcess):
-    """Single arrivals with exponential gaps (the M in M/M/1)."""
-
-    def __init__(self, rate: float, rng: np.random.Generator) -> None:
-        super().__init__(Exponential(rate), FixedCount(1), rng)
-
-
-def generate_batches(
-    gap: Distribution,
-    batch_size: DiscreteDistribution,
-    rng: np.random.Generator,
-    *,
-    n_batches: int,
-) -> Iterator[Batch]:
-    """Offline batch generation (no engine): an iterator of batches.
-
-    Times start at the first gap (stationary renewal convention used by
-    the fast-path simulator).
-    """
-    if n_batches < 1:
-        raise ValidationError(f"n_batches must be >= 1, got {n_batches}")
-    gaps = np.asarray(gap.sample(rng, n_batches), dtype=float)
-    sizes = np.asarray(batch_size.sample(rng, n_batches), dtype=np.int64)
-    times = np.cumsum(gaps)
-    for time, size in zip(times, sizes):
-        yield Batch(time=float(time), size=int(size))
-
-
 class TimeVaryingPoissonProcess:
     """Non-homogeneous Poisson arrivals via Lewis-Shedler thinning.
 
@@ -260,30 +231,3 @@ class TimeVaryingPoissonProcess:
             self._sink(now, size)
         self._schedule_candidate()
 
-
-class TraceReplay:
-    """Replays a recorded (timestamp, batch-size) trace into the engine."""
-
-    def __init__(self, batches: Sequence[Batch]) -> None:
-        self._batches = sorted(batches, key=lambda b: b.time)
-        if any(b.size < 1 for b in self._batches):
-            raise ValidationError("batch sizes must be >= 1")
-
-    def start(self, sim: Simulator, sink: BatchSink) -> None:
-        """Schedule the whole trace as one event batch.
-
-        The records are already sorted, so the trace rides a single
-        scheduler entry (:meth:`Simulator.schedule_batch`) instead of
-        one event object per record — replaying a million-record trace
-        allocates O(1) scheduler state.
-        """
-        batches = self._batches
-        if not batches:
-            return
-        sim.schedule_batch(
-            [batch.time for batch in batches],
-            lambda i: sink(batches[i].time, batches[i].size),
-        )
-
-    def __len__(self) -> int:
-        return len(self._batches)

@@ -31,7 +31,8 @@ model-robustness ablations.
 
 An observed queue keeps one :class:`QueueLog` of plain rows, and every
 per-queue view (the timeline's stage series, the registry's wait,
-service and depth histograms) is derived from it when the run ends.
+service and depth histograms, the tracer's key spans) is derived from
+it when the run ends.
 """
 
 from __future__ import annotations
@@ -63,20 +64,27 @@ class QueueLog:
     (they consumed capacity). ``batches`` holds one ``(ahead, size)``
     row per offered batch, ``ahead`` being the keys queued or in
     service when it arrived: key ``i`` of the batch saw ``ahead + i``
-    keys ahead of it. ``jobs`` may be a list shared with another
-    consumer, such as a timeline stage sink.
+    keys ahead of it. ``payloads`` tags each batch row with its shared
+    payload (``None`` for per-key contexts); such keys are never
+    dropped, so their job rows follow their batch rows' order.
+    :meth:`mark` sets where :meth:`since_mark` starts reading.
     """
 
-    __slots__ = ("jobs", "batches")
+    __slots__ = ("jobs", "batches", "payloads", "job_mark", "batch_mark")
 
-    def __init__(self, jobs: Optional[list] = None) -> None:
-        self.jobs: list = [] if jobs is None else jobs
+    def __init__(self) -> None:
+        self.jobs: list = []
         self.batches: list = []
+        self.payloads: list = []
+        self.job_mark = 0
+        self.batch_mark = 0
 
-    def clear(self) -> None:
-        """Drop every row in place (e.g. at the warmup boundary)."""
-        self.jobs.clear()
-        self.batches.clear()
+    def mark(self) -> None:
+        self.job_mark, self.batch_mark = len(self.jobs), len(self.batches)
+
+    def since_mark(self) -> tuple:
+        """The ``(jobs, batches)`` rows logged since the last mark."""
+        return self.jobs[self.job_mark :], self.batches[self.batch_mark :]
 
 
 class ServerSim:
@@ -115,6 +123,7 @@ class ServerSim:
         # dispatch); what they mean is worked out at run end.
         self._log_job = log.jobs.append if log is not None else None
         self._log_batch = log.batches.append if log is not None else None
+        self._log_payload = log.payloads.append if log is not None else None
         # Fault hooks. ``rate_factor(t)`` scales the service *rate* for
         # keys starting at t (a sampled service time is divided by it);
         # ``pause_until(t)`` returns when a pause covering t lifts (t
@@ -191,14 +200,16 @@ class ServerSim:
             raise ValidationError("contexts must match the batch size")
         if self._log_batch is not None:
             self._log_batch((self.depth, size))
+            self._log_payload(context)
         self._offered += size
         self._queue.append([now, contexts, context, 0, size])
         if self._arrival is None:
             self._start_next()
 
     def offer_key(self, now: float, *, context: object = None) -> None:
-        """Enqueue a single key (batch of one) with its own ``context``."""
-        self.offer_batch(now, 1, contexts=[context])
+        """Enqueue a single key (batch of one) with its own ``context``,
+        which also tags its batch row."""
+        self.offer_batch(now, 1, contexts=[context], context=context)
 
     # ------------------------------------------------------------------
 

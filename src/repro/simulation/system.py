@@ -9,9 +9,9 @@ Models the paper's Fig. 1 end to end on the event engine:
 3. Each key crosses the network (constant delay), queues FIFO at its
    server, and is served ``Exp(muS)``. A request's keys for one server
    travel and queue as one batch, one queue entry; without a request
-   policy, cache backend or tracer they have no per-key objects at all
-   and share the request as their payload, and the server schedules
-   the batch's finishes as one run once its head key starts.
+   policy or cache backend they have no per-key objects at all and
+   share the request as their payload, and the server schedules the
+   batch's finishes as one run once its head key starts.
 4. A miss (Bernoulli ``r`` drawn from the simulator's own uniform
    window, or a *real* cache lookup when a cache backend is attached)
    relays the key to the M/M/1 database. The k-th served key misses
@@ -26,7 +26,10 @@ Models the paper's Fig. 1 end to end on the event engine:
    per-request view is derived from that record: the timeline,
    registry histograms and attribution when the run ends, the stage
    recorders and request log of the returned
-   :class:`~repro.simulation.results.SystemResults` on first read.
+   :class:`~repro.simulation.results.SystemResults` on first read. The
+   tracer gets one root per record row; a retained root's key spans
+   are built on first read from the queue logs' rows, or from the
+   instants a policy attempt or cache-backend key keeps on its context.
    The constant network delay keeps FIFO order, so without a
    request policy a key's return hop is accounted when it leaves its
    server and schedules no event: the request's last key schedules the
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 import dataclasses
 from functools import partial
-from typing import Dict, List, Optional, Protocol
+from typing import Dict, List, Optional, Protocol, Set
 
 import numpy as np
 
@@ -58,7 +61,7 @@ from ..core.workload import WorkloadPattern
 
 from ..errors import SimulationError, ValidationError
 from ..faults import FaultSchedule
-from ..observability import MetricsRegistry, Observability, Span
+from ..observability import MetricsRegistry, Observability
 from ..observability.attribution import _FLUSH_CHUNK, RECORD_FIELDS, _row_matrix
 from ..policies import RequestPolicy
 from .database import DatabaseSim
@@ -112,17 +115,53 @@ def _flush_sojourns(
 
 
 def _fill_queue_metrics(registry: MetricsRegistry, name: str, log: QueueLog) -> None:
-    """Derive one queue's registry collectors from its log's rows:
-    ``{name}.wait``/``.service`` per finished key, and per offered key
-    ``{name}.queue_depth`` (the keys ahead of it) and ``.arrivals``."""
-    arrival, start, finish = _row_matrix(log.jobs, 3).T
+    """Derive one queue's registry collectors from its log's rows since
+    the mark: ``{name}.wait``/``.service`` per finished key, and per
+    offered key ``{name}.queue_depth`` (the keys ahead of it) and
+    ``.arrivals``."""
+    jobs, batches = log.since_mark()
+    arrival, start, finish = _row_matrix(jobs, 3).T
     registry.histogram(f"{name}.wait").record_many(start - arrival)
     registry.histogram(f"{name}.service").record_many(finish - start)
-    ahead, size = _row_matrix(log.batches, 2).astype(np.int64).T
+    ahead, size = _row_matrix(batches, 2).astype(np.int64).T
     first = np.cumsum(size) - size  # each batch's first key
     depth = np.repeat(ahead - first, size) + np.arange(size.sum())
     registry.histogram(f"{name}.queue_depth", min_value=1.0).record_many(depth)
     registry.counter(f"{name}.arrivals").inc(int(size.sum()))
+
+
+def _logged_keys(
+    servers: List[QueueLog],
+    database: Optional[QueueLog],
+    n_keys: int,
+    delay: float,
+    request_ids: Set[int],
+) -> Dict[int, list]:
+    """Tracer key rows of the finished requests ``request_ids`` of a run
+    without key contexts, from every row of its queue logs: a request
+    sends one batch per server in server order, served in key order,
+    and a missed key's database row arrives at its server finish."""
+    fetched = {}
+    if database is not None:
+        for row, request in zip(database.jobs, database.payloads):
+            if request.request_id in request_ids:
+                fetched[request.request_id, row[0]] = row
+    keys: Dict[int, list] = {request_id: [] for request_id in request_ids}
+    for server, log in enumerate(servers):
+        first = 0
+        for (ahead, size), request in zip(log.batches, log.payloads):
+            request_id = request.request_id
+            rows = keys.get(request_id)
+            if rows is not None:
+                out = (request.born, request.born + delay)
+                for i, served in enumerate(log.jobs[first : first + size]):
+                    row = fetched.get((request_id, served[2]))
+                    left = served[2] if row is None else row[2]
+                    name = f"r{request_id}k{request_id * n_keys + len(rows)}"
+                    rows.append((name, server, out, ahead + i, row is None,
+                                 served, row, (left, left + delay), left + delay))
+            first += size
+    return keys
 
 
 class CacheBackend(Protocol):
@@ -145,7 +184,6 @@ class _RequestState:
     #: alongside the maxima (no extra RNG, no extra events).
     server_wait: float = 0.0
     database_wait: float = 0.0
-    span: Optional[Span] = None
 
 
 @dataclasses.dataclass
@@ -169,15 +207,13 @@ class _KeyState:
 @dataclasses.dataclass
 class _KeyContext:
     """One key (or one policy attempt) that something reads per key: a
-    policy's state machine, the cache backend's key name or the tracer's
-    key span. Other keys have no context; their batch shares its
-    request as the payload the server hands back."""
+    policy's state machine or the cache backend's key name. Other keys
+    have no context; their batch shares its request as the payload the
+    server hands back."""
 
     request: _RequestState
     key_name: Optional[str]
     server_index: int
-    network_so_far: float = 0.0
-    span: Optional[Span] = None
     # Policy-path fields (inert when no policy is attached).
     state: Optional[_KeyState] = None
     #: The client gave up on this attempt: whatever it returns is spent
@@ -186,14 +222,20 @@ class _KeyContext:
     #: Read by the queue holding the attempt: cancelled while queued
     #: there, so it is dropped when it reaches the head.
     abandoned: bool = False
-    server_sojourn: float = 0.0
-    database_sojourn: float = 0.0
-    server_wait: float = 0.0
-    database_wait: float = 0.0
     #: Simulation time this attempt left the client (== request.born
     #: for primaries; later for hedges/retries). The gap is the policy
     #: overhead on the critical path when this attempt finishes last.
     launched: float = 0.0
+    # Set as they happen (None until then): keys ahead at enqueue, the
+    # server and database (arrival, start, finish) and hit flag while
+    # the client still wants it, and when the value left its last stage
+    # and reached the client. A policy's winner is accounted from these.
+    depth: Optional[int] = None
+    served: Optional[tuple] = None
+    hit: Optional[bool] = None
+    fetched: Optional[tuple] = None
+    left: Optional[float] = None
+    returned: Optional[float] = None
 
 
 class MemcachedSystemSimulator:
@@ -311,17 +353,14 @@ class MemcachedSystemSimulator:
             return hooks
 
         # Observed queues log plain rows; run() derives the registry's
-        # per-queue collectors from them, and a timeline stage sink is
-        # the log's job list itself. Keyed by registry name.
+        # per-queue collectors, the timeline's stage series and the
+        # tracer's key spans from them. Keyed by registry name.
         self._queue_logs: Dict[str, QueueLog] = {}
 
-        def queue_log(name: str, stage: str) -> Optional[QueueLog]:
-            if registry is None and self._timeline is None:
+        def queue_log(name: str) -> Optional[QueueLog]:
+            if registry is None and self._timeline is None and self._tracer is None:
                 return None
-            log = QueueLog(
-                self._timeline.stage_sink(stage) if self._timeline is not None else None
-            )
-            self._queue_logs[name] = log
+            log = self._queue_logs[name] = QueueLog()
             return log
 
         self._network = NetworkSim.constant(self.sim, self._network_delay)
@@ -332,7 +371,7 @@ class MemcachedSystemSimulator:
                 server_rngs[j],
                 name=f"server-{j}",
                 on_complete=self._on_server_complete,
-                log=queue_log(f"server-{j}", f"server.{j}"),
+                log=queue_log(f"server-{j}"),
                 **fault_hooks(j),
             )
             for j in range(cluster.n_servers)
@@ -351,7 +390,7 @@ class MemcachedSystemSimulator:
                     if faults is not None and faults.has_database_overloads
                     else None
                 ),
-                log=queue_log("database", "database"),
+                log=queue_log("database"),
             )
             if needs_db
             else None
@@ -360,6 +399,10 @@ class MemcachedSystemSimulator:
         # tracer's key spans; the Bernoulli miss model reads neither.
         self._named_keys = cache_backend is not None or self._tracer is not None
         self._cache: Optional[CacheBackend] = cache_backend
+        # Every key context in launch order, for the tracer's key spans.
+        self._traced_contexts: Optional[List[_KeyContext]] = (
+            [] if self._tracer is not None else None
+        )
         # Without a cache backend a key misses with probability r: the
         # served key of rank k (its _keys_processed count) misses when
         # the k-th uniform of this window's stream is below r. The miss
@@ -477,13 +520,6 @@ class MemcachedSystemSimulator:
             pending=self._n_keys,
         )
         self._next_request_id += 1
-        if self._tracer is not None:
-            request.span = self._tracer.start_request(
-                "request",
-                self.sim.now,
-                request_id=request.request_id,
-                n_keys=self._n_keys,
-            )
         routing_window = self._routing_window
         if routing_window is not None:
             counts = routing_window.get()
@@ -522,7 +558,8 @@ class MemcachedSystemSimulator:
 
     def _key_names(self, request: _RequestState, count: int) -> list:
         """Names of the next ``count`` keys, or ``None`` each when
-        neither a cache backend nor the tracer reads them."""
+        neither a cache backend nor the tracer reads them. The key of
+        launch position ``i`` in request ``R`` is ``rRk{R*N + i}``."""
         first = self._generated_keys
         self._generated_keys = first + count
         if not self._named_keys:
@@ -620,10 +657,10 @@ class MemcachedSystemSimulator:
         they left the client together, so they arrive together.
 
         Policy attempts come with their ``contexts``. Without a policy a
-        key gets a context only when a cache backend or the tracer reads
-        its name; otherwise the batch's keys share the request.
+        key gets a context only when a cache backend reads its name;
+        otherwise the batch's keys share the request.
         """
-        if contexts is None and self._named_keys:
+        if contexts is None and self._cache is not None:
             contexts = [
                 _KeyContext(
                     request=request,
@@ -640,36 +677,19 @@ class MemcachedSystemSimulator:
             if contexts is None:
                 server.offer_batch(now, count, context=request)
                 return
-            if contexts[0].span is not None:
-                # Queue depth every key of the batch sees at enqueue:
-                # earlier batch members count as ahead of later ones.
-                base_depth = server.depth
-                for position, context in enumerate(contexts):
-                    context.span.attributes["queue_depth_at_enqueue"] = (
-                        base_depth + position
-                    )
-            if self._policy is not None:
-                # An attempt cancelled on the wire still reaches the
-                # server, which cannot know, and takes service; only one
-                # cancelled while queued is dropped at the head.
-                for context in contexts:
-                    context.abandoned = False
+            # Earlier batch members count as ahead of later ones. An
+            # attempt cancelled on the wire still reaches the server,
+            # which cannot know, and takes service; only one cancelled
+            # while queued is dropped at the head.
+            ahead = server.depth
+            for position, context in enumerate(contexts):
+                context.depth = ahead + position
+                context.abandoned = False
             server.offer_batch(now, count, contexts=contexts)
 
-        delay = self._network.send(deliver)
-        if contexts is None:
-            return
-        now = self.sim.now
-        for context in contexts:
-            context.network_so_far += delay
-            if request.span is not None:
-                context.span = request.span.child(
-                    "key",
-                    now,
-                    key=context.key_name,
-                    server=server_index,
-                )
-                context.span.child("network.out", now, end=now + delay)
+        self._network.send(deliver)
+        if contexts is not None and self._traced_contexts is not None:
+            self._traced_contexts.extend(contexts)
 
     # ------------------------------------------------------------------
     # Completion plumbing.
@@ -680,11 +700,11 @@ class MemcachedSystemSimulator:
     ) -> None:
         sojourn = finish - arrival
         if context.__class__ is _RequestState:
-            # A key of a batch sharing its request: policy-free, unnamed
-            # and untraced, so this is its whole path, with _return_hop
-            # inlined (about 6% of an engine-plain op). ">=" keeps the
-            # same float as max() while carrying the wait split of the
-            # max-attaining key for attribution.
+            # A key of a batch sharing its request: policy-free and
+            # without a cache backend, so this is its whole path, with
+            # _return_hop inlined (about 6% of an engine-plain op). ">="
+            # keeps the same float as max() while carrying the wait
+            # split of the max-attaining key for attribution.
             request = context
             if sojourn >= request.max_server:
                 request.max_server = sojourn
@@ -712,25 +732,18 @@ class MemcachedSystemSimulator:
             # capacity is spent, but it contributes nothing further.
             return
         request = context.request
-        if context.state is None:
-            if sojourn >= request.max_server:
-                request.max_server = sojourn
-                request.server_wait = start - arrival
-        else:
-            context.server_sojourn = sojourn
-            context.server_wait = start - arrival
+        if context.state is None and sojourn >= request.max_server:
+            request.max_server = sojourn
+            request.server_wait = start - arrival
+        context.served = (arrival, start, finish)
         self._key_sojourns.append(sojourn)
         rank = self._keys_processed
         self._keys_processed = rank + 1
         if self._cache is None:
             hit = rank != self._next_miss or not self._miss_at(rank)
         else:
-            hit = self._cache.lookup(context.server_index, context.key_name)
-        span = context.span
-        if span is not None:
-            span.attributes["hit"] = bool(hit)
-            span.child("queue", arrival, end=start)
-            span.child("service", start, end=finish)
+            hit = bool(self._cache.lookup(context.server_index, context.key_name))
+        context.hit = hit
         if not hit:
             self._misses += 1
             if self._database is not None:
@@ -771,42 +784,31 @@ class MemcachedSystemSimulator:
     ) -> None:
         if context.__class__ is _RequestState:
             request = context
-            context = None
         elif context.cancelled:
             return
         else:
+            context.fetched = (arrival, start, finish)
             request = context.request
-        sojourn = finish - arrival
-        if context is None or context.state is None:
+        if request is context or context.state is None:
+            sojourn = finish - arrival
             if sojourn >= request.max_database:
                 request.max_database = sojourn
                 request.database_wait = start - arrival
-        else:
-            context.database_sojourn = sojourn
-            context.database_wait = start - arrival
-        if context is None:
+        if request is context:
             self._return_hop(request)
-            return
-        if context.span is not None:
-            context.span.child("database", arrival, end=finish, wait=start - arrival)
-        self._finish_key(context)
+        else:
+            self._finish_key(context)
 
     def _finish_key(self, context: _KeyContext) -> None:
         """A key with a context leaves its last stage for the client."""
+        now = self.sim.now
+        context.left = now
         if context.state is not None:
             # Policy path: the return hop is an event of its own, since
             # timers and cancel-on-winner act on in-flight keys.
-            delay = self._network.send(partial(self._key_done, context))
-            context.network_so_far += delay
-            if context.span is not None:
-                now = self.sim.now
-                context.span.child("network.in", now, end=now + delay)
+            self._network.send(partial(self._key_done, context))
             return
-        delay = self._return_hop(context.request)
-        if context.span is not None:
-            now = self.sim.now
-            context.span.child("network.in", now, end=now + delay)
-            context.span.finish(now + delay)
+        context.returned = now + self._return_hop(context.request)
 
     def _return_hop(self, request: _RequestState) -> float:
         """A policy-free key's value leaves for the client; returns the
@@ -834,11 +836,10 @@ class MemcachedSystemSimulator:
         """A policy attempt's value arrived back at the client."""
         request = context.request
         state = context.state
+        context.returned = self.sim.now
         if context.cancelled or state.done:
             # A losing attempt arriving after the key resolved (or after
             # its timeout): spent load, nothing to record.
-            if context.span is not None:
-                context.span.finish(self.sim.now)
             return
         state.done = True
         self._cancel_timers(state)
@@ -848,18 +849,22 @@ class MemcachedSystemSimulator:
                     self._abandon_attempt(attempt)
         # Only the winning attempt's stage times shape the request's
         # fork-join maxima — exactly what the client observed.
-        if context.server_sojourn >= request.max_server:
-            request.max_server = context.server_sojourn
-            request.server_wait = context.server_wait
-        if context.database_sojourn >= request.max_database:
-            request.max_database = context.database_sojourn
-            request.database_wait = context.database_wait
-        request.max_network = max(request.max_network, context.network_so_far)
+        arrival, start, finish = context.served
+        sojourn = finish - arrival
+        if sojourn >= request.max_server:
+            request.max_server = sojourn
+            request.server_wait = start - arrival
+        if context.fetched is not None:
+            arrival, start, finish = context.fetched
+            sojourn = finish - arrival
+            if sojourn >= request.max_database:
+                request.max_database = sojourn
+                request.database_wait = start - arrival
+        delay = self._network_delay
+        request.max_network = max(request.max_network, delay + delay)
         request.pending -= 1
         if request.pending < 0:  # pragma: no cover - defensive
             raise SimulationError("request completed more keys than it has")
-        if context.span is not None:
-            context.span.finish(self.sim.now)
         if request.pending == 0:
             self._complete_request(request, context.launched)
 
@@ -887,8 +892,6 @@ class MemcachedSystemSimulator:
             rows.clear()
         if len(self._key_sojourns) >= _PER_KEY_CHUNK:
             _flush_sojourns(self._per_key_server, self._key_sojourns, self._registry)
-        if request.span is not None:
-            self._tracer.finish_request(request.span, now)
         self._completed_requests += 1
         if self._completed_requests == self._warmup_target:
             self._reset_recorders()
@@ -936,16 +939,19 @@ class MemcachedSystemSimulator:
             )
             registry.counter("keys.missed").inc(self._misses - self._misses_offset)
         meta = {"backend": "simulate"}
-        timeline = (
-            self._timeline.build(
+        timeline = None
+        if self._timeline is not None:
+            for name, log in self._queue_logs.items():
+                stage = name.replace("-", ".")  # server-j -> server.j
+                self._timeline.stage_sink(stage).extend(log.since_mark()[0])
+            timeline = self._timeline.build(
                 born=column["born"],
                 completed=column["completed"],
                 end=self.sim.now,
                 meta=meta,
             )
-            if self._timeline is not None
-            else None
-        )
+        if self._tracer is not None:
+            self._trace(column)
         attribution = None
         if self._attr is not None:
             self._attr.record_matrix(record)
@@ -963,6 +969,37 @@ class MemcachedSystemSimulator:
             timeline=timeline,
             attribution=attribution,
         )
+
+    def _trace(self, column: Dict[str, np.ndarray]) -> None:
+        """Hand the tracer one root per record row, in completion order,
+        and the source of their key rows."""
+        tracer = self._tracer
+        fields = ("request_id", "born", "completed")
+        for request_id, born, completed in zip(*(column[f].tolist() for f in fields)):
+            root = tracer.start_request(
+                "request", born, request_id=int(request_id), n_keys=self._n_keys
+            )
+            tracer.finish_request(root, completed)
+        delay = self._network_delay
+        if not self._traced_contexts:
+            logs = self._queue_logs
+            servers = [logs[f"server-{j}"] for j in range(len(self._servers))]
+            tracer.defer_keys(
+                partial(_logged_keys, servers, logs.get("database"), self._n_keys, delay)
+            )
+            return
+        # Only finished requests are traced; their key states hold no
+        # timers, so the rows keep nothing of the engine.
+        keys: Dict[int, list] = {}
+        for c in self._traced_contexts:
+            if c.request.pending == 0:
+                out = (c.launched, c.launched + delay)
+                back = None if c.left is None else (c.left, c.left + delay)
+                keys.setdefault(c.request.request_id, []).append(
+                    (c.key_name, c.server_index, out, c.depth, c.hit,
+                     c.served, c.fetched, back, c.returned)
+                )
+        tracer.defer_keys(lambda request_ids: keys)
 
     def _release(self) -> None:
         """Break the run's reference cycles, so a finished simulator is
@@ -983,10 +1020,10 @@ class MemcachedSystemSimulator:
         self._misses_offset = self._misses
         self._per_key_server = LatencyRecorder(max_samples=_PER_KEY_SAMPLES)
         self._key_sojourns.clear()
-        # The queue logs (and with them the timeline's stage sinks) are
-        # cleared in place: the queues hold their bound appends.
+        # The queue logs are marked, not cleared: the tracer reads the
+        # keys a request in flight across the boundary logged before it.
         for log in self._queue_logs.values():
-            log.clear()
+            log.mark()
         if self.observability is not None:
             self.observability.reset()
         if self._timeline is not None:

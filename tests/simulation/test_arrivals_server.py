@@ -17,15 +17,7 @@ from repro.distributions import (
 from repro.errors import SimulationError, ValidationError
 from repro.observability import MetricsRegistry
 from repro.queueing import MG1Queue
-from repro.simulation import (
-    Batch,
-    BatchArrivalProcess,
-    PoissonProcess,
-    ServerSim,
-    Simulator,
-    TraceReplay,
-    generate_batches,
-)
+from repro.simulation import BatchArrivalProcess, ServerSim, Simulator
 from repro.simulation.scheduler import HeapScheduler
 from repro.simulation.server import QueueLog
 from repro.simulation.system import _fill_queue_metrics
@@ -73,13 +65,6 @@ class TestBatchArrivalProcess:
         workload = WorkloadPattern.facebook()
         process = BatchArrivalProcess.from_workload(workload, rng)
         assert process._gap.rate == pytest.approx(workload.batch_rate)
-
-    def test_poisson_process_single_arrivals(self, rng):
-        sim = Simulator()
-        sizes = []
-        PoissonProcess(500.0, rng).start(sim, lambda t, size: sizes.append(size))
-        sim.run_until(1.0)
-        assert all(size == 1 for size in sizes)
 
 
 class TestWindowedBatchArrivals:
@@ -138,56 +123,6 @@ class TestWindowedBatchArrivals:
     def test_window_must_be_positive(self):
         with pytest.raises(ValidationError):
             self.make_process(1, window=0)
-
-
-class TestGenerateBatches:
-    def test_offline_generation(self, rng):
-        batches = list(
-            generate_batches(Exponential(100.0), Geometric(0.3), rng, n_batches=500)
-        )
-        assert len(batches) == 500
-        times = [b.time for b in batches]
-        assert times == sorted(times)
-        mean_size = np.mean([b.size for b in batches])
-        assert mean_size == pytest.approx(1 / 0.7, rel=0.1)
-
-    def test_rejects_zero_batches(self, rng):
-        with pytest.raises(ValidationError):
-            list(generate_batches(Exponential(1.0), FixedCount(1), rng, n_batches=0))
-
-
-class TestTraceReplay:
-    def test_replays_in_order(self):
-        sim = Simulator()
-        received = []
-        trace = TraceReplay(
-            [Batch(time=0.2, size=2), Batch(time=0.1, size=1)]
-        )
-        trace.start(sim, lambda t, size: received.append((t, size)))
-        sim.run()
-        assert received == [(0.1, 1), (0.2, 2)]
-        assert len(trace) == 2
-
-    def test_rejects_bad_sizes(self):
-        with pytest.raises(ValidationError):
-            TraceReplay([Batch(time=0.1, size=0)])
-
-    def test_whole_trace_rides_one_scheduler_entry(self):
-        sim = Simulator()
-        trace = TraceReplay(
-            [Batch(time=0.1 * (k + 1), size=1) for k in range(500)]
-        )
-        trace.start(sim, lambda t, size: None)
-        assert sim.scheduler_entries == 1
-        assert sim.pending_events == 500
-        sim.run()
-        assert sim.events_processed == 500
-
-    def test_empty_trace_is_noop(self):
-        sim = Simulator()
-        TraceReplay([]).start(sim, lambda t, size: None)
-        sim.run()
-        assert sim.events_processed == 0
 
 
 def recording_server(sim, rate, seed, **kwargs):
@@ -374,7 +309,7 @@ class TestServerSim:
                 finish - arrival
             ),
         )
-        arrivals = PoissonProcess(600.0, rng)
+        arrivals = BatchArrivalProcess(Exponential(600.0), FixedCount(1), rng)
         arrivals.start(sim, lambda t, size: server.offer_batch(t, size))
         sim.run_until(200.0)
         # M/M/1: E[T] = 1/(mu - lam) = 2.5 ms.
@@ -391,7 +326,7 @@ class TestServerSim:
                 finish - arrival
             ),
         )
-        PoissonProcess(800.0, rng).start(
+        BatchArrivalProcess(Exponential(800.0), FixedCount(1), rng).start(
             sim, lambda t, size: server.offer_batch(t, size)
         )
         sim.run_until(100.0)
@@ -401,7 +336,7 @@ class TestServerSim:
     def test_utilization_measured(self, rng):
         sim = Simulator()
         server = ServerSim.exponential(sim, 1000.0, rng)
-        arrivals = PoissonProcess(500.0, rng)
+        arrivals = BatchArrivalProcess(Exponential(500.0), FixedCount(1), rng)
         arrivals.start(sim, lambda t, size: server.offer_batch(t, size))
         sim.run_until(100.0)
         assert server.utilization_meter.utilization(sim.now) == pytest.approx(

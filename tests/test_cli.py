@@ -30,6 +30,13 @@ class TestEstimate:
         assert "dominant stage" in out
         assert "delta" in out
 
+    def test_every_key_missing_prints_the_table(self, capsys):
+        # At r = 1 the database stage is hit on every request.
+        assert main(["estimate", "--miss-ratio", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "T(150)" in out
+        assert "dominant stage: database" in out
+
 
 class TestSweep:
     def test_q_sweep(self, capsys):
