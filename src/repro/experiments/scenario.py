@@ -47,7 +47,7 @@ from ..simulation.fastpath import (
     sample_timeline,
 )
 from ..simulation.fastpath_system import simulate_system_requests
-from ..simulation.results import SimulationResult
+from ..simulation.results import SimulationResult, SystemResults
 
 #: Evaluation backends a scenario can dispatch to.
 BACKENDS = ("estimate", "simulate", "fastpath", "fastpath-system")
@@ -335,6 +335,19 @@ class Scenario:
         otherwise. A sink added to a supplied bundle is sized by the
         bundle's ``slowest_k``.
         """
+        results = self._simulate_results(
+            observability, timeline=timeline, attribution=attribution
+        )
+        return SimulationResult.from_system(results, n_keys=self.n_keys)
+
+    def _simulate_results(
+        self,
+        observability=None,
+        *,
+        timeline: object = None,
+        attribution: object = None,
+    ) -> SystemResults:
+        """The event engine's :class:`SystemResults` for :meth:`simulate`."""
         wants_timeline = (
             timeline is not None and TimelineSpec.coerce(timeline) is not None
         )
@@ -362,10 +375,9 @@ class Scenario:
                         attribution, slowest_k=observability.slowest_k
                     )
         system = self.simulator(observability=observability)
-        results = system.run(
+        return system.run(
             n_requests=self.n_requests, warmup_requests=self.warmup_requests
         )
-        return SimulationResult.from_system(results, n_keys=self.n_keys)
 
     def fastpath(
         self,
@@ -427,12 +439,22 @@ class Scenario:
         Lindley scans instead of events, so it sustains millions of
         simulated keys per second.
         """
+        results = self._fastpath_system_results(
+            timeline=timeline, attribution=attribution
+        )
+        return SimulationResult.from_system(results, n_keys=self.n_keys)
+
+    def _fastpath_system_results(
+        self, *, timeline: object = None, attribution: object = None
+    ) -> SystemResults:
+        """``fastpath-system``'s :class:`SystemResults` for
+        :meth:`fastpath_system`."""
         if self.policy is not None:
             raise ConfigError(
                 "the fastpath-system backend has no request-policy "
                 "semantics; run policies on the simulate backend"
             )
-        results = simulate_system_requests(
+        return simulate_system_requests(
             self.cluster().shares,
             self.service_rate,
             n_keys=self.n_keys,
@@ -447,7 +469,6 @@ class Scenario:
             timeline=timeline,
             attribution=attribution,
         )
-        return SimulationResult.from_system(results, n_keys=self.n_keys)
 
     def attribution_reference(self) -> Dict[str, float]:
         """Analytic per-group latency expectation, system-matched.
@@ -560,6 +581,12 @@ class Scenario:
         "fastpath-system": fastpath_system,
     }
 
+    #: The whole-system backends' runs, before the summary ``run`` adds.
+    _SYSTEM_RESULTS = {
+        "simulate": _simulate_results,
+        "fastpath-system": _fastpath_system_results,
+    }
+
     # ------------------------------------------------------------------
     # Windowed telemetry: one call, any backend, one schema.
     # ------------------------------------------------------------------
@@ -579,7 +606,9 @@ class Scenario:
         arrivals; ``estimate`` returns the model's constant-rate
         prediction (utilizations and occupancy from Theorem 1 /
         Little's law — no latency histograms, since the analytic
-        backend has no samples).
+        backend has no samples). On the whole-system backends it
+        returns the run's own timeline, without the summary statistics
+        :meth:`run` adds.
         """
         spec: object
         if window is not None or n_windows is not None:
@@ -593,7 +622,12 @@ class Scenario:
             return self._analytic_timeline(TimelineSpec.coerce(spec))
         if backend not in BACKENDS:
             raise ConfigError(f"unknown backend {backend!r} (have {BACKENDS})")
-        result = self.run(backend, timeline=spec, **options)
+        system = self._SYSTEM_RESULTS.get(backend)
+        if system is None:
+            result = self.run(backend, timeline=spec, **options)
+        else:
+            validate_options(backend, {"timeline": spec, **options})
+            result = system(self, timeline=spec, **options)
         if result.timeline is None:  # pragma: no cover - defensive
             raise ConfigError(f"backend {backend!r} produced no timeline")
         return result.timeline

@@ -90,7 +90,10 @@ class BatchFifo:
 
 
 def batch_fifo(
-    gaps: np.ndarray, sizes: np.ndarray, services: np.ndarray
+    gaps: np.ndarray,
+    sizes: np.ndarray,
+    services: np.ndarray,
+    out: Optional[np.ndarray] = None,
 ) -> BatchFifo:
     """FIFO state of a compound batch stream (eqs. 4-5).
 
@@ -103,12 +106,14 @@ def batch_fifo(
     key's sojourn, each batch's largest, or a gathered few.
 
     It takes gaps, not arrival times: ``np.diff(np.cumsum(g))`` is not
-    bit-equal to ``g``, so sampled gaps go in as drawn.
+    bit-equal to ``g``, so sampled gaps go in as drawn. ``out``, when
+    given, receives the per-key ``prefix``, so a caller can keep it in a
+    buffer it already owns.
     """
     starts = np.zeros(sizes.size, dtype=np.int64)
     np.cumsum(sizes[:-1], out=starts[1:])
     waits = lindley_waits(np.add.reduceat(services, starts), gaps)
-    prefix = np.cumsum(services)
+    prefix = np.cumsum(services, out=out)
     return BatchFifo(
         sizes=sizes,
         starts=starts,

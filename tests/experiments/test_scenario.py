@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core import LatencyEstimate
 from repro.errors import ConfigError, ValidationError
 from repro.experiments import BACKENDS, Scenario, cell_metrics
+from repro.experiments import scenario as scenario_module
 from repro.faults import (
     DatabaseOverload,
     FaultSchedule,
@@ -18,7 +19,7 @@ from repro.faults import (
 )
 from repro.observability import TimelineSpec
 from repro.policies import RequestPolicy
-from repro.simulation import SimulationResult
+from repro.simulation import SimulationResult, StageStats, fastpath_system
 from repro.units import kps, msec, usec
 
 #: Hypothesis strategies for the optional fault/policy fields, covering
@@ -602,3 +603,57 @@ class TestFastpathSystemTimelineRoute:
             scenario.timeline("fastpath-system", pool_size=100)
         assert str(from_timeline.value) == str(from_run.value)
         assert "pool_size" in str(from_timeline.value)
+
+
+class TestSystemTimelineRoute:
+    """On both whole-system backends ``Scenario.timeline`` returns the
+    backend's own timeline and builds none of the summary ``run`` adds."""
+
+    @pytest.mark.parametrize("backend", ["simulate", "fastpath-system"])
+    def test_equals_run_timeline_without_stage_stats(
+        self, backend, monkeypatch
+    ):
+        scenario = small_scenario(burst_xi=0.0, concurrency_q=0.0)
+        via_run = scenario.run(backend, timeline=TimelineSpec(n_windows=6))
+        built = []
+        init = StageStats.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(StageStats, "__init__", counting_init)
+        via_timeline = scenario.timeline(backend, n_windows=6)
+        assert built == []
+        assert via_timeline.to_dict() == via_run.timeline.to_dict()
+
+    def test_fastpath_system_reads_utilizations_only_when_asked(
+        self, monkeypatch
+    ):
+        scenario = small_scenario(burst_xi=0.0, concurrency_q=0.0, n_servers=2)
+        eager = scenario.run("fastpath-system").server_utilizations
+        calls = []
+        done_by = fastpath_system._ServerPass.service_done_by
+
+        def counting_done_by(self, cutoff):
+            calls.append(cutoff)
+            return done_by(self, cutoff)
+
+        runs = []
+        simulate = scenario_module.simulate_system_requests
+
+        def capturing_simulate(*args, **kwargs):
+            runs.append(simulate(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(
+            fastpath_system._ServerPass, "service_done_by", counting_done_by
+        )
+        monkeypatch.setattr(
+            scenario_module, "simulate_system_requests", capturing_simulate
+        )
+        scenario.timeline("fastpath-system", n_windows=6)
+        assert calls == []
+        (results,) = runs
+        assert tuple(results.server_utilizations) == eager
+        assert len(calls) == scenario.n_servers

@@ -1,5 +1,7 @@
 """Whole-system vectorized backend: structure, law, and edge cases."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,13 @@ from repro.errors import StabilityError, ValidationError
 from repro.observability.attribution import RECORD_FIELDS
 from repro.simulation import SystemResults, simulate_system_requests
 from repro.simulation.fastpath import BatchFifo, batch_fifo, lindley_waits
-from repro.simulation.fastpath_system import _finished_between, _ServerPass
+from repro.simulation.fastpath_system import (
+    _UNIFORM_CHUNK,
+    _finished_between,
+    _miss_keys,
+    _ServerPass,
+    _simulate_pass,
+)
 
 
 def run_small(**overrides):
@@ -303,3 +311,68 @@ class TestBatchLevelReads:
                 services[mask].sum()
             ), cutoff
         assert server.service_done_by(behind) == 1.5
+
+
+class TestPassBuffers:
+    """The pass draws into pass-wide buffers the values that fresh
+    per-server draws would give."""
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            1,
+            _UNIFORM_CHUNK - 1,
+            _UNIFORM_CHUNK,
+            _UNIFORM_CHUNK + 1,
+            3 * _UNIFORM_CHUNK + 5,
+        ],
+    )
+    def test_chunked_miss_keys_equal_one_draw(self, n):
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        missed = _miss_keys(rng, n, 0.3, np.empty(_UNIFORM_CHUNK))
+        expected = np.flatnonzero(twin.random(n) < 0.3)
+        assert missed.dtype == expected.dtype
+        np.testing.assert_array_equal(missed, expected)
+        # Both generators consumed the same stream.
+        assert rng.random() == twin.random()
+
+    def test_no_miss_gives_an_empty_index(self):
+        missed = _miss_keys(
+            np.random.default_rng(5), 100, 5e-324, np.empty(_UNIFORM_CHUNK)
+        )
+        assert missed.size == 0 and missed.dtype == np.intp
+
+    def test_services_equal_exponential_draws(self):
+        """numpy draws ``exponential(scale)`` as ``scale *
+        standard_exponential``; the pass relies on it."""
+        shares, service_rate = np.array([0.3, 0.7]), 80e3
+        n_keys, n_spawn = 10, 500
+        result = _simulate_pass(
+            n_spawn,
+            shares_arr=shares,
+            service_rate=service_rate,
+            n_keys=n_keys,
+            request_rate=2_000.0,
+            network_delay=20e-6,
+            miss_ratio=0.0,
+            database_rate=None,
+            rng=np.random.default_rng(9),
+        )
+        twin = np.random.default_rng(9)
+        twin.exponential(1.0 / 2_000.0, size=n_spawn)
+        counts = twin.multinomial(n_keys, shares, size=n_spawn)
+        for j, server in enumerate(result.servers):
+            expected = twin.exponential(
+                1.0 / service_rate, size=int(counts[:, j].sum())
+            )
+            assert bits(server.services) == bits(expected)
+
+    def test_utilizations_read_as_a_tuple(self):
+        results = run_small()
+        utilizations = results.server_utilizations
+        values = tuple(utilizations)
+        assert len(utilizations) == 2 and utilizations[1] == values[1]
+        assert utilizations == values and hash(utilizations) == hash(values)
+        assert repr(utilizations) == repr(values)
+        restored = pickle.loads(pickle.dumps(utilizations))
+        assert type(restored) is tuple and restored == values
