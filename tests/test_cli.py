@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.observability import GIT_SHA_ENV
 
 
 class TestParser:
@@ -871,7 +872,10 @@ class TestCapacity:
         assert "max rps at SLO:" in out
         assert "below analytic cliff:" in out
 
-    def test_json_schema(self, capsys):
+    def test_json_schema(self, capsys, monkeypatch):
+        # The SHA comes from the override, so the check is exact in a
+        # git checkout and in an exported tree alike.
+        monkeypatch.setenv(GIT_SHA_ENV, "0123abcd")
         assert main(self.ARGS + ["--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["kind"] == "repro-capacity"
@@ -880,7 +884,7 @@ class TestCapacity:
         assert payload["max_rps"] > 0.0
         assert payload["analytic"]["cliff_rps"] > 0.0
         assert payload["n_probes"] == len(payload["probes"]) >= 2
-        assert payload["provenance"]["git_sha"]
+        assert payload["provenance"]["git_sha"] == "0123abcd"
         assert payload["objective"]["metric"] == "p99"
 
     def test_artifact_exports(self, tmp_path, capsys):
