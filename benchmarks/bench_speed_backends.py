@@ -20,6 +20,11 @@ floors (absolute rates plus the attr/sink overhead ratio). The
 committed JSON is the perf trajectory: re-run the bench after engine
 or fast-path changes and diff it.
 
+The ``capacity`` row times one ``find_capacity`` cell of the perfbench
+``capacity-sweep`` shape (the 4-server, N = 150 cluster at p99 <= 20 ms,
+r = 1%, probes that never escalate) and reports wall time and minor page
+faults (``ru_minflt``) per probe. It is report-only: no floor holds it.
+
 Run modes:
 
 * ``python benchmarks/bench_speed_backends.py`` — full measurement
@@ -30,7 +35,8 @@ Run modes:
   requests: plain, timeline on, registry on, ``Observability()``
   defaults on) writing to ``--out``; still asserts the fast path's
   >= 10x speedup over the engine, the three observability-overhead
-  floors and the engine dispatch-rate floors.
+  floors and the engine dispatch-rate floors; the ``capacity`` row uses
+  1000-request probes instead of 4000.
 * ``pytest benchmarks/bench_speed_backends.py`` — same measurement via
   the house pytest-benchmark harness.
 """
@@ -38,13 +44,16 @@ Run modes:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import resource
 import time
 from pathlib import Path
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from repro.capacity import CapacityObjective, find_capacity
 from repro.experiments import Scenario
 from repro.observability import Observability
 from repro.observability.attribution import (
@@ -136,6 +145,11 @@ ENGINE_VARIANTS = ("engine-events", "engine-events+sink", "engine-events+attr")
 ATTR_REQUEST_EVENTS = 16
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_speed.json"
+
+#: The ``capacity`` row's objective and cell: one miss ratio of the
+#: perfbench ``capacity-sweep`` workload.
+CAPACITY_OBJECTIVE = CapacityObjective(threshold=msec(20), metric="p99")
+CAPACITY_MISS_RATIO = 0.01
 
 
 def speed_scenario(n_requests: int) -> Scenario:
@@ -234,6 +248,54 @@ def measure(
             "n_keys": total_keys,
         }
     return results
+
+
+def capacity_scenario() -> Scenario:
+    """The perfbench ``capacity-sweep`` cluster at one miss ratio."""
+    return Scenario(
+        key_rate=kps(40),
+        n_servers=4,
+        service_rate=kps(80),
+        n_keys=150,
+        network_delay=usec(20),
+        miss_ratio=CAPACITY_MISS_RATIO,
+        database_rate=1 / msec(1),
+        seed=20170327,
+    )
+
+
+def measure_capacity(n_requests: int, repeats: int) -> Dict[str, float]:
+    """Wall time and minor page faults per probe of one capacity cell.
+
+    Runs the seeded search ``repeats`` times with ``n_requests``-request
+    probes that never escalate, so every search runs the same probes,
+    and keeps the fastest. ``ru_minflt`` counts the process's minor
+    page faults: first touches of freshly mapped memory.
+    """
+    scenario = capacity_scenario()
+    best: Optional[Dict[str, float]] = None
+    for _ in range(repeats):
+        gc.collect()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        start = time.perf_counter()
+        result = find_capacity(
+            scenario,
+            CAPACITY_OBJECTIVE,
+            n_requests=n_requests,
+            max_requests=n_requests,
+        )
+        wall = time.perf_counter() - start
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        row = {
+            "wall_s_per_probe": wall / result.n_probes,
+            "minflt_per_probe": faults / result.n_probes,
+            "n_probes": result.n_probes,
+            "probe_requests": n_requests,
+            "max_rps": result.max_rps,
+        }
+        if best is None or row["wall_s_per_probe"] < best["wall_s_per_probe"]:
+            best = row
+    return best
 
 
 def _engine_run(n_events: int, *, variant: str) -> Dict[str, float]:
@@ -406,6 +468,7 @@ def report(
     results: Dict[str, Dict[str, float]],
     out: Path,
     engine: Optional[Dict[str, Dict[str, float]]] = None,
+    capacity: Optional[Dict[str, float]] = None,
 ) -> None:
     print_series(
         "Backend speed (keys/sec, higher is better)",
@@ -449,6 +512,14 @@ def report(
             f"{attr_sink_ratio(engine):.1%}"
         )
         payload.update(engine)
+    if capacity:
+        print(
+            f"capacity cell: {capacity['n_probes']} probes of "
+            f"{capacity['probe_requests']} requests, "
+            f"{1e3 * capacity['wall_s_per_probe']:.1f} ms and "
+            f"{capacity['minflt_per_probe']:,.0f} minor faults per probe"
+        )
+        payload["capacity"] = capacity
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
 
@@ -466,9 +537,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     n_requests, repeats = (600, 1) if args.quick else (4_000, 3)
     pair_requests = QUICK_PAIR_REQUESTS if args.quick else n_requests
     n_events = 300_000 if args.quick else 1_000_000
+    probe_requests = 1_000 if args.quick else 4_000
     results = measure(n_requests, repeats, pair_requests=pair_requests)
     engine = measure_engine(n_events, max(repeats, 2))
-    report(results, args.out, engine)
+    capacity = measure_capacity(probe_requests, max(repeats, 3))
+    report(results, args.out, engine, capacity)
     if speedup(results) < MIN_SPEEDUP:
         print(f"FAIL: speedup below the {MIN_SPEEDUP:.0f}x contract")
         return 1

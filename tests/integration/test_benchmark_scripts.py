@@ -1,8 +1,9 @@
 """Smoke tests for the profiling scripts under ``benchmarks/``.
 
-CI runs ``benchmarks/profile_engine.py --quick``; these calls run the
+CI runs ``benchmarks/profile_engine.py --quick`` and
+``benchmarks/bench_speed_backends.py --quick``; these calls run the
 same code paths at tiny sizes so a signature change in the benchmark
-helpers it imports fails tier-1 instead of the CI step.
+helpers they import fails tier-1 instead of the CI step.
 """
 
 from pathlib import Path
@@ -34,3 +35,15 @@ def test_profile_categories_tiny(profile_engine, capsys):
     out = capsys.readouterr().out
     assert "Engine profile by callback category" in out
     assert "events/s" in out
+
+
+def test_capacity_row_tiny(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS_DIR))
+    import bench_speed_backends
+
+    row = bench_speed_backends.measure_capacity(n_requests=100, repeats=1)
+    assert row["probe_requests"] == 100
+    assert row["n_probes"] >= 2
+    assert row["wall_s_per_probe"] > 0.0
+    assert row["minflt_per_probe"] >= 0.0
+    assert row["max_rps"] > 0.0
