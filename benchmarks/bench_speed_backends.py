@@ -25,6 +25,11 @@ The ``capacity`` row times one ``find_capacity`` cell of the perfbench
 r = 1%, probes that never escalate) and reports wall time and minor page
 faults (``ru_minflt``) per probe. It is report-only: no floor holds it.
 
+The ``startup`` row times fresh processes end to end: ``import repro``
+and ``repro simulate --requests 300`` at the default scenario, each
+the median of three runs of wall time and peak RSS (the child's own
+``ru_maxrss``). It is report-only too.
+
 Run modes:
 
 * ``python benchmarks/bench_speed_backends.py`` — full measurement
@@ -46,13 +51,18 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import resource
+import statistics
+import subprocess
+import sys
 import time
 from pathlib import Path
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+import repro
 from repro.capacity import CapacityObjective, find_capacity
 from repro.experiments import Scenario
 from repro.observability import Observability
@@ -298,6 +308,59 @@ def measure_capacity(n_requests: int, repeats: int) -> Dict[str, float]:
     return best
 
 
+#: Runs ``argv[1:]`` and prints its wall time, exit code and
+#: ``ru_maxrss``. A child's ``ru_maxrss`` starts from the resident size
+#: of the process that spawned it, so the timed command is spawned from
+#: this bare interpreter rather than from the bench.
+_LAUNCHER = """
+import json, os, subprocess, sys, time
+start = time.perf_counter()
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+wall = time.perf_counter() - start
+child.returncode = os.waitstatus_to_exitcode(status)
+print(json.dumps([wall, child.returncode, usage.ru_maxrss]))
+"""
+
+
+def _fresh_process(args: Sequence[str]) -> Dict[str, float]:
+    """Wall time and peak RSS of ``python <args>`` in a fresh process
+    that imports this checkout's ``repro``."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    launched = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, sys.executable, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    wall, code, maxrss = json.loads(launched.stdout)
+    if code:
+        raise RuntimeError(f"{' '.join(args)} exited {code}")
+    # ru_maxrss is in KiB on Linux and in bytes on macOS.
+    scale = 1 << 20 if sys.platform == "darwin" else 1 << 10
+    return {"wall_s": wall, "peak_rss_mb": maxrss / scale}
+
+
+def measure_startup(n_requests: int = 300, repeats: int = 3) -> Dict[str, float]:
+    """Median wall time and peak RSS of fresh-process ``import repro``
+    and ``repro simulate --requests n_requests`` over ``repeats`` runs."""
+    commands = {
+        "import": ["-c", "import repro"],
+        "simulate": ["-m", "repro.cli", "simulate", "--requests", str(n_requests)],
+    }
+    row: Dict[str, float] = {"simulate_requests": n_requests, "repeats": repeats}
+    for name, args in commands.items():
+        runs = [_fresh_process(args) for _ in range(repeats)]
+        for field in ("wall_s", "peak_rss_mb"):
+            row[f"{name}_{field}"] = statistics.median(r[field] for r in runs)
+    return row
+
+
 def _engine_run(n_events: int, *, variant: str) -> Dict[str, float]:
     """One raw-engine dispatch run: a pre-drawn sorted event batch.
 
@@ -469,6 +532,7 @@ def report(
     out: Path,
     engine: Optional[Dict[str, Dict[str, float]]] = None,
     capacity: Optional[Dict[str, float]] = None,
+    startup: Optional[Dict[str, float]] = None,
 ) -> None:
     print_series(
         "Backend speed (keys/sec, higher is better)",
@@ -520,6 +584,16 @@ def report(
             f"{capacity['minflt_per_probe']:,.0f} minor faults per probe"
         )
         payload["capacity"] = capacity
+    if startup:
+        print(
+            f"startup (median of {startup['repeats']}): import repro "
+            f"{startup['import_wall_s']:.2f} s, "
+            f"{startup['import_peak_rss_mb']:.0f} MB; simulate "
+            f"--requests {startup['simulate_requests']} "
+            f"{startup['simulate_wall_s']:.2f} s, "
+            f"{startup['simulate_peak_rss_mb']:.0f} MB"
+        )
+        payload["startup"] = startup
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
 
@@ -541,7 +615,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     results = measure(n_requests, repeats, pair_requests=pair_requests)
     engine = measure_engine(n_events, max(repeats, 2))
     capacity = measure_capacity(probe_requests, max(repeats, 3))
-    report(results, args.out, engine, capacity)
+    startup = measure_startup()
+    report(results, args.out, engine, capacity, startup)
     if speedup(results) < MIN_SPEEDUP:
         print(f"FAIL: speedup below the {MIN_SPEEDUP:.0f}x contract")
         return 1

@@ -35,7 +35,7 @@ import math
 from typing import Dict, Optional
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from ..errors import ConfigError, ValidationError
 from ..observability.slo import BurnRateRule, SLORule
@@ -51,8 +51,9 @@ _LATENCY_METRICS = ("p50", "p95", "p99", "mean")
 @functools.lru_cache(maxsize=64)
 def _z_quantile(level: float) -> float:
     """Standard normal quantile, memoized: every probe of a search asks
-    for the one its confidence level gives."""
-    return float(stats.norm.ppf(level))
+    for the one its confidence level gives. ``special.ndtri`` is the
+    kernel ``stats.norm.ppf`` calls."""
+    return float(special.ndtri(level))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -42,13 +42,13 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
-from scipy import stats
 
 from ..errors import ConfigError, StabilityError, ValidationError
 from ..experiments.scenario import Scenario
 from ..observability.report import json_dumps, provenance, provenance_comment
 from ..observability.slo import SLOMonitor
 from ..queueing.cliff import cliff_key_rate, cliff_utilization
+from ..simulation.metrics import _t_quantile
 from .objective import CapacityObjective
 
 __all__ = [
@@ -591,11 +591,7 @@ def find_capacity(
         spot_value = sum(values) / len(values)
         if len(values) >= 2:
             sd = float(np.std(values, ddof=1))
-            t = float(
-                stats.t.ppf(
-                    0.5 * (1.0 + objective.confidence), len(values) - 1
-                )
-            )
+            t = _t_quantile(0.5 * (1.0 + objective.confidence), len(values) - 1)
             half = t * sd / math.sqrt(len(values))
             spot_lo, spot_hi = spot_value - half, spot_value + half
         else:

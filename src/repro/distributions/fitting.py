@@ -18,7 +18,6 @@ import dataclasses
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from ..errors import ValidationError
 from .generalized_pareto import GeneralizedPareto
@@ -71,6 +70,8 @@ def fit_generalized_pareto(gaps: Sequence[float]) -> GeneralizedPareto:
     positive = data[data > 0]
     if positive.size < 2:
         raise ValidationError("need at least two positive gaps for a GPD fit")
+    from scipy import stats
+
     shape, _, scale = stats.genpareto.fit(positive, floc=0.0)
     shape = min(max(float(shape), 0.0), 0.999)
     scale = float(scale)
@@ -146,5 +147,7 @@ def lilliefors_exponential_distance(samples: Sequence[float]) -> float:
     mean = float(data.mean())
     if mean <= 0:
         raise ValidationError("mean must be positive")
+    from scipy import stats
+
     statistic, _ = stats.kstest(data, "expon", args=(0.0, mean))
     return float(statistic)

@@ -12,7 +12,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from ..errors import ValidationError
 from .base import Distribution, require_positive
@@ -158,6 +157,8 @@ class Lognormal(Distribution):
     def cdf(self, t: float) -> float:
         if t <= 0:
             return 0.0
+        from scipy import stats
+
         return float(stats.norm.cdf((math.log(t) - self._mu) / self._sigma))
 
     def pdf(self, t: float) -> float:
@@ -171,6 +172,8 @@ class Lognormal(Distribution):
             raise ValidationError(f"quantile level must be in [0, 1): {k}")
         if k == 0.0:
             return 0.0
+        from scipy import stats
+
         return math.exp(self._mu + self._sigma * float(stats.norm.ppf(k)))
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):

@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
-from scipy import integrate
-
 from ..errors import ConvergenceError, ValidationError
 
 
@@ -54,6 +52,8 @@ def laplace_from_survival(
     # integral exp(-s t) S(t) dt = (1/s) integral exp(-u) S(u / s) du.
     def integrand(u: float) -> float:
         return math.exp(-u) * survival(u / s)
+
+    from scipy import integrate
 
     value, abserr = integrate.quad(
         integrand,

@@ -15,7 +15,7 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from ..errors import ValidationError
 from .base import Distribution, require_positive, require_weights
@@ -56,11 +56,15 @@ class Gamma(Distribution):
     def pdf(self, t: float) -> float:
         if t < 0:
             return 0.0
+        from scipy import stats
+
         return float(stats.gamma.pdf(t, self._shape, scale=1.0 / self._rate))
 
     def quantile(self, k: float) -> float:
         if not 0.0 <= k < 1.0:
             raise ValidationError(f"quantile level must be in [0, 1): {k}")
+        from scipy import stats
+
         return float(stats.gamma.ppf(k, self._shape, scale=1.0 / self._rate))
 
     def laplace(self, s: float) -> float:

@@ -22,7 +22,6 @@ import math
 from typing import List, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from ..errors import ValidationError
 
@@ -67,6 +66,8 @@ def che_characteristic_time(
             break
     else:
         raise ValidationError("failed to bracket the Che fixed point")
+    from scipy import optimize
+
     return float(optimize.brentq(occupied, lo, hi, xtol=1e-9, rtol=1e-12))
 
 

@@ -127,10 +127,13 @@ class Histogram:
         self._zero += int(array.size - positive.size)
         if positive.size == 0:
             return
-        uniques, counts = np.unique(
-            self._bucket_indices(positive), return_counts=True
-        )
-        for bucket, count in zip(uniques.tolist(), counts.tolist()):
+        index = self._bucket_indices(positive)
+        base = int(index.min())
+        counts = np.bincount(index - base)
+        filled = np.flatnonzero(counts)
+        for bucket, count in zip(
+            (filled + base).tolist(), counts[filled].tolist()
+        ):
             self._counts[bucket] = self._counts.get(bucket, 0) + count
 
     def _bucket_indices(self, positive):
@@ -145,9 +148,17 @@ class Histogram:
             idx = np.floor((np.log10(vals) - self._log_min) * self._bpd).astype(
                 np.int64
             )
-            # Same float-boundary nudge as the scalar bucket_index.
-            lower = 10.0 ** (self._log_min + idx / self._bpd)
-            upper = 10.0 ** (self._log_min + (idx + 1) / self._bpd)
+            # Same float-boundary nudge as the scalar bucket_index. The
+            # bounds of every bucket ``idx`` names come from one table,
+            # built with the same expression: entry ``i`` is the lower
+            # bound of bucket ``base + i`` and the upper of the one below.
+            base = int(idx.min())
+            edges = 10.0 ** (
+                self._log_min + np.arange(base, int(idx.max()) + 2) / self._bpd
+            )
+            offset = idx - base
+            lower = edges[offset]
+            upper = edges[offset + 1]
             down = vals < lower
             up = (~down) & (vals >= upper)
             index[free] = idx - down.astype(np.int64) + up.astype(np.int64)
@@ -396,16 +407,15 @@ def _record_windows(
     if not positive.any():
         return
     index = hists[0]._bucket_indices(values[positive])
-    # One (window, bucket) key per value: its unique counts come out
-    # window by window, buckets ascending, as per-window calls add them.
+    # One (window, bucket) key per value: its counts come out window by
+    # window, buckets ascending, as per-window calls add them.
     base = int(index.min())
     width = int(index.max()) - base + 1
-    keys, counts = np.unique(
-        window[positive] * width + (index - base), return_counts=True
-    )
+    counts = np.bincount(window[positive] * width + (index - base))
+    keys = np.flatnonzero(counts)
     windows, buckets = np.divmod(keys, width)
     for k, bucket, count in zip(
-        windows.tolist(), (buckets + base).tolist(), counts.tolist()
+        windows.tolist(), (buckets + base).tolist(), counts[keys].tolist()
     ):
         table = hists[k]._counts
         table[bucket] = table.get(bucket, 0) + count

@@ -38,7 +38,6 @@ import math
 from typing import Callable, Dict, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from ..distributions import GeneralizedPareto
 from ..errors import ValidationError
@@ -108,6 +107,8 @@ def _first_crossing(
         return lo
     if func(hi) < threshold:
         return hi
+    from scipy import optimize
+
     return float(
         optimize.brentq(lambda r: func(r) - threshold, lo, hi, xtol=1e-5)
     )

@@ -17,7 +17,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from ..distributions import Distribution
 from ..errors import ValidationError
@@ -60,6 +59,8 @@ def expected_max_exact(distribution: Distribution, n: int, *, upper: float | Non
         # at microsecond scales entirely.
         level = (1.0 - 1e-12) ** (1.0 / n)
         upper = distribution.quantile(level)
+    from scipy import integrate
+
     value, _ = integrate.quad(
         integrand, 0.0, upper, limit=400, points=[distribution.mean]
     )

@@ -22,8 +22,6 @@ import collections
 import math
 from typing import Callable, Dict, Hashable, Tuple
 
-from scipy import optimize
-
 from ..errors import ConvergenceError, StabilityError, ValidationError
 
 
@@ -93,6 +91,8 @@ def solve_gim1_root(
             implied_rho if math.isfinite(implied_rho) else 1.0,
             "no interior GI/M/1 root: the queue is at or beyond saturation",
         )
+
+    from scipy import optimize
 
     try:
         root = optimize.brentq(g, 0.0, hi, xtol=tol, rtol=8.881784197001252e-16)

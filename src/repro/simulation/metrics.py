@@ -13,7 +13,7 @@ import math
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from ..errors import ValidationError
 
@@ -40,8 +40,11 @@ class SummaryStats:
 @functools.lru_cache(maxsize=1024)
 def _t_quantile(level: float, df: int) -> float:
     """Student-t quantile, memoized: every stage of a run shares its
-    sample count, so a result asks for the same one several times."""
-    return float(stats.t.ppf(level, df))
+    sample count, so a result asks for the same one several times.
+
+    ``special.stdtrit`` is the kernel ``stats.t.ppf`` calls, so the value
+    is the same without importing ``scipy.stats``."""
+    return float(special.stdtrit(df, level))
 
 
 class LatencyRecorder:

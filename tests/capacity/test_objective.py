@@ -131,8 +131,8 @@ class TestMeasure:
     @pytest.mark.parametrize("metric", ["p99", "mean"])
     def test_memoized_quantiles_match_scipy(self, metric, monkeypatch):
         """The z and t quantiles are memoized: a second measurement
-        calls no ``ppf``, and both equal the unmemoized interval."""
-        from scipy import stats
+        calls no quantile kernel, and both equal the unmemoized interval."""
+        from scipy import special, stats
 
         from repro.capacity import objective as module
 
@@ -153,7 +153,19 @@ class TestMeasure:
 
         monkeypatch.setattr(stats.norm, "ppf", no_ppf)
         monkeypatch.setattr(stats.t, "ppf", no_ppf)
+        monkeypatch.setattr(special, "ndtri", no_ppf)
+        monkeypatch.setattr(special, "stdtrit", no_ppf)
         assert objective.measure(timeline) == first
+
+    def test_z_quantile_kernel_equals_scipy_stats(self):
+        """``_z_quantile`` calls ``special.ndtri``, the kernel behind
+        ``stats.norm.ppf``; a scipy release that parts the two fails here."""
+        from scipy import stats
+
+        from repro.capacity.objective import _z_quantile
+
+        for level in (0.95, 0.975, 0.995):
+            assert _z_quantile(level) == float(stats.norm.ppf(level)), level
 
     def test_empty_timeline_rejected(self):
         from repro.observability import Timeline

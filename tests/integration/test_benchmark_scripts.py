@@ -47,3 +47,14 @@ def test_capacity_row_tiny(monkeypatch):
     assert row["wall_s_per_probe"] > 0.0
     assert row["minflt_per_probe"] >= 0.0
     assert row["max_rps"] > 0.0
+
+
+def test_startup_row_tiny(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS_DIR))
+    import bench_speed_backends
+
+    row = bench_speed_backends.measure_startup(n_requests=20, repeats=1)
+    assert row["simulate_requests"] == 20 and row["repeats"] == 1
+    for name in ("import", "simulate"):
+        assert row[f"{name}_wall_s"] > 0.0
+        assert row[f"{name}_peak_rss_mb"] > 0.0

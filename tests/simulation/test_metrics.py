@@ -204,6 +204,18 @@ class TestQuantilesOnePass:
             low, high = recorder.confidence_interval(confidence)
             assert (low, high) == (recorder.mean - half, recorder.mean + half)
 
+    def test_t_quantile_kernel_equals_scipy_stats(self):
+        """``_t_quantile`` calls ``special.stdtrit``, the kernel behind
+        ``stats.t.ppf``; a scipy release that parts the two fails here."""
+        from scipy import stats
+
+        from repro.simulation.metrics import _t_quantile
+
+        for level in (0.95, 0.975, 0.995):
+            for df in (1, 2, 5, 29, 299, 3999, 10**6):
+                expected = float(stats.t.ppf(level, df))
+                assert _t_quantile(level, df) == expected, (level, df)
+
 
 class TestUtilizationMeter:
     def test_full_busy(self):
