@@ -11,9 +11,10 @@ Runs the standard speed scenario (the fig-11-style point from
 2. under :mod:`cProfile`, printing the hottest functions by cumulative
    time — the view that catches interpreter-level overheads (scheduler
    pushes, RNG refills) the category profile folds into its callers —
-   and two counts per generated key (warmup included): Python calls
-   (every function cProfile sees, C built-ins included) and heap
-   operations (``heapq`` push, pop, pushpop and heapify calls).
+   and three counts per generated key (warmup included): engine events
+   (from the first run, which has the same seed), Python calls (every
+   function cProfile sees, C built-ins included) and heap operations
+   (``heapq`` push, pop, pushpop and heapify calls).
 
 A third section times the raw dispatch microbench from
 ``bench_speed_backends`` under cProfile, isolating the engine's batched
@@ -44,8 +45,9 @@ from helpers import print_series
 TOP_N = 15
 
 
-def profile_categories(n_requests: int) -> None:
-    """Per-callback-category engine profile on the speed scenario."""
+def profile_categories(n_requests: int) -> int:
+    """Per-callback-category engine profile on the speed scenario;
+    returns the run's engine event count."""
     scenario = speed_scenario(n_requests)
     observability = Observability(trace=False, metrics=False, profile=True)
     scenario.run("simulate", observability=observability)
@@ -64,6 +66,7 @@ def profile_categories(n_requests: int) -> None:
         f"pending mean {stats['pending_mean']:.1f} / "
         f"max {stats['pending_max']}"
     )
+    return stats["events"]
 
 
 def _print_cprofile(profiler: cProfile.Profile, title: str) -> None:
@@ -96,8 +99,13 @@ def per_key_counts(profiler: cProfile.Profile, keys: int) -> Dict[str, float]:
     return counts
 
 
-def profile_cprofile(n_requests: int, n_events: int) -> None:
-    """cProfile the closed-loop run and the raw dispatch microbench."""
+def profile_cprofile(
+    n_requests: int, n_events: int, engine_events: Optional[int] = None
+) -> None:
+    """cProfile the closed-loop run and the raw dispatch microbench.
+
+    ``engine_events``, the event count of the same seeded run, is
+    printed per generated key when given."""
     scenario = speed_scenario(n_requests)
     profiler = cProfile.Profile()
     profiler.enable()
@@ -106,8 +114,9 @@ def profile_cprofile(n_requests: int, n_events: int) -> None:
     _print_cprofile(profiler, f"cProfile: closed loop ({n_requests} requests)")
     keys = (scenario.n_requests + scenario.warmup_requests) * scenario.n_keys
     counts = per_key_counts(profiler, keys)
+    events = "" if engine_events is None else f"{engine_events / keys:.3f} engine events, "
     print(
-        f"per generated key ({keys} keys): "
+        f"per generated key ({keys} keys): {events}"
         f"{counts['python_calls']:.2f} Python calls, "
         f"{counts['heap_ops']:.3f} heap operations ("
         + ", ".join(f"{name} {counts[name]:.3f}" for name in HEAP_FUNCTIONS)
@@ -130,8 +139,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     n_requests, n_events = (600, 200_000) if args.quick else (4_000, 1_000_000)
-    profile_categories(n_requests)
-    profile_cprofile(n_requests, n_events)
+    engine_events = profile_categories(n_requests)
+    profile_cprofile(n_requests, n_events, engine_events)
     return 0
 
 

@@ -39,6 +39,16 @@ entries share a ``(time, seq)`` key, so the entry ``heappushpop``
 returns is the one a push followed by a pop would return, and
 cancelled heads are dropped first, as a pop drops them.
 
+One internal hook lets an owner account work in bulk between events:
+``Simulator._before_event(time, seq)``, when set, runs before the
+event at ``(time, seq)`` fires. It may bring an event forward by
+pushing one that precedes ``(time, seq)`` (with
+:meth:`Simulator._schedule_ranked`, at a ``seq`` already taken) and
+then returns True; the loop puts the event it held back and takes the
+new head first. The hook is never called past a :meth:`Simulator.stop`.
+:class:`~repro.simulation.system.MemcachedSystemSimulator` uses it to
+account its servers' runs (see :mod:`repro.simulation.server`).
+
 An optional :class:`~repro.observability.EngineProfiler` can be
 attached to attribute wall-clock time to callback categories; when no
 profiler is attached the event loop pays one ``is None`` check per
@@ -162,6 +172,8 @@ class Simulator:
         self._live = 0
         self._profiler = profiler
         self._stop = False
+        #: Internal pre-event hook (see the module docstring).
+        self._before_event: Optional[Callable[[float, int], bool]] = None
 
     @property
     def now(self) -> float:
@@ -247,6 +259,17 @@ class Simulator:
         self._live += 1
         return event
 
+    def _schedule_ranked(self, time: float, seq: int, callback: Callback) -> EventHandle:
+        """Run ``callback`` at ``time`` ranked at an existing ``seq``.
+
+        For the pre-event hook only: the caller owns ``seq`` and keeps
+        ``(time, seq)`` distinct from every other pending entry.
+        """
+        event = EventHandle(time, seq, callback, self)
+        self._scheduler.push(time, seq, event)
+        self._live += 1
+        return event
+
     def schedule_batch(
         self, times: Sequence[float], callback: BatchCallback
     ) -> BatchHandle:
@@ -320,14 +343,20 @@ class Simulator:
 
     def step(self) -> bool:
         """Process one event; returns False when the queue is empty."""
-        entry = self._scheduler.pop()
-        if entry is None:
-            return False
-        time = entry[0]
-        if time < self._now:  # pragma: no cover - scheduler invariant
-            raise SimulationError(f"time went backwards: {time} < {self._now}")
+        scheduler = self._scheduler
+        while True:
+            entry = scheduler.pop()
+            if entry is None:
+                return False
+            time, seq, obj = entry
+            if time < self._now:  # pragma: no cover - scheduler invariant
+                raise SimulationError(f"time went backwards: {time} < {self._now}")
+            hook = self._before_event
+            if hook is None or not hook(time, seq):
+                break
+            scheduler.push(time, seq, obj)
         self._now = time
-        self._fire(entry[2])
+        self._fire(obj)
         return True
 
     def run_until(self, end_time: float, *, max_events: Optional[int] = None) -> None:
@@ -366,10 +395,12 @@ class Simulator:
         and hands the head straight to the outer loop. The result is
         the entry a push followed by a pop would return, since every
         entry's ``(time, seq)`` key is distinct, so the firing order is
-        unchanged.
+        unchanged. The pre-event hook runs once an event is known to be
+        next, just before it fires.
         """
         budget = max_events
         scheduler = self._scheduler
+        hook = self._before_event
         self._stop = False
         entry = None
         while True:
@@ -386,6 +417,10 @@ class Simulator:
                 raise SimulationError(
                     f"time went backwards: {time} < {self._now}"
                 )
+            if hook is not None and hook(time, seq):
+                # The hook brought an event forward: hold this one back.
+                scheduler.push(time, seq, obj)
+                continue
             if budget is not None and budget <= 0:
                 raise SimulationError(
                     f"event budget exhausted at t={self._now}"
@@ -454,18 +489,24 @@ class Simulator:
                 # The callback may have cancelled enough to compact the
                 # heap, which replaces its list: read it afresh.
                 heap = scheduler.heap
-                if not heap:
-                    continue
-                head = heap[0]
-                if head[2].cancelled:
-                    # Drop cancelled heads as pop would; rare.
-                    head = scheduler.peek()
-                    if head is None:
-                        continue
-                if head[0] < t_next or (head[0] == t_next and head[1] < seq):
-                    # Another event fires first: re-arm the batch at its
-                    # next time and take that event in one heap step.
+                if heap:
+                    head = heap[0]
+                    if head[2].cancelled:
+                        # Drop cancelled heads as pop would; rare.
+                        head = scheduler.peek()
+                    if head is not None and (
+                        head[0] < t_next or (head[0] == t_next and head[1] < seq)
+                    ):
+                        # Another event fires first: re-arm the batch at
+                        # its next time and take that event in one heap
+                        # step.
+                        obj.time = t_next
+                        obj.queued = True
+                        entry = heapq.heappushpop(heap, (t_next, seq, obj))
+                        break
+                if hook is not None and hook(t_next, seq):
+                    # The hook brought an event forward: park the batch.
                     obj.time = t_next
+                    scheduler.push(t_next, seq, obj)
                     obj.queued = True
-                    entry = heapq.heappushpop(heap, (t_next, seq, obj))
                     break

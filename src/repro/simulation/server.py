@@ -12,20 +12,36 @@ instant.
 Once nothing can interrupt it, the rest of a batch is fixed when its
 head key starts: with a shared payload (no per-key contexts, so no key
 can be abandoned) and no ``pause_until`` hook, every start is the
-previous key's finish. The server then schedules that *run* at once:
-it takes the run's service times from its window in one read, divides
-each by ``rate_factor`` at that key's start, accumulates the finish
-times with the engine's own float addition and hands them to one
-:meth:`~repro.simulation.engine.Simulator.schedule_batch`. Every other
-key starts lazily, one scheduled ``_finish`` at a time. Either way
-``_finish`` reports each key as plain values ``(context, arrival,
-start, finish)`` and keeps the queue cursor and the utilization meter
-exactly where the key-at-a-time path puts them. A run
-key that is not the run's last reads its finish from the run's times
-and moves the meter with one
-:meth:`~repro.simulation.metrics.UtilizationMeter.server_continued`
-step, the float a stop then a start would give. The
-exponential-service default matches the paper's model, and any
+previous key's finish. The server then fixes that *run* at once: it
+takes the run's service times from its window in one read, divides
+each by ``rate_factor`` at that key's start, and accumulates the finish
+times with the engine's own float addition.
+
+Who learns of a run's keys depends on the server's owner:
+
+* A server owned by
+  :class:`~repro.simulation.system.MemcachedSystemSimulator` hands each
+  shared-payload run (a :class:`ServerRun`) to the simulator and
+  schedules one event, at the run's last finish, ranked by the ``seq``
+  of that one scheduling. The simulator accounts the run's earlier keys
+  in bulk before each later event (its pre-event hook); the server
+  folds the keys into its utilization meter and queue log when the run
+  ends, and :meth:`ServerSim.settle` does so for the keys a run has
+  finished so far (at the warmup mark and at the stop). On a pausable
+  server each key is a run of one, since a pause can hold the next key
+  back.
+* Any other server schedules the run's finishes as one
+  :meth:`~repro.simulation.engine.Simulator.schedule_batch`, and every
+  other key (per-key contexts, a pausable server, a lone key) one
+  ``_finish`` at a time. ``_finish`` reports each key to ``on_complete``
+  as plain values ``(context, arrival, start, finish)`` and keeps the
+  queue cursor and the utilization meter exactly where the
+  key-at-a-time path puts them. A run key that is not the run's last
+  reads its finish from the run's times and moves the meter with one
+  :meth:`~repro.simulation.metrics.UtilizationMeter.server_continued`
+  step, the float a stop then a start would give.
+
+The exponential-service default matches the paper's model, and any
 :class:`~repro.distributions.Distribution` can be substituted for
 model-robustness ablations.
 
@@ -39,14 +55,14 @@ from __future__ import annotations
 
 import collections
 import itertools
-from typing import Callable, Deque, Optional
+from typing import Callable, Deque, List, Optional, Tuple
 
 import numpy as np
 
 from ..distributions import Distribution, Exponential, RandomWindow
 from ..errors import SimulationError, ValidationError
 from .engine import Simulator
-from .metrics import UtilizationMeter
+from .metrics import UtilizationMeter, _served_back_to_back
 
 #: Completion callback: ``(context, arrival, start, finish)`` per key.
 CompletionSink = Callable[[object, float, float, float], None]
@@ -56,35 +72,90 @@ RateFactor = Callable[[float], float]
 PauseUntil = Callable[[float], float]
 
 
+class ServerRun:
+    """Keys of one batch served back to back, fixed when the first starts.
+
+    Key ``i`` finishes at ``times[i]`` and starts at ``times[i - 1]``
+    (key 0 at ``start``); every key arrived at ``arrival`` and shares
+    ``payload``. ``seq`` is the engine rank of the run's one event, at
+    its last finish. ``done`` counts the keys the owner has accounted
+    and ``settled`` those the server has folded into its meter and log.
+    """
+
+    __slots__ = (
+        "payload", "arrival", "start", "times", "last", "seq", "done", "due", "settled"
+    )
+
+    def __init__(
+        self, payload: object, arrival: float, start: float, times: list, seq: int
+    ) -> None:
+        self.payload = payload
+        self.arrival = arrival
+        self.start = start
+        self.times = times
+        self.last = len(times) - 1
+        self.seq = seq
+        self.done = 0
+        #: The owner's scratch: keys due before the event at hand.
+        self.due = 0
+        self.settled = 0
+
+
 class QueueLog:
     """An observed queue's rows, appended as the run goes.
 
     ``jobs`` holds one ``(arrival, start, finish)`` row per key that
     finished service, abandoned keys that reached service included
-    (they consumed capacity). ``batches`` holds one ``(ahead, size)``
-    row per offered batch, ``ahead`` being the keys queued or in
-    service when it arrived: key ``i`` of the batch saw ``ahead + i``
-    keys ahead of it. ``payloads`` tags each batch row with its shared
-    payload (``None`` for per-key contexts); such keys are never
-    dropped, so their job rows follow their batch rows' order.
-    :meth:`mark` sets where :meth:`since_mark` starts reading.
+    (they consumed capacity). A queue whose owner accounts its runs
+    logs ``runs`` instead, one ``(arrival, start, finishes)`` row per
+    run (or per part of a run, when :meth:`ServerSim.settle` cut it):
+    key ``i`` of the row started at ``finishes[i - 1]`` (key 0 at
+    ``start``). A queue logs its keys one of the two ways. ``batches``
+    holds one ``(ahead, size)`` row per offered batch, ``ahead`` being
+    the keys queued or in service when it arrived: key ``i`` of the
+    batch saw ``ahead + i`` keys ahead of it. ``payloads`` tags each
+    batch row with its shared payload (``None`` for per-key contexts);
+    such keys are never dropped, so their keys follow their batch rows'
+    order. :meth:`mark` sets where :meth:`job_columns` and
+    :meth:`batches_since_mark` start reading.
     """
 
-    __slots__ = ("jobs", "batches", "payloads", "job_mark", "batch_mark")
+    __slots__ = ("jobs", "runs", "batches", "payloads", "_marks")
 
     def __init__(self) -> None:
         self.jobs: list = []
+        self.runs: list = []
         self.batches: list = []
         self.payloads: list = []
-        self.job_mark = 0
-        self.batch_mark = 0
+        self._marks = (0, 0, 0)
 
     def mark(self) -> None:
-        self.job_mark, self.batch_mark = len(self.jobs), len(self.batches)
+        self._marks = (len(self.jobs), len(self.runs), len(self.batches))
 
-    def since_mark(self) -> tuple:
-        """The ``(jobs, batches)`` rows logged since the last mark."""
-        return self.jobs[self.job_mark :], self.batches[self.batch_mark :]
+    def batches_since_mark(self) -> list:
+        """The ``(ahead, size)`` rows logged since the last mark."""
+        return self.batches[self._marks[2] :]
+
+    def job_columns(self, since_mark: bool = True) -> Tuple[np.ndarray, ...]:
+        """``(arrival, start, finish)`` float arrays, one entry per key,
+        in logged order: every row, or those since the last mark."""
+        jobs, runs = self.jobs, self.runs
+        if since_mark:
+            jobs, runs = jobs[self._marks[0] :], runs[self._marks[1] :]
+        if not runs:
+            flat = np.fromiter(
+                itertools.chain.from_iterable(jobs), dtype=float, count=3 * len(jobs)
+            )
+            return tuple(flat.reshape(len(jobs), 3).T)
+        arrivals, starts, finishes = zip(*runs)
+        start, finish, sizes = _served_back_to_back(starts, finishes)
+        return np.repeat(np.array(arrivals, dtype=float), sizes), start, finish
+
+    def key_rows(self) -> List[tuple]:
+        """Every key's ``(arrival, start, finish)`` row, in logged order."""
+        if not self.runs:
+            return self.jobs
+        return list(zip(*(column.tolist() for column in self.job_columns(False))))
 
 
 class ServerSim:
@@ -122,6 +193,7 @@ class ServerSim:
         # Observed queues append plain rows (bound appends, no method
         # dispatch); what they mean is worked out at run end.
         self._log_job = log.jobs.append if log is not None else None
+        self._log_run = log.runs.append if log is not None else None
         self._log_batch = log.batches.append if log is not None else None
         self._log_payload = log.payloads.append if log is not None else None
         # Fault hooks. ``rate_factor(t)`` scales the service *rate* for
@@ -143,6 +215,13 @@ class ServerSim:
         self._started = 0.0
         self._run_times: list = []
         self._run_last = 0
+        # An owner that accounts runs sets both hooks (see the module
+        # docstring): ``_on_run_start(run)`` when a run of more than one
+        # key starts, ``_on_run_end(run)`` at the run's last finish.
+        # ``_run`` is the owned run in service.
+        self._on_run_start: Optional[Callable[[ServerRun], None]] = None
+        self._on_run_end: Optional[Callable[[ServerRun], None]] = None
+        self._run: Optional[ServerRun] = None
         # Keys offered, served and dropped unserved: the keys in the
         # queue are counted without walking it.
         self._offered = 0
@@ -175,11 +254,13 @@ class ServerSim:
     @property
     def depth(self) -> int:
         """Keys in the queue: waiting plus the one in service."""
-        return self._offered - self._completed - self._dropped
+        return self._offered - self.completed - self._dropped
 
     @property
     def completed(self) -> int:
-        return self._completed
+        """Keys served, an owned run's accounted keys included."""
+        run = self._run
+        return self._completed if run is None else self._completed + run.done
 
     def offer_batch(
         self,
@@ -243,46 +324,66 @@ class ServerSim:
                 return
         index = entry[3]
         size = entry[4]
-        entry[3] = index + 1
-        if index + 1 == size:
-            queue.popleft()
-        self._arrival = entry[0]
-        self._context = entry[2] if contexts is None else contexts[index]
-        self._started = now
-        self.utilization_meter.server_started(now)
-        rate_factor = self._rate_factor
         # Per-key contexts can be abandoned and a pause can hold a key
         # back, so only a shared-payload batch on an unpausable server
         # fixes its later starts now.
-        if contexts is not None or self._pause_until is not None or index + 1 == size:
+        count = 1
+        if contexts is None and self._pause_until is None:
+            count = size - index
+        owned = contexts is None and self._on_run_end is not None
+        # An owned run takes its keys off the queue now, and ``completed``
+        # counts them as the owner accounts them; otherwise the cursor
+        # moves as each key starts.
+        started = count if owned else 1
+        entry[3] = index + started
+        if index + started == size:
+            queue.popleft()
+        self._arrival = entry[0]
+        self._started = now
+        self.utilization_meter.server_started(now)
+        times = self._finishes(now, count)
+        if owned:
+            # The owner accounts the run: one event, at its last finish.
+            event = sim.schedule_at(times[-1], self._end_run)
+            run = self._run = ServerRun(entry[2], entry[0], now, times, event.seq)
+            if count > 1:
+                self._on_run_start(run)
+            return
+        self._context = entry[2] if contexts is None else contexts[index]
+        self._run_last = count - 1
+        if count == 1:
+            sim.schedule_at(times[0], self._finish)
+            return
+        self._run_times = times
+        sim.schedule_batch(times, self._finish)
+
+    def _finishes(self, now: float, count: int) -> list:
+        """Finish times of the next ``count`` keys served back to back
+        from ``now``: each key's draw divided by the rate factor at its
+        start, the previous key's finish. A finish accumulates as
+        ``Simulator.schedule`` computes it."""
+        rate_factor = self._rate_factor
+        if count == 1:
             service_time = self._service_window.get()
             if rate_factor is not None:
                 factor = rate_factor(now)
                 if factor != 1.0:
                     service_time /= factor
-            self._run_last = 0
-            sim.schedule(service_time, self._finish)
-            return
-        # A run: each key starts when the one ahead of it finishes, so
-        # its draw, its rate factor and its finish are known now. The
-        # finish accumulates as ``Simulator.schedule`` computes it.
-        services = self._service_window.take(size - index)
+            return [now + service_time]
+        services = self._service_window.take(count)
         if rate_factor is None:
-            times = list(
+            return list(
                 itertools.islice(itertools.accumulate(services, initial=now), 1, None)
             )
-        else:
-            finish = now
-            times = []
-            for service_time in services:
-                factor = rate_factor(finish)
-                if factor != 1.0:
-                    service_time /= factor
-                finish = finish + service_time
-                times.append(finish)
-        self._run_times = times
-        self._run_last = size - index - 1
-        sim.schedule_batch(times, self._finish)
+        finish = now
+        times = []
+        for service_time in services:
+            factor = rate_factor(finish)
+            if factor != 1.0:
+                service_time /= factor
+            finish = finish + service_time
+            times.append(finish)
+        return times
 
     def _resume_from_pause(self) -> None:
         self._pause_pending = False
@@ -322,12 +423,47 @@ class ServerSim:
         self._arrival = arrival
         self._started = now
 
-    def release(self) -> None:
-        """Drop the completion callback.
+    def _end_run(self) -> None:
+        """An owned run's last key finishes now: fold the run into the
+        meter and the log, let the owner account its last keys, then
+        start the next key."""
+        run = self._run
+        self._run = None
+        self._arrival = None
+        self._settle(run, run.last + 1, idle=True)
+        self._completed += run.last + 1
+        self._on_run_end(run)
+        self._start_next()
 
-        The callback is usually a bound method of the object that owns
+    def settle(self) -> None:
+        """Fold the keys the owned run in service has finished so far
+        into the utilization meter and the queue log.
+
+        The log row is cut there, so a :meth:`QueueLog.mark` that
+        follows splits the run's keys where the owner's accounting
+        stands, and the meter reads as a key-at-a-time meter would."""
+        run = self._run
+        if run is not None and run.done > run.settled:
+            self._settle(run, run.done, idle=False)
+
+    def _settle(self, run: ServerRun, upto: int, *, idle: bool) -> None:
+        first = run.settled
+        times = run.times
+        finishes = times if first == 0 and upto == len(times) else times[first:upto]
+        self.utilization_meter.server_ran(finishes, idle=idle)
+        if self._log_run is not None:
+            start = times[first - 1] if first else run.start
+            self._log_run((run.arrival, start, finishes))
+        run.settled = upto
+
+    def release(self) -> None:
+        """Drop the completion callbacks.
+
+        A callback is usually a bound method of the object that owns
         this server, so the two reference each other; a finished run
-        releases it to be freed by reference counting alone. Counters,
+        releases them to be freed by reference counting alone. Counters,
         the utilization meter and the queue stay readable.
         """
         self._on_complete = None
+        self._on_run_start = None
+        self._on_run_end = None

@@ -10,17 +10,23 @@ Models the paper's Fig. 1 end to end on the event engine:
    server, and is served ``Exp(muS)``. A request's keys for one server
    travel and queue as one batch, one queue entry; without a request
    policy or cache backend they have no per-key objects at all and
-   share the request as their payload, and the server schedules the
-   batch's finishes as one run once its head key starts.
-4. A miss (Bernoulli ``r`` drawn from the simulator's own uniform
+   share the request as their payload, and the server fixes the rest of
+   the batch as one run once its head key starts.
+4. A server run is one engine event, at its last finish. Before any
+   event fires, the simulator's pre-event hook accounts in bulk every
+   run key that finishes before it (``_account_runs``): the request's
+   pending count and server maximum, the per-key sojourn buffer and the
+   keys' ranks in the miss stream. A run's last key, and any key that
+   misses, takes the one per-key path (``_serve_run_key``) at its own
+   event, with the clock at its finish.
+5. A miss (Bernoulli ``r`` drawn from the simulator's own uniform
    window, or a *real* cache lookup when a cache backend is attached)
    relays the key to the M/M/1 database. The k-th served key misses
    when the k-th uniform of the miss stream is below ``r``; a cursor
-   finds each window's miss ranks in one numpy pass, so a served key
-   pays one integer comparison, not a draw. A key sharing its
-   request's payload takes its whole per-key path in
-   ``_on_server_complete``.
-5. The request completes when its last key's value returns; one row of
+   finds each window's miss ranks in one numpy pass, so a run's keys
+   are ranked by counting them, and only a miss or a window's end is
+   looked at key by key.
+6. The request completes when its last key's value returns; one row of
    the run's per-request record keeps ``T(N)``, the per-stage maxima
    ``TS(N)``/``TD(N)`` and the critical keys' queue waits, and every
    per-request view is derived from that record: the timeline,
@@ -36,15 +42,19 @@ Models the paper's Fig. 1 end to end on the event engine:
    one completion event, at the instant its value arrives. A request
    policy keeps one return event per attempt, since its timers and
    cancel-on-winner act on keys in flight.
-6. A finished run drops its pending events and its queues' completion
-   callbacks, the two reference cycles through the simulator, so it is
-   freed by reference counting as soon as the caller lets it go.
+7. A finished run drops its pending events, its pre-event hook and its
+   queues' completion callbacks, the reference cycles through the
+   simulator, so it is freed by reference counting as soon as the
+   caller lets it go.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left, bisect_right
 from functools import partial
+from itertools import chain, repeat
+from operator import getitem
 from typing import Dict, List, Optional, Protocol, Set
 
 import numpy as np
@@ -61,7 +71,7 @@ from ..core.workload import WorkloadPattern
 
 from ..errors import SimulationError, ValidationError
 from ..faults import FaultSchedule
-from ..observability import MetricsRegistry, Observability
+from ..observability import MetricsRegistry, Observability, Timeline
 from ..observability.attribution import _FLUSH_CHUNK, RECORD_FIELDS, _row_matrix
 from ..policies import RequestPolicy
 from .database import DatabaseSim
@@ -69,7 +79,7 @@ from .engine import EventHandle, Simulator
 from .metrics import LatencyRecorder
 from .network import NetworkSim
 from .results import SystemResults
-from .server import QueueLog, ServerSim
+from .server import QueueLog, ServerRun, ServerSim
 
 #: spawn_child tag for the policy decision stream (hedge/retry server
 #: picks). A tagged child never collides with the split_rng children
@@ -93,11 +103,12 @@ _PER_KEY_CHUNK = 2048
 
 def _flush_sojourns(
     recorder: LatencyRecorder,
-    sojourns: List[float],
+    sojourns,
     registry: Optional[MetricsRegistry] = None,
 ) -> None:
-    """Move buffered per-key sojourns into ``recorder`` (and the
-    registry's ``key.server_sojourn`` histogram); clear the buffer.
+    """Move buffered per-key sojourns (a list, which is cleared, or an
+    array) into ``recorder`` and the registry's ``key.server_sojourn``
+    histogram.
 
     Values that still fit the stored samples go in with one
     ``record_many``. Values past the cap take the scalar reservoir step,
@@ -105,13 +116,39 @@ def _flush_sojourns(
     equals recording each key as it completed; the moments agree up to
     summation order.
     """
+    values = np.asarray(sojourns, dtype=float)
     room = max(_PER_KEY_SAMPLES - recorder.count, 0)
-    recorder.record_many(sojourns[:room])
-    for value in sojourns[room:]:
+    recorder.record_many(values[:room])
+    for value in values[room:].tolist():
         recorder.record(value)
     if registry is not None:
-        registry.histogram("key.server_sojourn").record_many(sojourns)
-    sojourns.clear()
+        registry.histogram("key.server_sojourn").record_many(values)
+    if isinstance(sojourns, list):
+        sojourns.clear()
+
+
+def _in_completion_order(segments: list) -> np.ndarray:
+    """Sojourns of buffered run keys in completion order.
+
+    ``segments`` is flat: each ``times, first, end, arrival`` four holds
+    the keys ``first..end-1`` of one run. Keys complete in ``(finish,
+    run seq, index)`` order, and the buffer holds them in that order
+    except among the keys accounted before one event, which are
+    buffered run by run in seq order. So a stable sort by finish alone
+    restores the order: keys with equal finishes keep their buffered
+    order, which is their seq order, or their index order within a run.
+    """
+    if not segments:
+        return np.empty(0)
+    times, first, end, arrival = (segments[i::4] for i in range(4))
+    sizes = np.subtract(end, first)
+    finish = np.fromiter(
+        chain.from_iterable(map(getitem, times, map(slice, first, end))),
+        dtype=float,
+        count=int(sizes.sum()),
+    )
+    sojourn = finish - np.repeat(np.array(arrival, dtype=float), sizes)
+    return sojourn[np.argsort(finish, kind="stable")]
 
 
 def _fill_queue_metrics(registry: MetricsRegistry, name: str, log: QueueLog) -> None:
@@ -119,11 +156,10 @@ def _fill_queue_metrics(registry: MetricsRegistry, name: str, log: QueueLog) -> 
     the mark: ``{name}.wait``/``.service`` per finished key, and per
     offered key ``{name}.queue_depth`` (the keys ahead of it) and
     ``.arrivals``."""
-    jobs, batches = log.since_mark()
-    arrival, start, finish = _row_matrix(jobs, 3).T
+    arrival, start, finish = log.job_columns()
     registry.histogram(f"{name}.wait").record_many(start - arrival)
     registry.histogram(f"{name}.service").record_many(finish - start)
-    ahead, size = _row_matrix(batches, 2).astype(np.int64).T
+    ahead, size = _row_matrix(log.batches_since_mark(), 2).astype(np.int64).T
     first = np.cumsum(size) - size  # each batch's first key
     depth = np.repeat(ahead - first, size) + np.arange(size.sum())
     registry.histogram(f"{name}.queue_depth", min_value=1.0).record_many(depth)
@@ -143,18 +179,19 @@ def _logged_keys(
     and a missed key's database row arrives at its server finish."""
     fetched = {}
     if database is not None:
-        for row, request in zip(database.jobs, database.payloads):
+        for row, request in zip(database.key_rows(), database.payloads):
             if request.request_id in request_ids:
                 fetched[request.request_id, row[0]] = row
     keys: Dict[int, list] = {request_id: [] for request_id in request_ids}
     for server, log in enumerate(servers):
+        jobs = log.key_rows()
         first = 0
         for (ahead, size), request in zip(log.batches, log.payloads):
             request_id = request.request_id
             rows = keys.get(request_id)
             if rows is not None:
                 out = (request.born, request.born + delay)
-                for i, served in enumerate(log.jobs[first : first + size]):
+                for i, served in enumerate(jobs[first : first + size]):
                     row = fetched.get((request_id, served[2]))
                     left = served[2] if row is None else row[2]
                     name = f"r{request_id}k{request_id * n_keys + len(rows)}"
@@ -418,6 +455,21 @@ class MemcachedSystemSimulator:
             self._miss_ranks: List[int] = [0]
             self._miss_index = 0
             self._next_miss = 0
+        # Without a request policy or cache backend a server key has no
+        # context: the servers hand their runs to this simulator, which
+        # accounts the keys due before each event (_account_runs). The
+        # runs with keys left to account, in the order of their events'
+        # seq; the accounted keys' sojourn segments, flat and in
+        # accounting order (see _in_completion_order), and their count.
+        self._runs: List[ServerRun] = []
+        self._run_keys: list = []
+        self._run_key_count = 0
+        self._round_trip = self._network_delay + self._network_delay
+        if policy is None and cache_backend is None:
+            for server in self._servers:
+                server._on_run_start = self._runs.append
+                server._on_run_end = self._end_run
+            self.sim._before_event = self._account_runs
         self._shares = np.asarray(cluster.shares, dtype=float)
         # Routing draws are windowed when the shares are constant over
         # the run; share-shift faults need the per-instant shares, so
@@ -695,43 +747,176 @@ class MemcachedSystemSimulator:
     # Completion plumbing.
     # ------------------------------------------------------------------
 
-    def _on_server_complete(
-        self, context: object, arrival: float, start: float, finish: float
-    ) -> None:
-        sojourn = finish - arrival
-        if context.__class__ is _RequestState:
-            # A key of a batch sharing its request: policy-free and
-            # without a cache backend, so this is its whole path, with
-            # _return_hop inlined (about 6% of an engine-plain op). ">="
-            # keeps the same float as max() while carrying the wait
-            # split of the max-attaining key for attribution.
-            request = context
+    # ------------------------------------------------------------------
+    # Server runs: keys accounted in bulk, misses and last keys per key.
+    # ------------------------------------------------------------------
+
+    def _account_runs(self, time: float, seq: int) -> bool:
+        """The engine's pre-event hook: account every run key that
+        completes before the event at ``(time, seq)``.
+
+        A run key completes at ``(finish, run.seq, index)``. No run
+        starts between two events, so the keys due are counted with one
+        bisect per run. They are merged in that order only when the miss
+        cursor falls among them; a missed key is not accounted here but
+        becomes an event at its finish, ranked at its run's seq, and the
+        hook returns True so that it fires before ``(time, seq)``.
+        """
+        runs = self._runs
+        if not runs:
+            return False
+        total = 0
+        for run in runs:
+            times = run.times
+            done = run.done
+            finish = times[done]
+            if finish < time or (finish == time and run.seq < seq):
+                bisect = bisect_right if run.seq < seq else bisect_left
+                due = bisect(times, time, done + 1, run.last)
+                run.due = due
+                total += due - done
+            else:
+                run.due = done
+        if not total:
+            return False
+        rank = self._keys_processed
+        if self._next_miss >= rank + total:
+            self._keys_processed = rank + total
+            self._account_due(total)
+            return False
+        return self._account_to_miss(total)
+
+    def _account_to_miss(self, total: int) -> bool:
+        """The miss cursor falls among the ``total`` keys due: walk them
+        in completion order up to the first miss."""
+        runs = {}
+        keys: List[tuple] = []
+        for run in self._runs:
+            if run.due > run.done:
+                runs[run.seq] = run
+                keys += zip(
+                    run.times[run.done : run.due], repeat(run.seq), range(run.done, run.due)
+                )
+        keys.sort()
+        rank = self._keys_processed
+        while self._next_miss < rank + total:
+            position = self._next_miss - rank
+            if not self._miss_at(self._next_miss):
+                continue  # a window's end: its successor's ranks are drawn
+            finish, seq, index = keys[position]
+            for run in runs.values():
+                run.due = run.done
+            for _, key_seq, key_index in keys[:position]:
+                runs[key_seq].due = key_index + 1
+            self._keys_processed = rank + position
+            self._account_due(position)
+            run = runs[seq]
+            self.sim._schedule_ranked(finish, seq, partial(self._miss_key, run))
+            return True
+        self._keys_processed = rank + total
+        self._account_due(total)
+        return False
+
+    def _account_due(self, count: int) -> None:
+        """Account each run's keys ``done..due-1`` (``count`` in all),
+        none of them a miss or its run's last key.
+
+        Such a key never completes its request, whose batch's last key
+        is still in service. In a run, sojourns grow with the index, so
+        the ">=" server maximum reads only a run's last key due, and
+        runs go in seq order: keys of one request that finish at the
+        same instant on two servers tie as one at a time would.
+        """
+        round_trip = self._round_trip
+        segments = self._run_keys
+        finished = False
+        for run in self._runs:
+            due = run.due
+            done = run.done
+            if due == done:
+                continue
+            times = run.times
+            request = run.payload
+            arrival = run.arrival
+            sojourn = times[due - 1] - arrival
             if sojourn >= request.max_server:
                 request.max_server = sojourn
-                request.server_wait = start - arrival
-            self._key_sojourns.append(sojourn)
-            rank = self._keys_processed
-            self._keys_processed = rank + 1
-            if rank == self._next_miss and self._miss_at(rank):
-                self._misses += 1
-                if self._database is not None:
-                    self._database.offer_key(finish, context=request)
-                    return
-            delay = self._network_delay
-            network = delay + delay
-            if network > request.max_network:
-                request.max_network = network
-            request.pending -= 1
-            if request.pending == 0:
-                self.sim.schedule(
-                    delay, partial(self._complete_request, request, request.born)
-                )
-            return
+                request.server_wait = (times[due - 2] if due > 1 else run.start) - arrival
+            if round_trip > request.max_network:
+                request.max_network = round_trip
+            request.pending -= due - done
+            segments += (times, done, due, arrival)
+            run.done = due
+            finished = finished or due == run.last
+        self._run_key_count += count
+        if finished:
+            self._runs[:] = [run for run in self._runs if run.done < run.last]
+
+    def _miss_key(self, run: ServerRun) -> None:
+        """A run's key that misses, at its finish: the cursor moved when
+        the key was found."""
+        index = run.done
+        run.done = index + 1
+        if run.done == run.last:
+            self._runs.remove(run)
+        self._serve_run_key(run, index, missed=True)
+
+    def _end_run(self, run: ServerRun) -> None:
+        """A run's last finish, after its server folded the run."""
+        last = run.last
+        if run.done < last:
+            # Keys that finished at the last instant itself (a service
+            # time below the clock's resolution) rank before the last
+            # key at this same (time, seq).
+            self._runs.remove(run)
+            for index in range(run.done, last):
+                run.done = index + 1
+                self._serve_run_key(run, index)
+        self._serve_run_key(run, last)
+
+    def _serve_run_key(self, run: ServerRun, index: int, missed: bool = False) -> None:
+        """One run key's whole path, with the clock at its finish. ">="
+        keeps the same float as max() while carrying the wait split of
+        the max-attaining key for attribution."""
+        request = run.payload
+        times = run.times
+        finish = times[index]
+        arrival = run.arrival
+        sojourn = finish - arrival
+        if sojourn >= request.max_server:
+            request.max_server = sojourn
+            request.server_wait = (times[index - 1] if index else run.start) - arrival
+        self._run_keys += (times, index, index + 1, arrival)
+        self._run_key_count += 1
+        rank = self._keys_processed
+        self._keys_processed = rank + 1
+        if missed or (rank == self._next_miss and self._miss_at(rank)):
+            self._misses += 1
+            if self._database is not None:
+                self._database.offer_key(finish, context=request)
+                return
+        self._return_hop(request)
+
+    def _flush_key_sojourns(self) -> None:
+        """Move the buffered per-key sojourns into ``per_key_server``."""
+        sojourns = self._key_sojourns
+        if self._run_keys:
+            sojourns = _in_completion_order(self._run_keys)
+            self._run_keys.clear()
+            self._run_key_count = 0
+        _flush_sojourns(self._per_key_server, sojourns, self._registry)
+
+    def _on_server_complete(
+        self, context: _KeyContext, arrival: float, start: float, finish: float
+    ) -> None:
+        """A key with a context (a policy attempt or a cache-backend key)
+        leaves its server."""
         if context.cancelled:
             # A cancelled attempt that was already in service: the
             # capacity is spent, but it contributes nothing further.
             return
         request = context.request
+        sojourn = finish - arrival
         if context.state is None and sojourn >= request.max_server:
             request.max_server = sojourn
             request.server_wait = start - arrival
@@ -890,8 +1075,8 @@ class MemcachedSystemSimulator:
         if len(rows) >= _FLUSH_CHUNK:
             self._chunks.append(_row_matrix(rows, len(RECORD_FIELDS)))
             rows.clear()
-        if len(self._key_sojourns) >= _PER_KEY_CHUNK:
-            _flush_sojourns(self._per_key_server, self._key_sojourns, self._registry)
+        if len(self._key_sojourns) + self._run_key_count >= _PER_KEY_CHUNK:
+            self._flush_key_sojourns()
         self._completed_requests += 1
         if self._completed_requests == self._warmup_target:
             self._reset_recorders()
@@ -920,13 +1105,16 @@ class MemcachedSystemSimulator:
             self.sim.run()
         finally:
             self._release()
+        # Runs still in service at the stop: their keys accounted so far.
+        for server in self._servers:
+            server.settle()
         if self._completed_requests < self._run_target:
             raise SimulationError("event queue drained before completion")
         record = np.concatenate(
             self._chunks + [_row_matrix(self._rows, len(RECORD_FIELDS))]
         )
         column = dict(zip(RECORD_FIELDS, record.T))
-        _flush_sojourns(self._per_key_server, self._key_sojourns, self._registry)
+        self._flush_key_sojourns()
         registry = self._registry
         if registry is not None:
             for name, field in _REQUEST_HISTOGRAMS:
@@ -941,13 +1129,18 @@ class MemcachedSystemSimulator:
         meta = {"backend": "simulate"}
         timeline = None
         if self._timeline is not None:
-            for name, log in self._queue_logs.items():
-                stage = name.replace("-", ".")  # server-j -> server.j
-                self._timeline.stage_sink(stage).extend(log.since_mark()[0])
-            timeline = self._timeline.build(
-                born=column["born"],
-                completed=column["completed"],
+            # Each stage's job columns are expanded from its log when the
+            # timeline's stages are first read.
+            timeline = Timeline.from_events(
+                start=self._timeline.origin,
                 end=self.sim.now,
+                request_born=column["born"],
+                request_completed=column["completed"],
+                stages={
+                    name.replace("-", "."): log.job_columns  # server-j -> server.j
+                    for name, log in self._queue_logs.items()
+                },
+                spec=self._timeline.spec,
                 meta=meta,
             )
         if self._tracer is not None:
@@ -1005,8 +1198,10 @@ class MemcachedSystemSimulator:
         """Break the run's reference cycles, so a finished simulator is
         freed by reference counting: the events still pending hold bound
         methods of this simulator (and, through policy timers, of its
-        key states), and every queue holds its completion callback."""
+        key states), the engine holds the pre-event hook, and every queue
+        holds its completion callbacks."""
         self.sim.discard_pending()
+        self.sim._before_event = None
         for server in self._servers:
             server.release()
         if self._database is not None:
@@ -1020,8 +1215,13 @@ class MemcachedSystemSimulator:
         self._misses_offset = self._misses
         self._per_key_server = LatencyRecorder(max_samples=_PER_KEY_SAMPLES)
         self._key_sojourns.clear()
+        self._run_keys.clear()
+        self._run_key_count = 0
         # The queue logs are marked, not cleared: the tracer reads the
         # keys a request in flight across the boundary logged before it.
+        # A run in service is cut where its accounting stands first.
+        for server in self._servers:
+            server.settle()
         for log in self._queue_logs.values():
             log.mark()
         if self.observability is not None:

@@ -30,6 +30,13 @@ def test_profile_cprofile_tiny(profile_engine, capsys):
     assert " Python calls, " in out and " heap operations (" in out
 
 
+def test_profile_prints_engine_events_per_key(profile_engine, capsys):
+    events = profile_engine.profile_categories(n_requests=20)
+    profile_engine.profile_cprofile(n_requests=20, n_events=2_000, engine_events=events)
+    out = capsys.readouterr().out
+    assert f"per generated key (440 keys): {events / 440:.3f} engine events, " in out
+
+
 def test_profile_categories_tiny(profile_engine, capsys):
     profile_engine.profile_categories(n_requests=20)
     out = capsys.readouterr().out

@@ -1,5 +1,7 @@
 """Tests for span trees and bounded-retention tracing."""
 
+import gc
+
 import pytest
 
 from repro.errors import ValidationError
@@ -109,3 +111,60 @@ class TestTracerRetention:
             Tracer(capacity=0)
         with pytest.raises(ValidationError):
             Tracer(slowest_k=0)
+
+
+class TestDeferredKeyBuild:
+    """Key subtrees are built on first read, with cyclic GC paused while
+    they are built and left as it was found."""
+
+    @staticmethod
+    def traced(source):
+        tracer = Tracer(capacity=2, slowest_k=1)
+        for i in range(2):
+            span = tracer.start_request("request", 0.0, request_id=i)
+            tracer.finish_request(span, 1.0)
+        tracer.defer_keys(source)
+        return tracer
+
+    @staticmethod
+    def rows(request_ids):
+        return {
+            request_id: [
+                (f"r{request_id}k0", 0, (0.0, 0.1), 0, True, (0.1, 0.2, 0.3),
+                 None, (0.3, 0.4), 0.4)
+            ]
+            for request_id in request_ids
+        }
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_paused_while_building_and_restored(self, enabled):
+        seen = []
+
+        def source(request_ids):
+            seen.append(gc.isenabled())
+            return self.rows(request_ids)
+
+        tracer = self.traced(source)
+        assert gc.isenabled()
+        if not enabled:
+            gc.disable()
+        try:
+            roots = tracer.recent()
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert seen == [False]
+        assert [len(root.children) for root in roots] == [1, 1]
+        assert [child.name for child in roots[0].children[0].children] == [
+            "network.out", "queue", "service", "network.in"
+        ]
+
+    def test_gc_restored_when_a_build_fails(self):
+        def source(request_ids):
+            raise RuntimeError("rows unavailable")
+
+        tracer = self.traced(source)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="rows unavailable"):
+            tracer.recent()
+        assert gc.isenabled()

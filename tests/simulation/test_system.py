@@ -3,12 +3,14 @@
 import gc
 import re
 import weakref
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import ClusterModel
+from repro.distributions import make_rng, split_rng
 from repro.errors import ValidationError
 from repro.faults import DatabaseOverload, FaultSchedule, ServerPause, ServerSlowdown
 from repro.observability import Histogram, Observability, tracing
@@ -18,8 +20,11 @@ from repro.simulation import (
     MemcachedSystemSimulator,
     simulate_system_requests,
 )
+from repro.simulation import server as server_module
 from repro.simulation import system as system_module
+from repro.simulation.engine import Simulator
 from repro.simulation.scheduler import HeapScheduler
+from repro.simulation.server import QueueLog, ServerSim
 from repro.units import kps, msec, usec
 
 
@@ -227,13 +232,21 @@ class TestQueueCollectors:
         served = {name: [] for name in queues}
         boundary = []
 
+        def run_keys(run, upto):
+            """(arrival, start, finish) of a server run's first keys."""
+            starts = [run.start] + run.times[:-1]
+            return [(run.arrival, s, f) for s, f in zip(starts, run.times[:upto])]
+
         def watch(name, queue):
             offer_batch, on_complete = queue.offer_batch, queue._on_complete
 
             def offer(now, size, **kwargs):
-                # Keys ahead: those the queue entries hold, and the one
-                # in service.
+                # Keys ahead: those the queue entries hold, the unstarted
+                # keys of a server's run in service, and the key in
+                # service.
                 held = sum(entry[4] - entry[3] for entry in queue._queue)
+                if queue._run is not None:
+                    held += queue._run.last - queue._run.done
                 offers[name].append((now, held + queue.busy, size))
                 offer_batch(now, size, **kwargs)
 
@@ -245,6 +258,14 @@ class TestQueueCollectors:
 
         for name, queue in queues.items():
             watch(name, queue)
+        # Server keys finish in runs, which the simulator accounts: a run
+        # is complete when its last key finishes.
+        def ended(name, run):
+            served[name].extend(run_keys(run, run.last + 1))
+            system._end_run(run)
+
+        for j, queue in enumerate(system._servers):
+            queue._on_run_end = partial(ended, f"server-{j}")
         reset = system._reset_recorders
 
         def mark_boundary():
@@ -253,12 +274,16 @@ class TestQueueCollectors:
 
         system._reset_recorders = mark_boundary
         results = system.run(n_requests=200, warmup_requests=50)
+        # Runs in service at the stop: the keys finished before it.
+        for name, queue in queues.items():
+            if queue._run is not None:
+                served[name].extend(run_keys(queue._run, queue._run.done))
         (t0, misses_before), = boundary
         registry = obs.registry
         straddling = 0
         for name in queues:
             wait, service, depth = Histogram(), Histogram(), Histogram(min_value=1.0)
-            for arrival, start, finish in served[name]:
+            for arrival, start, finish in sorted(served[name], key=lambda row: row[2]):
                 if finish > t0:
                     wait.record(start - arrival)
                     service.record(finish - start)
@@ -289,28 +314,54 @@ class TestQueueCollectors:
 
 
 class TestEventsPerKey:
-    """The policy-free return hop schedules no event: a constant network
-    delay keeps FIFO order, so a key's return is accounted when it
-    leaves its server and only a request's completion is an event."""
+    """A server run is one event: the simulator accounts a run's keys in
+    bulk before each later event, and only a run's last key and a key
+    that misses take an event of their own. The policy-free return hop
+    schedules no event either: a constant network delay keeps FIFO
+    order, so only a request's completion is an event."""
 
     N_KEYS = 20
     N_SERVERS = 4
 
-    def run(self, **overrides):
+    def run(self, monkeypatch, **overrides):
+        """The seeded run, with the number of server runs it started."""
+        runs = 0
+        original = server_module.ServerRun.__init__
+
+        def counted(self, *args):
+            nonlocal runs
+            runs += 1
+            original(self, *args)
+
+        monkeypatch.setattr(server_module.ServerRun, "__init__", counted)
         system = build_system(request_rate=400.0, seed=3, **overrides)
         results = system.run(n_requests=300, warmup_requests=30)
-        return system, results
+        return system, results, runs
 
-    def test_about_one_event_per_key(self):
-        system, results = self.run()
+    def bound(self, system, results, runs):
+        """Per run: its last finish. Per miss: the missed key's own event
+        (a key inside a run) and its database completion. Per request:
+        its arrival, at most one outbound hop per server and its
+        completion."""
         spawned = system._next_request_id
-        keys_generated = spawned * self.N_KEYS
-        # Per key: its service completion, plus a database completion on
-        # a miss. Per request: its arrival, at most one outbound hop per
-        # server and its completion. A per-key return event would add
-        # another keys_generated on top.
-        bound = keys_generated + results.misses + (self.N_SERVERS + 2) * spawned
-        assert keys_generated <= system.sim.events_processed <= bound
+        return runs + (self.N_SERVERS + 2) * spawned + 2 * results.misses
+
+    def test_one_event_per_run(self, monkeypatch):
+        system, results, runs = self.run(monkeypatch)
+        keys_generated = system._next_request_id * self.N_KEYS
+        assert results.misses > 0
+        assert runs < keys_generated
+        assert system.sim.events_processed <= self.bound(system, results, runs)
+
+    def test_wide_requests_cost_a_fraction_of_an_event_per_key(self, monkeypatch):
+        """Events grow with requests, servers and misses, not with keys:
+        a 20-key request costs about ten (its arrival, a hop and a run
+        on each of four servers, its completion), a 150-key one not
+        many more."""
+        system, results, runs = self.run(monkeypatch, n_keys_per_request=150)
+        keys_generated = system._next_request_id * 150
+        assert system.sim.events_processed <= self.bound(system, results, runs)
+        assert system.sim.events_processed < keys_generated / 4
 
     def test_fewer_scheduler_pushes_than_keys(self, monkeypatch):
         """A batch's keys finish as one scheduled run, so the whole system
@@ -325,15 +376,10 @@ class TestEventsPerKey:
             original(self, time, seq, obj)
 
         monkeypatch.setattr(HeapScheduler, "push", push)
-        system, results = self.run()
+        system, results, runs = self.run(monkeypatch)
         keys_generated = system._next_request_id * self.N_KEYS
         assert 0 < pushes < keys_generated
-        bound = (
-            keys_generated
-            + results.misses
-            + (self.N_SERVERS + 2) * system._next_request_id
-        )
-        assert keys_generated <= system.sim.events_processed <= bound
+        assert system.sim.events_processed <= self.bound(system, results, runs)
 
     def test_traced_run_builds_no_spans_or_contexts(self, monkeypatch):
         """A traced, policy-free run takes the shared-payload path: while
@@ -382,9 +428,9 @@ class TestEventsPerKey:
         source = Path(system_module.__file__).read_text()
         assert re.search(r"\bSpan\b", source) is None
 
-    def test_key_spans_end_with_their_return_hop(self):
+    def test_key_spans_end_with_their_return_hop(self, monkeypatch):
         obs = Observability(trace=True)
-        system, results = self.run(observability=obs)
+        system, results, _ = self.run(monkeypatch, observability=obs)
         roots = obs.tracer.recent()
         assert len(roots) == results.requests_completed == 300
         total = dict(
@@ -402,6 +448,114 @@ class TestEventsPerKey:
                 assert len(network_in) == 1
                 assert key.end == network_in[0].end
                 assert key.end <= root.end
+
+
+class TestServerRunAccounting:
+    """Without a request policy or cache backend, the simulator accounts
+    a server run's keys in bulk before each later event; only a run's
+    last key and a key that misses take the per-key path, each at its
+    own event with the clock at its finish."""
+
+    def test_no_completion_callback_for_a_run_key(self, monkeypatch):
+        calls = {"complete": 0, "per_key": 0, "inside": 0}
+        on_complete = system_module.MemcachedSystemSimulator._on_server_complete
+        serve = system_module.MemcachedSystemSimulator._serve_run_key
+
+        def counted_complete(self, *args):
+            calls["complete"] += 1
+            on_complete(self, *args)
+
+        def counted_serve(self, run, index, missed=False):
+            calls["per_key"] += 1
+            calls["inside"] += index < run.last and not missed
+            serve(self, run, index, missed)
+
+        monkeypatch.setattr(
+            system_module.MemcachedSystemSimulator, "_on_server_complete",
+            counted_complete,
+        )
+        monkeypatch.setattr(
+            system_module.MemcachedSystemSimulator, "_serve_run_key", counted_serve
+        )
+        system = build_system(request_rate=2000.0, miss_ratio=0.05, seed=4)
+        results = system.run(n_requests=300, warmup_requests=30)
+        assert calls["complete"] == 0
+        assert calls["inside"] == 0
+        assert results.misses > 0
+        assert 0 < calls["per_key"] < results.keys_processed / 2
+
+    def test_missed_key_inside_a_run_fires_at_its_finish(self, monkeypatch):
+        seen = []
+        miss_key = system_module.MemcachedSystemSimulator._miss_key
+
+        def watched(self, run):
+            seen.append((self.sim.now, run.times[run.done], run.done, run.last))
+            miss_key(self, run)
+
+        monkeypatch.setattr(system_module.MemcachedSystemSimulator, "_miss_key", watched)
+        system = build_system(
+            request_rate=3000.0, miss_ratio=0.3, database_rate=1.0 / usec(40), seed=32
+        )
+        offered = []
+        offer_key = system._database.offer_key
+
+        def offer(now, **kwargs):
+            offered.append((system.sim.now, now))
+            offer_key(now, **kwargs)
+
+        system._database.offer_key = offer
+        results = system.run(n_requests=200)
+        assert any(0 < index < last for _, _, index, last in seen)
+        assert all(now == finish for now, finish, _, _ in seen)
+        # Every database arrival, from a run's middle or its end, comes
+        # with the clock at the key's server finish.
+        assert len(offered) == results.misses > len(seen)
+        assert all(now == at for now, at in offered)
+
+    def test_run_rows_expand_to_the_per_key_log(self):
+        """Each server's run rows, cut at the warmup mark and the stop,
+        expand to the rows a per-key queue logs for the same batches."""
+        n_servers, seed = 2, 50
+        obs = Observability(trace=False, metrics=True, timeline=4)
+        system = build_system(
+            cluster=ClusterModel.balanced(n_servers, kps(80)),
+            request_rate=3000.0,
+            seed=seed,
+            observability=obs,
+        )
+        offers = {j: [] for j in range(n_servers)}
+        for j, server in enumerate(system._servers):
+            def offer(now, size, offer_batch=server.offer_batch, j=j, **kwargs):
+                offers[j].append((now, size))
+                offer_batch(now, size, **kwargs)
+
+            server.offer_batch = offer
+        results = system.run(n_requests=300, warmup_requests=60)
+        boundary = results.timeline.start
+        straddled = 0
+        for j in range(n_servers):
+            log = system._queue_logs[f"server-{j}"]
+            assert log.runs and not log.jobs
+            sim = Simulator()
+            replay_log = QueueLog()
+            replay = ServerSim.exponential(
+                sim, kps(80), split_rng(make_rng(seed), 5 + n_servers)[5 + j],
+                log=replay_log,
+            )
+            for now, size in offers[j]:
+                sim.schedule_at(now, partial(replay.offer_batch, now, size))
+            sim.run()
+            rows = log.key_rows()
+            assert rows == replay_log.jobs[: len(rows)]
+            arrival, start, finish = log.job_columns()
+            cut = len(rows) - finish.size
+            assert list(zip(arrival.tolist(), start.tolist(), finish.tolist())) == rows[cut:]
+            assert all(row[2] <= boundary for row in rows[:cut])
+            assert all(row[2] > boundary for row in rows[cut:])
+            # One batch's keys served back to back across the boundary.
+            before, after = rows[cut - 1], rows[cut]
+            straddled += before[0] == after[0] and before[2] == after[1]
+        assert straddled
 
 
 class TestFinishedRunIsFreed:
