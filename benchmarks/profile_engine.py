@@ -14,7 +14,8 @@ Runs the standard speed scenario (the fig-11-style point from
    and three counts per generated key (warmup included): engine events
    (from the first run, which has the same seed), Python calls (every
    function cProfile sees, C built-ins included) and heap operations
-   (``heapq`` push, pop, pushpop and heapify calls).
+   (``heapq`` push, pop, pushpop and heapify calls), with the engine
+   events per generated request beside them.
 
 A third section times the raw dispatch microbench from
 ``bench_speed_backends`` under cProfile, isolating the engine's batched
@@ -105,16 +106,22 @@ def profile_cprofile(
     """cProfile the closed-loop run and the raw dispatch microbench.
 
     ``engine_events``, the event count of the same seeded run, is
-    printed per generated key when given."""
+    printed per generated request and per generated key when given."""
     scenario = speed_scenario(n_requests)
     profiler = cProfile.Profile()
     profiler.enable()
     scenario.run("simulate")
     profiler.disable()
     _print_cprofile(profiler, f"cProfile: closed loop ({n_requests} requests)")
-    keys = (scenario.n_requests + scenario.warmup_requests) * scenario.n_keys
+    requests = scenario.n_requests + scenario.warmup_requests
+    keys = requests * scenario.n_keys
     counts = per_key_counts(profiler, keys)
     events = "" if engine_events is None else f"{engine_events / keys:.3f} engine events, "
+    if engine_events is not None:
+        print(
+            f"per generated request ({requests} requests): "
+            f"{engine_events / requests:.2f} engine events"
+        )
     print(
         f"per generated key ({keys} keys): {events}"
         f"{counts['python_calls']:.2f} Python calls, "

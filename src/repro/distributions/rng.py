@@ -8,7 +8,7 @@ stream splitting.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -17,10 +17,31 @@ from ..errors import ValidationError
 RngLike = Union[None, int, np.random.Generator, np.random.SeedSequence]
 
 
-#: Number of values pre-drawn per refill by :class:`RandomWindow`.
-#: Results are invariant to the window size because each window
-#: consumes its own dedicated stream in order.
+#: Largest refill of a :class:`RandomWindow`, and of the simulator's
+#: arrival and miss windows. Results are invariant to the window size
+#: because each window consumes its own dedicated stream in order.
 DEFAULT_RNG_WINDOW = 4096
+
+#: First refill of a window: refills grow from here (see
+#: :func:`refill_sizes`).
+FIRST_RNG_WINDOW = 256
+
+
+def refill_sizes(largest: int = DEFAULT_RNG_WINDOW) -> Iterator[int]:
+    """Sizes of a window's successive refills: ``FIRST_RNG_WINDOW``
+    values (at most ``largest``), then each refill as many as all
+    before it, up to ``largest``.
+
+    The values drawn so far double with each refill, so once a reader
+    takes more than the first refill it has drawn fewer than twice the
+    values it took, and a long run still draws ``largest`` at a time.
+    """
+    size = min(FIRST_RNG_WINDOW, largest)
+    drawn = 0
+    while True:
+        yield size
+        drawn += size
+        size = min(drawn, largest)
 
 
 class RandomWindow:
@@ -39,9 +60,13 @@ class RandomWindow:
     for *every* window size. Values are stored via ``ndarray.tolist()``
     so consumers receive plain Python floats/ints, exactly like
     ``float(rng.exponential(...))`` produced before.
+
+    ``size`` is the largest refill; refills grow to it from
+    :data:`FIRST_RNG_WINDOW` (:func:`refill_sizes`), so a short run
+    draws little more than it reads.
     """
 
-    __slots__ = ("_fn", "_size", "_values", "_index")
+    __slots__ = ("_fn", "_size", "_sizes", "_values", "_index")
 
     def __init__(self, fn: Callable[[int], np.ndarray], size: Optional[int] = None) -> None:
         if size is None:
@@ -50,11 +75,13 @@ class RandomWindow:
             raise ValidationError(f"window size must be >= 1, got {size}")
         self._fn = fn
         self._size = int(size)
+        self._sizes = refill_sizes(self._size)
         self._values: list = []
         self._index = 0
 
     @property
     def window_size(self) -> int:
+        """The largest refill."""
         return self._size
 
     @property
@@ -66,7 +93,7 @@ class RandomWindow:
         """The next value (refilling the window when it runs dry)."""
         i = self._index
         if i >= len(self._values):
-            self._values = np.asarray(self._fn(self._size)).tolist()
+            self._values = np.asarray(self._fn(next(self._sizes))).tolist()
             i = 0
         self._index = i + 1
         return self._values[i]
@@ -83,7 +110,7 @@ class RandomWindow:
             return self._values[start:stop]
         out = self._values[start:]
         while len(out) < count:
-            self._values = np.asarray(self._fn(self._size)).tolist()
+            self._values = np.asarray(self._fn(next(self._sizes))).tolist()
             grab = min(count - len(out), len(self._values))
             out.extend(self._values[:grab])
             self._index = grab

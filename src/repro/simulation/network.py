@@ -2,8 +2,9 @@
 
 The paper treats the network as a constant delay (utilization < 10%, no
 queueing); :class:`NetworkSim` models it as a pure delay element. The
-engine relies on the delay being constant: it keeps FIFO order, so a
-policy-free key's return hop needs no event of its own.
+engine relies on the delay being constant: it keeps FIFO order, so
+neither hop of a policy-free key needs an event of its own, and only
+policy attempts are sent through :meth:`NetworkSim.send`.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from repro.distributions import (
     Zipf,
     make_rng,
 )
+from repro.distributions.rng import FIRST_RNG_WINDOW, refill_sizes
 from repro.errors import ValidationError
 
 #: Distributions with hand-vectorized ``sample_window`` overrides plus
@@ -126,3 +127,86 @@ class TestRandomWindowMechanics:
     def test_invalid_size_rejected(self):
         with pytest.raises(ValidationError):
             RandomWindow.uniform(make_rng(1), size=0)
+
+
+#: Windows over the simulator's stream kinds, each with the one long
+#: draw of ``n`` values its sequence must equal.
+WINDOW_KINDS = {
+    "exponential": (
+        lambda rng, size: RandomWindow.exponential(rng, 2.5, size),
+        lambda rng, n: rng.exponential(2.5, n).tolist(),
+    ),
+    "uniform": (
+        lambda rng, size: RandomWindow.uniform(rng, size),
+        lambda rng, n: rng.random(n).tolist(),
+    ),
+    "multinomial": (
+        lambda rng, size: RandomWindow.multinomial(rng, 12, [0.5, 0.3, 0.2], size),
+        lambda rng, n: rng.multinomial(12, [0.5, 0.3, 0.2], size=n).tolist(),
+    ),
+}
+
+#: Read patterns: gets, takes that straddle refills of every size in
+#: the growth schedule (255 + 2 crosses the first, 700 the next ones),
+#: and a mix of both.
+READS = {
+    "gets": [1] * 600,
+    "takes": [255, 2, 700, 0, 1500, 3000, 5000],
+    "mixed": [1, 3, 1, 300, 1, 1, 900, 2000, 1, 4200, 1],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WINDOW_KINDS))
+@pytest.mark.parametrize("size", [1, 3, 256, 4096])
+@pytest.mark.parametrize("reads", sorted(READS))
+def test_reads_equal_one_long_draw(kind, size, reads):
+    """Whatever the largest refill and however the reads straddle the
+    growing refills, a window vends the values of one long draw."""
+    make, draw = WINDOW_KINDS[kind]
+    counts = READS[reads]
+    window = make(make_rng(23), size)
+    got = []
+    for count in counts:
+        if count == 1:
+            got.append(window.get())
+        else:
+            got.extend(window.take(count))
+    assert got == draw(make_rng(23), sum(counts))
+
+
+class TestRefillSizes:
+    def test_growth_schedule(self):
+        sizes = refill_sizes()
+        assert [next(sizes) for _ in range(8)] == [
+            256, 256, 512, 1024, 2048, 4096, 4096, 4096
+        ]
+        assert FIRST_RNG_WINDOW == 256 and DEFAULT_RNG_WINDOW == 4096
+
+    @pytest.mark.parametrize("largest", [1, 3, 256, 300, 4096])
+    def test_capped_at_largest(self, largest):
+        sizes = refill_sizes(largest)
+        drawn = [next(sizes) for _ in range(12)]
+        assert max(drawn) == largest
+        assert drawn[0] == min(FIRST_RNG_WINDOW, largest)
+
+    @pytest.mark.parametrize("used", [257, 300, 513, 1000, 4097, 9000, 30000])
+    def test_draws_under_twice_what_a_reader_takes(self, used):
+        """Past the first refill, the values drawn to serve ``used``
+        reads are fewer than twice ``used``."""
+        sizes = refill_sizes()
+        drawn = 0
+        while drawn < used:
+            drawn += next(sizes)
+        assert drawn < 2 * used
+
+    def test_window_refills_grow(self):
+        requested = []
+
+        def fn(n):
+            requested.append(n)
+            return np.zeros(n)
+
+        window = RandomWindow(fn)
+        window.take(5000)
+        assert requested == [256, 256, 512, 1024, 2048, 4096]
+        assert window.window_size == DEFAULT_RNG_WINDOW

@@ -35,6 +35,7 @@ def test_profile_prints_engine_events_per_key(profile_engine, capsys):
     profile_engine.profile_cprofile(n_requests=20, n_events=2_000, engine_events=events)
     out = capsys.readouterr().out
     assert f"per generated key (440 keys): {events / 440:.3f} engine events, " in out
+    assert f"per generated request (22 requests): {events / 22:.2f} engine events" in out
 
 
 def test_profile_categories_tiny(profile_engine, capsys):
