@@ -305,18 +305,10 @@ class UtilizationMeter:
         self._busy += now - self._busy_since
         self._busy_since = None
 
-    def server_continued(self, now: float) -> None:
-        """Server finished one job and started the next at ``now``:
-        the same state as :meth:`server_stopped` then
-        :meth:`server_started`, in one step."""
-        if self._ran:
-            self._fold()
-        self._busy += now - self._busy_since
-        self._busy_since = now
-
     def server_ran(self, finishes: Sequence[float], *, idle: bool) -> None:
         """Keys finished at ``finishes``, each starting as the one before
-        it finished: :meth:`server_continued` at each, then
+        it finished: the state :meth:`server_stopped` then
+        :meth:`server_started` at each finish leaves, ending with
         :meth:`server_stopped` at the last when ``idle``.
 
         Busy time is folded later, about a thousand keys at a time,

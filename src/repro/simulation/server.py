@@ -9,37 +9,29 @@ its next key to start, and its key count. A key starts service when
 the key ahead of it finishes, and the fault hooks are read at that
 instant.
 
-Once nothing can interrupt it, the rest of a batch is fixed when its
-head key starts: with a shared payload (no per-key contexts, so no key
-can be abandoned) and no ``pause_until`` hook, every start is the
-previous key's finish. The server then fixes that *run* at once: it
-takes the run's service times from its window in one read, divides
-each by ``rate_factor`` at that key's start, and accumulates the finish
-times with the engine's own float addition.
-
-Who learns of a run's keys depends on the server's owner:
+Who learns of a key depends on the server's owner:
 
 * A server owned by
-  :class:`~repro.simulation.system.MemcachedSystemSimulator` hands each
-  shared-payload run (a :class:`ServerRun`) to the simulator and
-  schedules one event, at the run's last finish, ranked by the ``seq``
-  of that one scheduling. The simulator accounts the run's earlier keys
-  in bulk before each later event (its pre-event hook); the server
-  folds the keys into its utilization meter and queue log when the run
-  ends, and :meth:`ServerSim.settle` does so for the keys a run has
-  finished so far (at the warmup mark and at the stop). On a pausable
-  server each key is a run of one, since a pause can hold the next key
-  back.
-* Any other server schedules the run's finishes as one
-  :meth:`~repro.simulation.engine.Simulator.schedule_batch`, and every
-  other key (per-key contexts, a pausable server, a lone key) one
-  ``_finish`` at a time. ``_finish`` reports each key to ``on_complete``
-  as plain values ``(context, arrival, start, finish)`` and keeps the
-  queue cursor and the utilization meter exactly where the
-  key-at-a-time path puts them. A run key that is not the run's last
-  reads its finish from the run's times and moves the meter with one
-  :meth:`~repro.simulation.metrics.UtilizationMeter.server_continued`
-  step, the float a stop then a start would give.
+  :class:`~repro.simulation.system.MemcachedSystemSimulator` without a
+  request policy serves every shared-payload batch (no per-key
+  contexts, so no key can be abandoned) as *runs*: once nothing can
+  interrupt it, the rest of a batch is fixed when its head key starts,
+  every start being the previous key's finish. The server takes the
+  run's service times from its window in one read, divides each by
+  ``rate_factor`` at that key's start, accumulates the finish times
+  with the engine's own float addition, hands the run (a
+  :class:`ServerRun`) to the simulator and schedules one event, at the
+  run's last finish, ranked by the ``seq`` of that one scheduling. The
+  simulator accounts the run's earlier keys in bulk before each later
+  event (its pre-event hook); the server folds the keys into its
+  utilization meter and queue log when the run ends, and
+  :meth:`ServerSim.settle` does so for the keys a run has finished so
+  far (at the warmup mark and at the stop). On a pausable server each
+  key is a run of one, since a pause can hold the next key back.
+* Every other key (a policy attempt, a database key, any key of a
+  server no simulator owns) is one ``_finish`` event, which reports it
+  to ``on_complete`` as plain values ``(context, arrival, start,
+  finish)``.
 
 The exponential-service default matches the paper's model, and any
 :class:`~repro.distributions.Distribution` can be substituted for
@@ -77,17 +69,26 @@ class ServerRun:
 
     Key ``i`` finishes at ``times[i]`` and starts at ``times[i - 1]``
     (key 0 at ``start``); every key arrived at ``arrival`` and shares
-    ``payload``. ``seq`` is the engine rank of the run's one event, at
+    ``payload``. ``server`` serves the run, whose key 0 is key ``first``
+    of its batch. ``seq`` is the engine rank of the run's one event, at
     its last finish. ``done`` counts the keys the owner has accounted
     and ``settled`` those the server has folded into its meter and log.
     """
 
     __slots__ = (
-        "payload", "arrival", "start", "times", "last", "seq", "done", "due", "settled"
+        "payload", "arrival", "start", "times", "last", "seq", "server", "first",
+        "done", "due", "settled",
     )
 
     def __init__(
-        self, payload: object, arrival: float, start: float, times: list, seq: int
+        self,
+        payload: object,
+        arrival: float,
+        start: float,
+        times: list,
+        seq: int,
+        server: "ServerSim",
+        first: int,
     ) -> None:
         self.payload = payload
         self.arrival = arrival
@@ -95,6 +96,8 @@ class ServerRun:
         self.times = times
         self.last = len(times) - 1
         self.seq = seq
+        self.server = server
+        self.first = first
         self.done = 0
         #: The owner's scratch: keys due before the event at hand.
         self.due = 0
@@ -207,14 +210,10 @@ class ServerSim:
         self._queue: Deque[list] = collections.deque()
         # The key in service: its arrival (None when idle), context and
         # start instant. Its completion is the bound ``_finish``, so a
-        # service start allocates nothing. ``_run_last`` is the index,
-        # within the scheduled run, of the run's last key (0 for a key
-        # scheduled on its own).
+        # service start allocates nothing.
         self._arrival: Optional[float] = None
         self._context: object = None
         self._started = 0.0
-        self._run_times: list = []
-        self._run_last = 0
         # An owner that accounts runs sets both hooks (see the module
         # docstring): ``_on_run_start(run)`` when a run of more than one
         # key starts, ``_on_run_end(run)`` at the run's last finish.
@@ -324,19 +323,15 @@ class ServerSim:
                 return
         index = entry[3]
         size = entry[4]
-        # Per-key contexts can be abandoned and a pause can hold a key
-        # back, so only a shared-payload batch on an unpausable server
-        # fixes its later starts now.
-        count = 1
-        if contexts is None and self._pause_until is None:
-            count = size - index
+        # An owned batch without per-key contexts (which can be
+        # abandoned) is served as runs: the rest of the batch, or one key
+        # on a pausable server, where a pause can hold the next key back.
+        # A run takes its keys off the queue now, and ``completed``
+        # counts them as the owner accounts them.
         owned = contexts is None and self._on_run_end is not None
-        # An owned run takes its keys off the queue now, and ``completed``
-        # counts them as the owner accounts them; otherwise the cursor
-        # moves as each key starts.
-        started = count if owned else 1
-        entry[3] = index + started
-        if index + started == size:
+        count = size - index if owned and self._pause_until is None else 1
+        entry[3] = index + count
+        if index + count == size:
             queue.popleft()
         self._arrival = entry[0]
         self._started = now
@@ -345,17 +340,14 @@ class ServerSim:
         if owned:
             # The owner accounts the run: one event, at its last finish.
             event = sim.schedule_at(times[-1], self._end_run)
-            run = self._run = ServerRun(entry[2], entry[0], now, times, event.seq)
+            run = self._run = ServerRun(
+                entry[2], entry[0], now, times, event.seq, self, index
+            )
             if count > 1:
                 self._on_run_start(run)
             return
         self._context = entry[2] if contexts is None else contexts[index]
-        self._run_last = count - 1
-        if count == 1:
-            sim.schedule_at(times[0], self._finish)
-            return
-        self._run_times = times
-        sim.schedule_batch(times, self._finish)
+        sim.schedule_at(times[0], self._finish)
 
     def _finishes(self, now: float, count: int) -> list:
         """Finish times of the next ``count`` keys served back to back
@@ -390,38 +382,19 @@ class ServerSim:
         if self._arrival is None:
             self._start_next()
 
-    def _finish(self, index: int = 0) -> None:
-        """Key ``index`` of the scheduled run finishes now."""
+    def _finish(self) -> None:
+        """The key in service finishes now."""
         arrival = self._arrival
         start = self._started
+        now = self._sim.now
         self._arrival = None
-        last = index == self._run_last
-        if last:
-            now = self._sim.now
-            self.utilization_meter.server_stopped(now)
-        else:
-            # The run's next key starts as this one finishes: one meter
-            # step gives the float a stop and a start would give.
-            now = self._run_times[index]
-            self.utilization_meter.server_continued(now)
+        self.utilization_meter.server_stopped(now)
         self._completed += 1
         if self._log_job is not None:
             self._log_job((arrival, start, now))
         if self._on_complete is not None:
             self._on_complete(self._context, arrival, start, now)
-        if last:
-            self._start_next()
-            return
-        # The run's next key is in service: the cursor moves as
-        # _start_next would move it; its service is already drawn.
-        if self._arrival is not None:
-            raise SimulationError(f"{self.name}: server already busy")
-        entry = self._queue[0]
-        entry[3] += 1
-        if entry[3] == entry[4]:
-            self._queue.popleft()
-        self._arrival = arrival
-        self._started = now
+        self._start_next()
 
     def _end_run(self) -> None:
         """An owned run's last key finishes now: fold the run into the

@@ -9,13 +9,13 @@ Models the paper's Fig. 1 end to end on the event engine:
 3. Each key crosses the network (constant delay), queues FIFO at its
    server, and is served ``Exp(muS)``. A request's keys for one server
    travel and queue as one batch, one queue entry; without a request
-   policy or cache backend they have no per-key objects at all and
-   share the request as their payload, and the server fixes the rest of
-   the batch as one run once its head key starts. Without a request
-   policy the request's arrival is one event, one delay after its
-   birth: it draws the routing and offers every batch
-   (``_fan_out``). A request policy keeps the arrival at birth and one
-   network event per batch, since its timers run from birth.
+   policy they have no per-key objects at all and share the request as
+   their payload, and the server fixes the rest of the batch as one run
+   once its head key starts. Without a request policy the request's
+   arrival is one event, one delay after its birth: it draws the
+   routing and offers every batch (``_fan_out``). A request policy
+   keeps the arrival at birth and one network event per batch, since
+   its timers run from birth.
 4. A server run is one engine event, at its last finish. Before any
    event fires, the simulator's pre-event hook accounts in bulk every
    run key that finishes before it (``_account_runs``): the request's
@@ -29,7 +29,8 @@ Models the paper's Fig. 1 end to end on the event engine:
    when the k-th uniform of the miss stream is below ``r``; a cursor
    finds each window's miss ranks in one numpy pass, so a run's keys
    are ranked by counting them, and only a miss or a window's end is
-   looked at key by key.
+   looked at key by key. With a cache backend the cursor stops at
+   every rank, and the key's lookup decides.
 6. The request completes when its last key's value returns; one row of
    the run's per-request record keeps ``T(N)``, the per-stage maxima
    ``TS(N)``/``TD(N)`` and the critical keys' queue waits, and every
@@ -39,7 +40,7 @@ Models the paper's Fig. 1 end to end on the event engine:
    :class:`~repro.simulation.results.SystemResults` on first read. The
    tracer gets one root per record row; a retained root's key spans
    are built on first read from the queue logs' rows, or from the
-   instants a policy attempt or cache-backend key keeps on its context.
+   instants a policy attempt keeps on its context.
    The constant network delay keeps FIFO order, so without a
    request policy a key's return hop is accounted when it leaves its
    server and schedules no event: the request's last key schedules the
@@ -193,7 +194,7 @@ def _logged_keys(
                 for i, served in enumerate(jobs[first : first + size]):
                     row = fetched.get((request_id, served[2]))
                     left = served[2] if row is None else row[2]
-                    name = f"r{request_id}k{request_id * n_keys + len(rows)}"
+                    name = _key_name(request, server, i, n_keys)
                     rows.append((name, server, out, ahead + i, row is None,
                                  served, row, (left, left + delay), left + delay))
             first += size
@@ -201,7 +202,13 @@ def _logged_keys(
 
 
 class CacheBackend(Protocol):
-    """Decides whether a key hits; lets the real cache substrate plug in."""
+    """Decides whether a key hits; lets the real cache substrate plug in.
+
+    ``lookup`` runs once per served key, in the order keys complete
+    service, ``(finish, run seq, index)``: a policy-free key's lookup is
+    made by the simulator's pre-event hook before the first event after
+    its finish, or at its own run's event.
+    """
 
     def lookup(self, server_index: int, key: str) -> bool:
         """Return True on hit. Implementations may mutate cache state."""
@@ -212,6 +219,8 @@ class _RequestState:
     request_id: int
     born: float
     pending: int
+    #: Keys routed to each server, by server index.
+    counts: list
     max_server: float = 0.0
     max_database: float = 0.0
     max_network: float = 0.0
@@ -220,6 +229,18 @@ class _RequestState:
     #: alongside the maxima (no extra RNG, no extra events).
     server_wait: float = 0.0
     database_wait: float = 0.0
+
+
+def _key_name(
+    request: _RequestState, server_index: int, index: int, n_keys: int
+) -> str:
+    """Name of key ``index`` of the batch ``request`` sends to server
+    ``server_index``: key ``i`` in launch order of request ``R`` is
+    ``rRk{R*N + i}``, and a request launches its batches in server
+    order."""
+    request_id = request.request_id
+    position = sum(request.counts[:server_index]) + index
+    return f"r{request_id}k{request_id * n_keys + position}"
 
 
 @dataclasses.dataclass
@@ -242,16 +263,14 @@ class _KeyState:
 
 @dataclasses.dataclass
 class _KeyContext:
-    """One key (or one policy attempt) that something reads per key: a
-    policy's state machine or the cache backend's key name. Other keys
-    have no context; their batch shares its request as the payload the
-    server hands back."""
+    """One policy attempt, which its key's state machine reads per key.
+    Keys without a policy have no context; their batch shares its
+    request as the payload the server hands back."""
 
     request: _RequestState
     key_name: Optional[str]
     server_index: int
-    # Policy-path fields (inert when no policy is attached).
-    state: Optional[_KeyState] = None
+    state: _KeyState
     #: The client gave up on this attempt: whatever it returns is spent
     #: load, recorded nowhere.
     cancelled: bool = False
@@ -289,11 +308,12 @@ class MemcachedSystemSimulator:
     network_delay:
         One-way constant network latency per key.
     miss_ratio / database_rate:
-        Bernoulli miss model feeding an M/M/1 database. Ignored when a
-        ``cache_backend`` is supplied.
+        Bernoulli miss model feeding an M/M/1 database.
     cache_backend:
         Optional real cache (e.g. ``repro.memcached`` cluster adapter);
-        when present, hits and misses come from actual cache state.
+        when present, hits and misses come from actual cache state, in
+        place of ``miss_ratio``, and its misses go to the database,
+        which ``database_rate`` then requires.
     observability:
         Optional :class:`~repro.observability.Observability` bundle.
         When present, per-request span trees, per-stage/per-server
@@ -332,8 +352,14 @@ class MemcachedSystemSimulator:
             )
         if request_rate <= 0:
             raise ValidationError(f"request_rate must be > 0, got {request_rate}")
-        if miss_ratio > 0.0 and database_rate is None and cache_backend is None:
-            raise ValidationError("database_rate is required when miss_ratio > 0")
+        if database_rate is None and (miss_ratio > 0.0 or cache_backend is not None):
+            raise ValidationError(
+                "database_rate is required when miss_ratio > 0 or with a cache_backend"
+            )
+        if cache_backend is not None and miss_ratio > 0.0:
+            raise ValidationError(
+                "miss_ratio must be 0 with a cache_backend, which decides the misses"
+            )
         if faults is not None and faults.is_empty:
             faults = None  # an empty schedule is the fault-free system
         if faults is not None:
@@ -412,9 +438,7 @@ class MemcachedSystemSimulator:
             )
             for j in range(cluster.n_servers)
         ]
-        needs_db = (cache_backend is not None and database_rate is not None) or (
-            miss_ratio > 0.0 and database_rate is not None
-        )
+        needs_db = cache_backend is not None or miss_ratio > 0.0
         self._database = (
             DatabaseSim(
                 self.sim,
@@ -431,42 +455,41 @@ class MemcachedSystemSimulator:
             if needs_db
             else None
         )
-        # Key names exist for the cache backend's lookups and the
-        # tracer's key spans; the Bernoulli miss model reads neither.
+        # A policy attempt's name exists for the cache backend's lookups
+        # and the tracer's key spans; the Bernoulli miss model reads
+        # neither. A policy-free key is named from its run (_miss_at).
         self._named_keys = cache_backend is not None or self._tracer is not None
         self._cache: Optional[CacheBackend] = cache_backend
-        # Every key context in launch order, for the tracer's key spans.
+        # Every policy attempt in launch order, for the tracer's key spans.
         self._traced_contexts: Optional[List[_KeyContext]] = (
-            [] if self._tracer is not None else None
+            [] if self._tracer is not None and policy is not None else None
         )
-        # Without a cache backend a key misses with probability r: the
-        # served key of rank k (its _keys_processed count) misses when
-        # the k-th uniform of the miss stream is below r. The stream is
-        # drawn a window at a time, in refill_sizes; the miss cursor
+        # The served key of rank k (its _keys_processed count) misses
+        # when the k-th uniform of the miss stream is below r. The stream
+        # is drawn a window at a time, in refill_sizes; the miss cursor
         # holds the miss ranks of the drawn window, ending with the
-        # window's end; _next_miss is the next one due.
-        if cache_backend is None:
-            if not 0.0 <= miss_ratio <= 1.0:
-                raise ValidationError(
-                    f"miss_ratio must be in [0, 1], got {miss_ratio}"
-                )
-            self._miss_ratio = float(miss_ratio)
-            self._rng_miss = rng_miss
-            self._miss_sizes = refill_sizes()
-            self._miss_ranks: List[int] = [0]
-            self._miss_index = 0
-            self._next_miss = 0
-        # Without a request policy or cache backend a server key has no
-        # context: the servers hand their runs to this simulator, which
-        # accounts the keys due before each event (_account_runs). The
-        # runs with keys left to account, in the order of their events'
-        # seq; the accounted keys' sojourn segments, flat and in
-        # accounting order (see _in_completion_order), and their count.
+        # window's end; _next_miss is the next one due. A cache backend
+        # decides each key by its lookup, so the cursor is due at every
+        # rank (see _miss_at).
+        if not 0.0 <= miss_ratio <= 1.0:
+            raise ValidationError(f"miss_ratio must be in [0, 1], got {miss_ratio}")
+        self._miss_ratio = float(miss_ratio)
+        self._rng_miss = rng_miss
+        self._miss_sizes = refill_sizes()
+        self._miss_ranks: List[int] = [0]
+        self._miss_index = 0
+        self._next_miss = 0
+        # Without a request policy a server key has no context: the
+        # servers hand their runs to this simulator, which accounts the
+        # keys due before each event (_account_runs). The runs with keys
+        # left to account, in the order of their events' seq; the
+        # accounted keys' sojourn segments, flat and in accounting order
+        # (see _in_completion_order), and their count.
         self._runs: List[ServerRun] = []
         self._run_keys: list = []
         self._run_key_count = 0
         self._round_trip = self._network_delay + self._network_delay
-        if policy is None and cache_backend is None:
+        if policy is None:
             for server in self._servers:
                 server._on_run_start = self._runs.append
                 server._on_run_end = self._end_run
@@ -489,7 +512,6 @@ class MemcachedSystemSimulator:
         self._arrival_sizes = refill_sizes()
         self._borns: List[float] = []
         self._next_request_id = 0
-        self._generated_keys = 0
         self._misses = 0
         self._keys_processed = 0
         self._completed_requests = 0
@@ -579,61 +601,42 @@ class MemcachedSystemSimulator:
                 return np.asarray(shifted, dtype=float)
         return self._shares
 
-    def _new_request(self, born: float) -> tuple:
-        """The next request, born at ``born``, and its keys' count per
-        server, drawn from the routing shares at ``born``."""
-        request = _RequestState(
-            request_id=self._next_request_id, born=born, pending=self._n_keys
-        )
-        self._next_request_id += 1
+    def _new_request(self, born: float) -> _RequestState:
+        """The next request, born at ``born``, with its keys' count per
+        server drawn from the routing shares at ``born``."""
         routing_window = self._routing_window
         if routing_window is not None:
-            return request, routing_window.get()
-        shares = self._effective_shares(born)
-        return request, self._rng_routing.multinomial(self._n_keys, shares).tolist()
+            counts = routing_window.get()
+        else:
+            shares = self._effective_shares(born)
+            counts = self._rng_routing.multinomial(self._n_keys, shares).tolist()
+        request = _RequestState(self._next_request_id, born, self._n_keys, counts)
+        self._next_request_id += 1
+        return request
 
     def _fan_out(self, born: float) -> None:
         """A policy-free request's arrival and delivery in one event, with
         the clock at ``born + d``: each server it uses gets its batch, in
         server order, as one network hop per batch would deliver them.
-
-        The keys share the request, or get a context each when a cache
-        backend reads their names.
-        """
-        request, counts = self._new_request(born)
-        if self._cache is None:
-            servers = self._servers
-            now = self.sim.now
-            for server_index, count in enumerate(counts):
-                if count:
-                    servers[server_index].offer_batch(now, count, context=request)
-            return
-        for server_index, count in enumerate(counts):
+        The keys share the request as their payload."""
+        request = self._new_request(born)
+        servers = self._servers
+        now = self.sim.now
+        for server_index, count in enumerate(request.counts):
             if count:
-                contexts = [
-                    _KeyContext(
-                        request=request,
-                        key_name=name,
-                        server_index=server_index,
-                        launched=born,
-                    )
-                    for name in self._key_names(request, count)
-                ]
-                self._offer(server_index, contexts)
-                if self._traced_contexts is not None:
-                    self._traced_contexts.extend(contexts)
+                servers[server_index].offer_batch(now, count, context=request)
 
     def _launch_request(self, born: float) -> None:
         """A request with a policy leaves the client: each key gets its
         own state machine, and keys bound for the same server still
         travel as one batch (the policy-free arrival structure)."""
-        request, counts = self._new_request(born)
+        request = self._new_request(born)
         armed: List[_KeyState] = []
-        for server_index, count in enumerate(counts):
+        for server_index, count in enumerate(request.counts):
             if count == 0:
                 continue
             contexts = []
-            for name in self._key_names(request, count):
+            for name in self._key_names(request, server_index, count):
                 state = _KeyState(request=request, key_name=name)
                 context = _KeyContext(
                     request=request,
@@ -649,15 +652,13 @@ class MemcachedSystemSimulator:
         for state in armed:
             self._arm_timers(state)
 
-    def _key_names(self, request: _RequestState, count: int) -> list:
-        """Names of the next ``count`` keys, or ``None`` each when
-        neither a cache backend nor the tracer reads them. The key of
-        launch position ``i`` in request ``R`` is ``rRk{R*N + i}``."""
-        first = self._generated_keys
-        self._generated_keys = first + count
+    def _key_names(self, request: _RequestState, server_index: int, count: int) -> list:
+        """Names of the ``count`` keys ``request`` sends to server
+        ``server_index``, or ``None`` each when neither a cache backend
+        nor the tracer reads them."""
         if not self._named_keys:
             return [None] * count
-        return [f"r{request.request_id}k{first + i}" for i in range(count)]
+        return [_key_name(request, server_index, i, self._n_keys) for i in range(count)]
 
     # ------------------------------------------------------------------
     # Policy machinery (hedging, timeout/retry, cancellation).
@@ -749,7 +750,7 @@ class MemcachedSystemSimulator:
             self._traced_contexts.extend(contexts)
 
     def _offer(self, server_index: int, contexts: List[_KeyContext]) -> None:
-        """A batch of keys with contexts reaches its server now. Earlier
+        """A batch of policy attempts reaches its server now. Earlier
         batch members count as ahead of later ones. An attempt cancelled
         on the wire still reaches the server, which cannot know, and
         takes service; only one cancelled while queued is dropped at the
@@ -760,10 +761,6 @@ class MemcachedSystemSimulator:
             context.depth = ahead + position
             context.abandoned = False
         server.offer_batch(self.sim.now, len(contexts), contexts=contexts)
-
-    # ------------------------------------------------------------------
-    # Completion plumbing.
-    # ------------------------------------------------------------------
 
     # ------------------------------------------------------------------
     # Server runs: keys accounted in bulk, misses and last keys per key.
@@ -819,9 +816,9 @@ class MemcachedSystemSimulator:
         rank = self._keys_processed
         while self._next_miss < rank + total:
             position = self._next_miss - rank
-            if not self._miss_at(self._next_miss):
-                continue  # a window's end: its successor's ranks are drawn
             finish, seq, index = keys[position]
+            if not self._miss_at(self._next_miss, runs[seq], index):
+                continue  # a window's end or a cache hit: the cursor moved
             for run in runs.values():
                 run.due = run.done
             for _, key_seq, key_index in keys[:position]:
@@ -908,7 +905,7 @@ class MemcachedSystemSimulator:
         self._run_key_count += 1
         rank = self._keys_processed
         self._keys_processed = rank + 1
-        if missed or (rank == self._next_miss and self._miss_at(rank)):
+        if missed or (rank == self._next_miss and self._miss_at(rank, run, index)):
             self._misses += 1
             if self._database is not None:
                 self._database.offer_key(finish, context=request)
@@ -927,19 +924,13 @@ class MemcachedSystemSimulator:
     def _on_server_complete(
         self, context: _KeyContext, arrival: float, start: float, finish: float
     ) -> None:
-        """A key with a context (a policy attempt or a cache-backend key)
-        leaves its server."""
+        """A policy attempt leaves its server."""
         if context.cancelled:
             # A cancelled attempt that was already in service: the
             # capacity is spent, but it contributes nothing further.
             return
-        request = context.request
-        sojourn = finish - arrival
-        if context.state is None and sojourn >= request.max_server:
-            request.max_server = sojourn
-            request.server_wait = start - arrival
         context.served = (arrival, start, finish)
-        self._key_sojourns.append(sojourn)
+        self._key_sojourns.append(finish - arrival)
         rank = self._keys_processed
         self._keys_processed = rank + 1
         if self._cache is None:
@@ -954,67 +945,69 @@ class MemcachedSystemSimulator:
                 return
         self._finish_key(context)
 
-    def _miss_at(self, rank: int) -> bool:
-        """Whether the served key of ``rank`` misses, where ``rank`` is
-        the cursor's ``_next_miss``: a miss rank, or the end of the
-        drawn window.
+    def _miss_at(
+        self, rank: int, run: Optional[ServerRun] = None, index: int = 0
+    ) -> bool:
+        """Whether the served key of ``rank``, key ``index`` of ``run``,
+        misses, where ``rank`` is the cursor's ``_next_miss``: a miss
+        rank, or the end of the drawn window.
 
         At the window's end the next window of uniforms is drawn, one
         per rank, and its miss ranks (``u < r``) are found in one pass.
         A window is drawn only once a key reaches it, so a run draws
         exactly the windows its keys cover, however rare the misses.
+
+        With a cache backend every rank is due: the cache looks the key
+        up under its name (see ``_key_name``), and the cursor moves to
+        the next rank.
         """
+        cache = self._cache
+        if cache is not None:
+            self._next_miss = rank + 1
+            server_index = self._servers.index(run.server)
+            name = _key_name(run.payload, server_index, run.first + index, self._n_keys)
+            return not cache.lookup(server_index, name)
         ranks = self._miss_ranks
-        index = self._miss_index
-        if index == len(ranks) - 1:  # at the window's end
+        cursor = self._miss_index
+        if cursor == len(ranks) - 1:  # at the window's end
             size = next(self._miss_sizes)
             uniforms = self._rng_miss.random(size)
             ranks = (np.flatnonzero(uniforms < self._miss_ratio) + rank).tolist()
             ranks.append(rank + size)
             self._miss_ranks = ranks
-            index = 0
+            cursor = 0
             if ranks[0] != rank:
                 self._miss_index = 0
                 self._next_miss = ranks[0]
                 return False
-        self._miss_index = index + 1
-        self._next_miss = ranks[index + 1]
+        self._miss_index = cursor + 1
+        self._next_miss = ranks[cursor + 1]
         return True
 
     def _on_database_complete(
         self, context: object, arrival: float, start: float, finish: float
     ) -> None:
+        """A missed key's value leaves the database: a policy-free key,
+        whose context is its request, or a policy attempt."""
         if context.__class__ is _RequestState:
-            request = context
-        elif context.cancelled:
-            return
-        else:
-            context.fetched = (arrival, start, finish)
-            request = context.request
-        if request is context or context.state is None:
             sojourn = finish - arrival
-            if sojourn >= request.max_database:
-                request.max_database = sojourn
-                request.database_wait = start - arrival
-        if request is context:
-            self._return_hop(request)
-        else:
+            if sojourn >= context.max_database:
+                context.max_database = sojourn
+                context.database_wait = start - arrival
+            self._return_hop(context)
+        elif not context.cancelled:
+            context.fetched = (arrival, start, finish)
             self._finish_key(context)
 
     def _finish_key(self, context: _KeyContext) -> None:
-        """A key with a context leaves its last stage for the client."""
-        now = self.sim.now
-        context.left = now
-        if context.state is not None:
-            # Policy path: the return hop is an event of its own, since
-            # timers and cancel-on-winner act on in-flight keys.
-            self._network.send(partial(self._key_done, context))
-            return
-        context.returned = now + self._return_hop(context.request)
+        """A policy attempt leaves its last stage for the client. The
+        return hop is an event of its own, since timers and
+        cancel-on-winner act on in-flight keys."""
+        context.left = self.sim.now
+        self._network.send(partial(self._key_done, context))
 
-    def _return_hop(self, request: _RequestState) -> float:
-        """A policy-free key's value leaves for the client; returns the
-        hop's delay.
+    def _return_hop(self, request: _RequestState) -> None:
+        """A policy-free key's value leaves for the client.
 
         The network is a constant delay, which keeps FIFO order: the
         key's return is accounted now, and only the request's last key
@@ -1032,7 +1025,6 @@ class MemcachedSystemSimulator:
             )
         elif request.pending < 0:  # pragma: no cover - defensive
             raise SimulationError("request completed more keys than it has")
-        return delay
 
     def _key_done(self, context: _KeyContext) -> None:
         """A policy attempt's value arrived back at the client."""
@@ -1191,7 +1183,7 @@ class MemcachedSystemSimulator:
             )
             tracer.finish_request(root, completed)
         delay = self._network_delay
-        if not self._traced_contexts:
+        if self._traced_contexts is None:
             logs = self._queue_logs
             servers = [logs[f"server-{j}"] for j in range(len(self._servers))]
             tracer.defer_keys(

@@ -18,7 +18,6 @@ from repro.errors import SimulationError, ValidationError
 from repro.observability import MetricsRegistry
 from repro.queueing import MG1Queue
 from repro.simulation import BatchArrivalProcess, ServerSim, Simulator
-from repro.simulation.scheduler import HeapScheduler
 from repro.simulation.server import QueueLog
 from repro.simulation.system import _fill_queue_metrics
 
@@ -386,9 +385,8 @@ def waiting(server):
 
 
 def _served_both_ways(rate_factor=None):
-    """The same batches, seed and probes on a shared-payload server (a
-    batch is scheduled as one run) and on a per-key-context server (one
-    key at a time). Returns per side: each completion with the queue
+    """The same batches, seed and probes on a shared-payload server and
+    on a per-key-context server, neither owned by a simulator. Returns per side: each completion with the queue
     state the callback sees, each probe's reading, utilization, the
     queue log's rows and the registry collectors derived from them."""
     batches = [(0.0, 5), (1e-5, 3), (2e-5, 1), (0.5, 4), (0.5 + 1e-5, 2)]
@@ -437,9 +435,10 @@ def _served_both_ways(rate_factor=None):
 
 
 class TestServerRuns:
-    """A shared-payload batch without a pause hook is scheduled as one
-    run when its head key starts; every per-key value must equal the
-    key-at-a-time path's bit for bit."""
+    """Only a simulator that accounts runs makes a batch into one;
+    on a server no simulator owns, a shared-payload batch is served key
+    by key, and every per-key value must equal the per-key-context
+    path's bit for bit."""
 
     @pytest.mark.parametrize(
         "switching", [False, True], ids=["no-hooks", "rate-switch"]
@@ -468,33 +467,13 @@ class TestServerRuns:
         # The probes caught keys waiting behind the one in service.
         assert any(length > 0 for length, _ in run["readings"])
 
-    def test_lone_batch_is_one_scheduler_push(self, monkeypatch):
-        pushes = []
-        original = HeapScheduler.push
-
-        def push(self, time, seq, obj):
-            pushes.append(time)
-            original(self, time, seq, obj)
-
-        monkeypatch.setattr(HeapScheduler, "push", push)
-        sim = Simulator()
-        server, done = recording_server(sim, 100.0, 4)
-        server.offer_batch(0.0, 7)
-        sim.run()
-        assert len(pushes) == 1
-        assert len(done) == 7
-        assert sim.events_processed == 7
-        # The one push carries the first finish; the run drains inline.
-        assert pushes[0] == done[0][3]
-
-    def test_run_keys_rank_at_the_run_seq(self):
-        """Tie order: a run's keys carry the seq of the run's scheduling
-        (its head key's start), not of each key's own start. With
-        deterministic service, a delivery scheduled after the run and
-        landing exactly on a key's finish fires after that finish; on
-        the key-at-a-time path it fires first, since the finish was
-        scheduled only when the key started. Every key's (arrival,
-        start, finish) is the same either way."""
+    def test_standalone_batch_ranks_like_per_key_contexts(self):
+        """Tie order: a server no simulator owns schedules each key's
+        finish when the key starts, whether its batch shares a payload
+        or not. With deterministic service, a delivery scheduled before
+        the second key started and landing exactly on its finish fires
+        first either way, and finds the second key in service and the
+        third queued."""
         seen = {}
         for per_key in (False, True):
             sim = Simulator()
@@ -522,12 +501,7 @@ class TestServerRuns:
                 ("a", 0.0, 2.0, 3.0),
                 ("x", 2.0, 3.0, 4.0),
             ]
-        # Run: the second key's finish (seq of the run) fires first, so
-        # the delivery finds the third key in service and none queued.
-        assert seen[False] == (2, 0, True)
-        # Key at a time: the delivery fires first and finds the second
-        # key in service and the third queued.
-        assert seen[True] == (1, 1, True)
+        assert seen[False] == seen[True] == (1, 1, True)
 
     def test_reentrant_offer_from_completion_is_refused(self):
         """A completion callback cannot start this server's next key:

@@ -249,20 +249,3 @@ class TestUtilizationMeter:
         meter.server_started(4.0)
         meter.server_stopped(6.0)
         assert meter.utilization(8.0) == pytest.approx(0.5)
-
-    def test_continued_is_stop_then_start(self):
-        """One step from one job to the next leaves exactly the state a
-        stop then a start leaves, so utilizations stay bit-identical."""
-        stepped = UtilizationMeter()
-        paired = UtilizationMeter()
-        for meter in (stepped, paired):
-            meter.server_started(0.1)
-        for now in (0.30000000000000004, 0.7, 1.1000000000000001, 2.3):
-            stepped.server_continued(now)
-            paired.server_stopped(now)
-            paired.server_started(now)
-            for probe in (now, now + 0.123456789):
-                assert stepped.utilization(probe) == paired.utilization(probe)
-        stepped.server_stopped(3.0)
-        paired.server_stopped(3.0)
-        assert stepped.utilization(3.7) == paired.utilization(3.7)

@@ -13,6 +13,7 @@ from repro.core import ClusterModel
 from repro.distributions import make_rng, split_rng
 from repro.errors import ValidationError
 from repro.faults import DatabaseOverload, FaultSchedule, ServerPause, ServerSlowdown
+from repro.memcached import MemcachedCluster, SimulatedCacheBackend
 from repro.observability import Histogram, Observability, tracing
 from repro.policies import RequestPolicy
 from repro.simulation import (
@@ -152,6 +153,22 @@ class TestValidation:
     def test_requires_db_rate_with_misses(self):
         with pytest.raises(ValidationError):
             build_system(database_rate=None)
+
+    def test_requires_db_rate_with_a_cache_backend(self):
+        """A cache backend's misses need a database: without one a miss
+        would be counted and cost nothing."""
+        backend = SimulatedCacheBackend(MemcachedCluster(4, 1 << 20), n_items=100)
+        with pytest.raises(ValidationError, match="database_rate is required"):
+            build_system(miss_ratio=0.0, database_rate=None, cache_backend=backend)
+        assert backend.lookups == 0
+
+    def test_rejects_miss_ratio_with_a_cache_backend(self):
+        """The cache decides every miss, so a Bernoulli r would be
+        silently ignored."""
+        backend = SimulatedCacheBackend(MemcachedCluster(4, 1 << 20), n_items=100)
+        with pytest.raises(ValidationError, match="miss_ratio must be 0"):
+            build_system(miss_ratio=0.01, cache_backend=backend)
+        build_system(miss_ratio=0.0, cache_backend=backend)
 
     def test_rejects_zero_requests(self):
         with pytest.raises(ValidationError):
@@ -535,15 +552,16 @@ class TestDrawsWhatItReads:
 
 
 class TestServerRunAccounting:
-    """Without a request policy or cache backend, the simulator accounts
-    a server run's keys in bulk before each later event; only a run's
-    last key and a key that misses take the per-key path, each at its
-    own event with the clock at its finish."""
+    """Without a request policy, the simulator accounts a server run's
+    keys in bulk before each later event; only a run's last key and a
+    key that misses take the per-key path, each at its own event with
+    the clock at its finish. A cache backend's keys are run keys too."""
 
     def test_no_completion_callback_for_a_run_key(self, monkeypatch):
-        calls = {"complete": 0, "per_key": 0, "inside": 0}
+        calls = {"complete": 0, "per_key": 0, "inside": 0, "contexts": 0}
         on_complete = system_module.MemcachedSystemSimulator._on_server_complete
         serve = system_module.MemcachedSystemSimulator._serve_run_key
+        key_context = system_module._KeyContext
 
         def counted_complete(self, *args):
             calls["complete"] += 1
@@ -554,6 +572,10 @@ class TestServerRunAccounting:
             calls["inside"] += index < run.last and not missed
             serve(self, run, index, missed)
 
+        def counted_context(*args, **kwargs):
+            calls["contexts"] += 1
+            return key_context(*args, **kwargs)
+
         monkeypatch.setattr(
             system_module.MemcachedSystemSimulator, "_on_server_complete",
             counted_complete,
@@ -561,12 +583,31 @@ class TestServerRunAccounting:
         monkeypatch.setattr(
             system_module.MemcachedSystemSimulator, "_serve_run_key", counted_serve
         )
+        monkeypatch.setattr(system_module, "_KeyContext", counted_context)
         system = build_system(request_rate=2000.0, miss_ratio=0.05, seed=4)
         results = system.run(n_requests=300, warmup_requests=30)
         assert calls["complete"] == 0
+        assert calls["contexts"] == 0
         assert calls["inside"] == 0
         assert results.misses > 0
         assert 0 < calls["per_key"] < results.keys_processed / 2
+
+        # A cache backend decides every hit; its hits inside a run are
+        # accounted in bulk all the same.
+        calls.update(dict.fromkeys(calls, 0))
+        backend = SimulatedCacheBackend(
+            MemcachedCluster(4, 1 << 20), n_items=2_000, rng=np.random.default_rng(3)
+        )
+        backend.warm(0.5)
+        system = build_system(
+            request_rate=2000.0, miss_ratio=0.0, cache_backend=backend, seed=4
+        )
+        results = system.run(n_requests=300, warmup_requests=30)
+        assert calls["complete"] == 0
+        assert calls["contexts"] == 0
+        assert calls["inside"] == 0
+        assert backend.lookups == system._keys_processed
+        assert 0 < results.misses < calls["per_key"] < results.keys_processed / 2
 
     def test_missed_key_inside_a_run_fires_at_its_finish(self, monkeypatch):
         seen = []
