@@ -31,9 +31,10 @@ from repro.simulation.scheduler import HeapScheduler
 from repro.units import kps, msec, usec
 
 
-def run_case(overrides, **extra):
-    """One seeded run of the determinism scenario with ``overrides``
-    (and simulator keywords ``extra``, such as an observability bundle)."""
+def build_case(overrides, **extra):
+    """The simulator of the determinism scenario with ``overrides`` (and
+    simulator keywords ``extra``, such as an observability bundle), and
+    its request and warmup counts."""
     kwargs = dict(
         n_keys_per_request=10,
         request_rate=200.0,
@@ -46,7 +47,12 @@ def run_case(overrides, **extra):
     cluster = kwargs.pop("cluster", ClusterModel.balanced(2, kps(80)))
     n_requests = kwargs.pop("n_requests", 200)
     warmup = kwargs.pop("warmup_requests", 0)
-    system = MemcachedSystemSimulator(cluster, **kwargs)
+    return MemcachedSystemSimulator(cluster, **kwargs), n_requests, warmup
+
+
+def run_case(overrides, **extra):
+    """One seeded run of the determinism scenario with ``overrides``."""
+    system, n_requests, warmup = build_case(overrides, **extra)
     return system.run(n_requests=n_requests, warmup_requests=warmup)
 
 
