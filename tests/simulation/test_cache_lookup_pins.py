@@ -23,8 +23,6 @@ Re-record (only for an intended behaviour change) with
 ``PYTHONPATH=src:. python tests/simulation/test_cache_lookup_pins.py``.
 """
 
-import hashlib
-import json
 from pathlib import Path
 
 import numpy as np
@@ -37,12 +35,15 @@ from repro.observability import Observability
 from repro.policies import RequestPolicy
 from repro.units import kps, usec
 
-from tests.simulation.test_determinism import run_case
-from tests.simulation.test_run_account_pins import (
+from tests.simulation.fingerprint import (
     WINDOWS,
+    json_sha,
     observed_fingerprint,
+    pins_fixture,
     result_fingerprint,
+    write_pins,
 )
+from tests.simulation.test_determinism import run_case
 
 PINS_PATH = Path(__file__).with_name("cache_lookup_pins.json")
 
@@ -123,7 +124,7 @@ def _run(case: str, **extra):
     )
     backend.warm(0.05)
     results = run_case(CASES[case](), cache_backend=backend, **extra)
-    lookups = hashlib.sha256(json.dumps(backend.seen).encode()).hexdigest()
+    lookups = json_sha(backend.seen)
     return results, dict(lookups=lookups, n_lookups=len(backend.seen))
 
 
@@ -147,9 +148,7 @@ def record() -> dict:
     }
 
 
-@pytest.fixture(scope="module")
-def pins() -> dict:
-    return json.loads(PINS_PATH.read_text())
+pins = pins_fixture(PINS_PATH)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -163,5 +162,4 @@ def test_observed_run_matches_pin(pins, case):
 
 
 if __name__ == "__main__":
-    PINS_PATH.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {PINS_PATH}")
+    write_pins(PINS_PATH, record())

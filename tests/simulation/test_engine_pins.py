@@ -25,16 +25,20 @@ Re-record (only for an intended behaviour change) with
 ``PYTHONPATH=src:. python tests/simulation/test_engine_pins.py``.
 """
 
-import hashlib
-import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.experiments import Scenario
 from repro.observability import Observability
 
+from tests.simulation.fingerprint import (
+    hex_or_none,
+    pins_fixture,
+    spans_digest,
+    stage_digests,
+    write_pins,
+)
 from tests.simulation.test_determinism import CASES, run_case
 
 PINS_PATH = Path(__file__).with_name("engine_pins.json")
@@ -43,17 +47,6 @@ PINS_PATH = Path(__file__).with_name("engine_pins.json")
 WINDOWS = 12
 #: Registry histograms the server queues and the per-key path feed.
 QUEUE_HISTOGRAM_PREFIXES = ("server-", "database.", "key.server_sojourn")
-
-
-def _hex(value):
-    return None if value is None else float(value).hex()
-
-
-def _digest(*arrays) -> str:
-    digest = hashlib.sha256()
-    for array in arrays:
-        digest.update(np.ascontiguousarray(array, dtype=float).tobytes())
-    return digest.hexdigest()
 
 
 def utilizations_fingerprint() -> dict:
@@ -76,11 +69,6 @@ def observed_section_5_1():
     )
 
 
-def _spans_digest(spans) -> str:
-    payload = [span.to_dict() for span in spans]
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
 def observed_fingerprint(results) -> dict:
     """Queue histograms, slowest-K and recent span trees of an observed
     run."""
@@ -97,17 +85,17 @@ def observed_fingerprint(results) -> dict:
             "zero": payload["zero"],
             "counts": payload["counts"],
             "count": payload["count"],
-            "sum": _hex(payload["sum"]),
-            "sumsq": _hex(payload["sumsq"]),
-            "min": _hex(payload["min"]),
-            "max": _hex(payload["max"]),
+            "sum": hex_or_none(payload["sum"]),
+            "sumsq": hex_or_none(payload["sumsq"]),
+            "min": hex_or_none(payload["min"]),
+            "max": hex_or_none(payload["max"]),
         }
     tracer = observability.tracer
     return {
         "histograms": histograms,
-        "slowest_spans": _spans_digest(tracer.slowest()),
+        "slowest_spans": spans_digest(tracer.slowest()),
         "slowest_count": len(tracer.slowest()),
-        "recent_spans": _spans_digest(tracer.recent()),
+        "recent_spans": spans_digest(tracer.recent()),
         "recent_count": len(tracer.recent()),
     }
 
@@ -126,16 +114,7 @@ def faults_timeline_fingerprint() -> dict:
             trace=False, metrics=False, timeline=WINDOWS
         )
     )
-    timeline = results.timeline
-    return {
-        name: _digest(
-            series.arrivals,
-            series.completions,
-            series.busy_time,
-            series.wait_time,
-        )
-        for name, series in sorted(timeline.stages.items())
-    }
+    return stage_digests(results.timeline)
 
 
 def record() -> dict:
@@ -147,9 +126,7 @@ def record() -> dict:
     }
 
 
-@pytest.fixture(scope="module")
-def pins() -> dict:
-    return json.loads(PINS_PATH.read_text())
+pins = pins_fixture(PINS_PATH)
 
 
 def test_server_utilizations_match_pins(pins):
@@ -194,5 +171,4 @@ def test_faults_timeline_matches_pins(pins):
 
 
 if __name__ == "__main__":
-    PINS_PATH.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {PINS_PATH}")
+    write_pins(PINS_PATH, record())

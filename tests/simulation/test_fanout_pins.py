@@ -12,7 +12,7 @@ miss model; none of them aims at these edges:
 * ``cache``: a real cache backend (:class:`SimulatedCacheBackend`)
   decides hits, so every key carries a named context.
 
-Each case is pinned plain (the ``run_account_pins`` fingerprint: the
+Each case is pinned plain (the ``fingerprint.py`` result fingerprint: the
 record, the ``per_key_server`` samples, ``server_utilizations``,
 ``keys_processed``, ``misses``) and observed with every collector on
 (the timeline's stage series, the registry's queue histograms and the
@@ -22,7 +22,6 @@ Re-record (only for an intended behaviour change) with
 ``PYTHONPATH=src:. python tests/simulation/test_fanout_pins.py``.
 """
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -34,12 +33,14 @@ from repro.memcached import MemcachedCluster, SimulatedCacheBackend
 from repro.observability import Observability
 from repro.units import kps, msec, usec
 
-from tests.simulation.test_determinism import run_case
-from tests.simulation.test_run_account_pins import (
+from tests.simulation.fingerprint import (
     WINDOWS,
     observed_fingerprint,
+    pins_fixture,
     result_fingerprint,
+    write_pins,
 )
+from tests.simulation.test_determinism import run_case
 
 PINS_PATH = Path(__file__).with_name("fanout_pins.json")
 
@@ -102,9 +103,7 @@ def record() -> dict:
     }
 
 
-@pytest.fixture(scope="module")
-def pins() -> dict:
-    return json.loads(PINS_PATH.read_text())
+pins = pins_fixture(PINS_PATH)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -133,5 +132,4 @@ def test_stop_falls_within_a_delay_of_later_arrivals():
 
 
 if __name__ == "__main__":
-    PINS_PATH.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {PINS_PATH}")
+    write_pins(PINS_PATH, record())

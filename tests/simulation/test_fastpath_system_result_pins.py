@@ -16,12 +16,11 @@ Re-record (only for an intended behaviour change) with
 ``PYTHONPATH=src:. python tests/simulation/test_fastpath_system_result_pins.py``.
 """
 
-import hashlib
-import json
 from pathlib import Path
 
 import pytest
 
+from tests.simulation.fingerprint import json_sha, pins_fixture, write_pins
 from tests.simulation.test_fastpath_system_golden import (
     FAULT_MISS_RATIO,
     FAULTS,
@@ -46,13 +45,10 @@ def result_digest(case: str) -> str:
         "fastpath-system", timeline=4, attribution=True
     ).to_dict()
     del payload["timeline"]["provenance"]
-    text = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return json_sha(payload)
 
 
-@pytest.fixture(scope="module")
-def pins() -> dict:
-    return json.loads(PINS_PATH.read_text())
+pins = pins_fixture(PINS_PATH)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -61,8 +57,4 @@ def test_result_matches_pin(pins, case):
 
 
 if __name__ == "__main__":
-    PINS_PATH.write_text(
-        json.dumps({case: result_digest(case) for case in sorted(CASES)}, indent=1)
-        + "\n"
-    )
-    print(f"wrote {PINS_PATH}")
+    write_pins(PINS_PATH, {case: result_digest(case) for case in sorted(CASES)})

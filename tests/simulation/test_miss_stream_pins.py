@@ -18,8 +18,6 @@ Re-record (only for an intended behaviour change) with
 ``PYTHONPATH=src:. python tests/simulation/test_miss_stream_pins.py``.
 """
 
-import hashlib
-import json
 from pathlib import Path
 
 import pytest
@@ -31,6 +29,7 @@ from repro.observability import Observability
 from repro.policies import RequestPolicy
 from repro.units import msec, usec
 
+from tests.simulation.fingerprint import pins_fixture, sha, write_pins
 from tests.simulation.test_determinism import run_case
 
 PINS_PATH = Path(__file__).with_name("miss_stream_pins.json")
@@ -63,19 +62,14 @@ def pin(case: str) -> dict:
     if overrides.pop("traced", False):
         overrides["observability"] = Observability(trace=True, metrics=False)
     results = run_case(overrides)
-    digest = hashlib.sha256()
-    digest.update(results.record.tobytes())
-    digest.update(results.per_key_server.samples().tobytes())
     return {
-        "digest": digest.hexdigest(),
+        "digest": sha(results.record, results.per_key_server.samples()),
         "keys_processed": results.keys_processed,
         "misses": results.misses,
     }
 
 
-@pytest.fixture(scope="module")
-def pins() -> dict:
-    return json.loads(PINS_PATH.read_text())
+pins = pins_fixture(PINS_PATH)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -98,8 +92,4 @@ def test_misses_are_the_uniforms_below_r(miss_ratio):
 
 
 if __name__ == "__main__":
-    PINS_PATH.write_text(
-        json.dumps({case: pin(case) for case in sorted(CASES)}, indent=1, sort_keys=True)
-        + "\n"
-    )
-    print(f"wrote {PINS_PATH}")
+    write_pins(PINS_PATH, {case: pin(case) for case in sorted(CASES)})

@@ -29,11 +29,8 @@ Re-record (only for an intended behaviour change) with
 ``PYTHONPATH=src:. python tests/simulation/test_run_account_pins.py``.
 """
 
-import hashlib
-import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.core import ClusterModel
@@ -41,12 +38,16 @@ from repro.faults import FaultSchedule, ServerSlowdown
 from repro.observability import Observability
 from repro.units import kps, usec
 
+from tests.simulation.fingerprint import (
+    WINDOWS,
+    observed_fingerprint,
+    pins_fixture,
+    result_fingerprint,
+    write_pins,
+)
 from tests.simulation.test_determinism import run_case
 
 PINS_PATH = Path(__file__).with_name("run_account_pins.json")
-
-#: Timeline windows of the observed cases.
-WINDOWS = 8
 
 #: A loaded two-server cluster with 20-key requests: runs of about ten
 #: keys, most of them queued behind another run.
@@ -96,52 +97,6 @@ CASES = {
 OBSERVED = ("straddle", "r0.3", "slowdown")
 
 
-def _sha(*arrays) -> str:
-    digest = hashlib.sha256()
-    for array in arrays:
-        digest.update(np.ascontiguousarray(array, dtype=float).tobytes())
-    return digest.hexdigest()
-
-
-def _spans_digest(spans) -> str:
-    payload = [span.to_dict() for span in spans]
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
-def result_fingerprint(results) -> dict:
-    return {
-        "record": _sha(results.record),
-        "per_key_server": _sha(results.per_key_server.samples()),
-        "server_utilizations": [u.hex() for u in results.server_utilizations],
-        "keys_processed": results.keys_processed,
-        "misses": results.misses,
-    }
-
-
-def observed_fingerprint(results) -> dict:
-    """Stage series, queue histograms and (with a tracer) span trees."""
-    observability = results.observability
-    stages = {
-        name: _sha(series.arrivals, series.completions, series.busy_time,
-                   series.wait_time)
-        for name, series in sorted(results.timeline.stages.items())
-    }
-    registry = observability.registry
-    histograms = {}
-    for name in sorted(registry.names()):
-        if name.startswith(("server-", "database.", "key.")):
-            payload = registry.get(name).to_dict()
-            histograms[name] = hashlib.sha256(
-                json.dumps(payload, sort_keys=True).encode()
-            ).hexdigest()
-    out = dict(result_fingerprint(results), stages=stages, histograms=histograms)
-    tracer = observability.tracer
-    if tracer is not None:
-        out["recent_spans"] = _spans_digest(tracer.recent())
-        out["slowest_spans"] = _spans_digest(tracer.slowest())
-    return out
-
-
 def pin(case: str) -> dict:
     return result_fingerprint(run_case(CASES[case]))
 
@@ -169,9 +124,7 @@ def record() -> dict:
     }
 
 
-@pytest.fixture(scope="module")
-def pins() -> dict:
-    return json.loads(PINS_PATH.read_text())
+pins = pins_fixture(PINS_PATH)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -189,5 +142,4 @@ def test_traced_run_matches_pin(pins):
 
 
 if __name__ == "__main__":
-    PINS_PATH.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {PINS_PATH}")
+    write_pins(PINS_PATH, record())
