@@ -296,26 +296,18 @@ class UtilizationMeter:
             self._start = now
         self._busy_since = now
 
-    def server_stopped(self, now: float) -> None:
-        """Server transitioned busy -> idle."""
-        if self._busy_since is None:
-            raise ValidationError("server was not busy")
-        if self._ran:
-            self._fold()
-        self._busy += now - self._busy_since
-        self._busy_since = None
-
     def server_ran(self, finishes: Sequence[float], *, idle: bool) -> None:
-        """Keys finished at ``finishes``, each starting as the one before
-        it finished: the state :meth:`server_stopped` then
-        :meth:`server_started` at each finish leaves, ending with
-        :meth:`server_stopped` at the last when ``idle``.
+        """Keys finished at ``finishes``, served back to back from the
+        instant the server started or the last key before them finished;
+        the server goes idle at the last finish when ``idle``.
 
         Busy time is folded later, about a thousand keys at a time,
         with one ``np.cumsum``: it adds the keys' ``finish - start`` in
-        order, one after another, so ``busy`` is the float those calls
-        would leave.
+        order, one after another, so ``busy`` is the float that adding
+        each key's busy time as it finished would leave.
         """
+        if self._busy_since is None:
+            raise ValidationError("server was not busy")
         self._ran_starts.append(self._busy_since)
         self._ran.append(finishes)
         self._ran_keys += len(finishes)

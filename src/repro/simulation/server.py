@@ -9,29 +9,30 @@ its next key to start, and its key count. A key starts service when
 the key ahead of it finishes, and the fault hooks are read at that
 instant.
 
-Who learns of a key depends on the server's owner:
+Every service start is a *run* (a :class:`ServerRun`) of keys served
+back to back, each start being the previous key's finish. The server
+takes the run's service times from its window in one read, divides
+each by ``rate_factor`` at that key's start, accumulates the finish
+times with the engine's own float addition and schedules one
+``_finish`` event, at the run's last finish, ranked by the ``seq`` of
+that one scheduling. When the run ends the server folds its keys into
+its utilization meter and queue log, then reports it:
 
 * A server owned by
   :class:`~repro.simulation.system.MemcachedSystemSimulator` without a
   request policy serves every shared-payload batch (no per-key
-  contexts, so no key can be abandoned) as *runs*: once nothing can
-  interrupt it, the rest of a batch is fixed when its head key starts,
-  every start being the previous key's finish. The server takes the
-  run's service times from its window in one read, divides each by
-  ``rate_factor`` at that key's start, accumulates the finish times
-  with the engine's own float addition, hands the run (a
-  :class:`ServerRun`) to the simulator and schedules one event, at the
-  run's last finish, ranked by the ``seq`` of that one scheduling. The
-  simulator accounts the run's earlier keys in bulk before each later
-  event (its pre-event hook); the server folds the keys into its
-  utilization meter and queue log when the run ends, and
-  :meth:`ServerSim.settle` does so for the keys a run has finished so
-  far (at the warmup mark and at the stop). On a pausable server each
-  key is a run of one, since a pause can hold the next key back.
+  contexts, so no key can be abandoned) as one run: once nothing can
+  interrupt it, the rest of a batch is fixed when its head key starts.
+  The server hands the run to the simulator, which accounts the run's
+  earlier keys in bulk before each later event (its pre-event hook)
+  and its last key when it ends; :meth:`ServerSim.settle` folds the
+  keys a run has finished so far (at the warmup mark and at the stop).
+  On a pausable server each key is a run of one, since a pause can
+  hold the next key back.
 * Every other key (a policy attempt, a database key, any key of a
-  server no simulator owns) is one ``_finish`` event, which reports it
-  to ``on_complete`` as plain values ``(context, arrival, start,
-  finish)``.
+  server no simulator owns) is a run of one, whose payload is the
+  key's context; it is reported to ``on_complete`` as plain values
+  ``(context, arrival, start, finish)``.
 
 The exponential-service default matches the paper's model, and any
 :class:`~repro.distributions.Distribution` can be substituted for
@@ -69,10 +70,11 @@ class ServerRun:
 
     Key ``i`` finishes at ``times[i]`` and starts at ``times[i - 1]``
     (key 0 at ``start``); every key arrived at ``arrival`` and shares
-    ``payload``. ``server`` serves the run, whose key 0 is key ``first``
-    of its batch. ``seq`` is the engine rank of the run's one event, at
-    its last finish. ``done`` counts the keys the owner has accounted
-    and ``settled`` those the server has folded into its meter and log.
+    ``payload`` (a run of one's payload is its key's context).
+    ``server`` serves the run, whose key 0 is key ``first`` of its
+    batch. ``seq`` is the engine rank of the run's one event, at its
+    last finish. ``done`` counts the keys the owner has accounted and
+    ``settled`` those the server has folded into its meter and log.
     """
 
     __slots__ = (
@@ -107,57 +109,44 @@ class ServerRun:
 class QueueLog:
     """An observed queue's rows, appended as the run goes.
 
-    ``jobs`` holds one ``(arrival, start, finish)`` row per key that
-    finished service, abandoned keys that reached service included
-    (they consumed capacity). A queue whose owner accounts its runs
-    logs ``runs`` instead, one ``(arrival, start, finishes)`` row per
-    run (or per part of a run, when :meth:`ServerSim.settle` cut it):
-    key ``i`` of the row started at ``finishes[i - 1]`` (key 0 at
-    ``start``). A queue logs its keys one of the two ways. ``batches``
-    holds one ``(ahead, size)`` row per offered batch, ``ahead`` being
-    the keys queued or in service when it arrived: key ``i`` of the
-    batch saw ``ahead + i`` keys ahead of it. ``payloads`` tags each
-    batch row with its shared payload (``None`` for per-key contexts);
-    such keys are never dropped, so their keys follow their batch rows'
-    order. :meth:`mark` sets where :meth:`job_columns` and
-    :meth:`batches_since_mark` start reading.
+    ``runs`` holds one ``(arrival, start, finishes)`` row per run that
+    finished service (or per part of a run, when :meth:`ServerSim.settle`
+    cut it): key ``i`` of the row started at ``finishes[i - 1]`` (key 0
+    at ``start``). Abandoned keys that reached service are included
+    (they consumed capacity). ``batches`` holds one ``(ahead, size)``
+    row per offered batch, ``ahead`` being the keys queued or in service
+    when it arrived: key ``i`` of the batch saw ``ahead + i`` keys ahead
+    of it. ``payloads`` tags each batch row with its shared payload
+    (``None`` for per-key contexts); such keys are never dropped, so
+    their keys follow their batch rows' order. :meth:`mark` sets where
+    :meth:`job_columns` and :meth:`batches_since_mark` start reading.
     """
 
-    __slots__ = ("jobs", "runs", "batches", "payloads", "_marks")
+    __slots__ = ("runs", "batches", "payloads", "_marks")
 
     def __init__(self) -> None:
-        self.jobs: list = []
         self.runs: list = []
         self.batches: list = []
         self.payloads: list = []
-        self._marks = (0, 0, 0)
+        self._marks = (0, 0)
 
     def mark(self) -> None:
-        self._marks = (len(self.jobs), len(self.runs), len(self.batches))
+        self._marks = (len(self.runs), len(self.batches))
 
     def batches_since_mark(self) -> list:
         """The ``(ahead, size)`` rows logged since the last mark."""
-        return self.batches[self._marks[2] :]
+        return self.batches[self._marks[1] :]
 
     def job_columns(self, since_mark: bool = True) -> Tuple[np.ndarray, ...]:
         """``(arrival, start, finish)`` float arrays, one entry per key,
         in logged order: every row, or those since the last mark."""
-        jobs, runs = self.jobs, self.runs
-        if since_mark:
-            jobs, runs = jobs[self._marks[0] :], runs[self._marks[1] :]
-        if not runs:
-            flat = np.fromiter(
-                itertools.chain.from_iterable(jobs), dtype=float, count=3 * len(jobs)
-            )
-            return tuple(flat.reshape(len(jobs), 3).T)
-        arrivals, starts, finishes = zip(*runs)
+        runs = self.runs[self._marks[0] :] if since_mark else self.runs
+        arrivals, starts, finishes = zip(*runs) if runs else ((), (), ())
         start, finish, sizes = _served_back_to_back(starts, finishes)
         return np.repeat(np.array(arrivals, dtype=float), sizes), start, finish
 
     def key_rows(self) -> List[tuple]:
         """Every key's ``(arrival, start, finish)`` row, in logged order."""
-        if not self.runs:
-            return self.jobs
         return list(zip(*(column.tolist() for column in self.job_columns(False))))
 
 
@@ -195,7 +184,6 @@ class ServerSim:
         self._on_complete = on_complete
         # Observed queues append plain rows (bound appends, no method
         # dispatch); what they mean is worked out at run end.
-        self._log_job = log.jobs.append if log is not None else None
         self._log_run = log.runs.append if log is not None else None
         self._log_batch = log.batches.append if log is not None else None
         self._log_payload = log.payloads.append if log is not None else None
@@ -208,16 +196,11 @@ class ServerSim:
         self._pause_until = pause_until
         self._pause_pending = False
         self._queue: Deque[list] = collections.deque()
-        # The key in service: its arrival (None when idle), context and
-        # start instant. Its completion is the bound ``_finish``, so a
-        # service start allocates nothing.
-        self._arrival: Optional[float] = None
-        self._context: object = None
-        self._started = 0.0
         # An owner that accounts runs sets both hooks (see the module
-        # docstring): ``_on_run_start(run)`` when a run of more than one
-        # key starts, ``_on_run_end(run)`` at the run's last finish.
-        # ``_run`` is the owned run in service.
+        # docstring) and offers shared-payload batches only:
+        # ``_on_run_start(run)`` when a run of more than one key starts,
+        # ``_on_run_end(run)`` at the run's last finish, in place of
+        # ``on_complete``. ``_run`` is the run in service (None when idle).
         self._on_run_start: Optional[Callable[[ServerRun], None]] = None
         self._on_run_end: Optional[Callable[[ServerRun], None]] = None
         self._run: Optional[ServerRun] = None
@@ -244,11 +227,11 @@ class ServerSim:
     @property
     def queue_length(self) -> int:
         """Keys waiting (excluding the one in service)."""
-        return self.depth - (self._arrival is not None)
+        return self.depth - (self._run is not None)
 
     @property
     def busy(self) -> bool:
-        return self._arrival is not None
+        return self._run is not None
 
     @property
     def depth(self) -> int:
@@ -257,7 +240,8 @@ class ServerSim:
 
     @property
     def completed(self) -> int:
-        """Keys served, an owned run's accounted keys included."""
+        """Keys served, the accounted keys of an owned run in service
+        included."""
         run = self._run
         return self._completed if run is None else self._completed + run.done
 
@@ -283,7 +267,7 @@ class ServerSim:
             self._log_payload(context)
         self._offered += size
         self._queue.append([now, contexts, context, 0, size])
-        if self._arrival is None:
+        if self._run is None:
             self._start_next()
 
     def offer_key(self, now: float, *, context: object = None) -> None:
@@ -294,7 +278,7 @@ class ServerSim:
     # ------------------------------------------------------------------
 
     def _start_next(self) -> None:
-        if self._arrival is not None:
+        if self._run is not None:
             raise SimulationError(f"{self.name}: server already busy")
         queue = self._queue
         # Abandoned keys are dropped at the head: a cancelled key that
@@ -324,30 +308,25 @@ class ServerSim:
         index = entry[3]
         size = entry[4]
         # An owned batch without per-key contexts (which can be
-        # abandoned) is served as runs: the rest of the batch, or one key
-        # on a pausable server, where a pause can hold the next key back.
-        # A run takes its keys off the queue now, and ``completed``
-        # counts them as the owner accounts them.
+        # abandoned) is served as one run: the rest of the batch, unless
+        # a pause can hold the next key back. Every other key is a run
+        # of one. A run takes its keys off the queue now, and
+        # ``completed`` counts an owned run's keys as the owner accounts
+        # them.
         owned = contexts is None and self._on_run_end is not None
         count = size - index if owned and self._pause_until is None else 1
         entry[3] = index + count
         if index + count == size:
             queue.popleft()
-        self._arrival = entry[0]
-        self._started = now
         self.utilization_meter.server_started(now)
         times = self._finishes(now, count)
-        if owned:
-            # The owner accounts the run: one event, at its last finish.
-            event = sim.schedule_at(times[-1], self._end_run)
-            run = self._run = ServerRun(
-                entry[2], entry[0], now, times, event.seq, self, index
-            )
-            if count > 1:
-                self._on_run_start(run)
-            return
-        self._context = entry[2] if contexts is None else contexts[index]
-        sim.schedule_at(times[0], self._finish)
+        event = sim.schedule_at(times[-1], self._finish)
+        payload = entry[2] if contexts is None else contexts[index]
+        run = self._run = ServerRun(
+            payload, entry[0], now, times, event.seq, self, index
+        )
+        if count > 1:
+            self._on_run_start(run)
 
     def _finishes(self, now: float, count: int) -> list:
         """Finish times of the next ``count`` keys served back to back
@@ -355,13 +334,6 @@ class ServerSim:
         start, the previous key's finish. A finish accumulates as
         ``Simulator.schedule`` computes it."""
         rate_factor = self._rate_factor
-        if count == 1:
-            service_time = self._service_window.get()
-            if rate_factor is not None:
-                factor = rate_factor(now)
-                if factor != 1.0:
-                    service_time /= factor
-            return [now + service_time]
         services = self._service_window.take(count)
         if rate_factor is None:
             return list(
@@ -379,33 +351,22 @@ class ServerSim:
 
     def _resume_from_pause(self) -> None:
         self._pause_pending = False
-        if self._arrival is None:
+        if self._run is None:
             self._start_next()
 
     def _finish(self) -> None:
-        """The key in service finishes now."""
-        arrival = self._arrival
-        start = self._started
-        now = self._sim.now
-        self._arrival = None
-        self.utilization_meter.server_stopped(now)
-        self._completed += 1
-        if self._log_job is not None:
-            self._log_job((arrival, start, now))
-        if self._on_complete is not None:
-            self._on_complete(self._context, arrival, start, now)
-        self._start_next()
-
-    def _end_run(self) -> None:
-        """An owned run's last key finishes now: fold the run into the
-        meter and the log, let the owner account its last keys, then
-        start the next key."""
+        """The run in service ends now, at its last finish: fold it into
+        the meter and the log, hand it to the owner that accounts runs
+        (or report its one key to ``on_complete``), then start the next
+        key."""
         run = self._run
         self._run = None
-        self._arrival = None
         self._settle(run, run.last + 1, idle=True)
         self._completed += run.last + 1
-        self._on_run_end(run)
+        if self._on_run_end is not None:
+            self._on_run_end(run)
+        elif self._on_complete is not None:
+            self._on_complete(run.payload, run.arrival, run.start, run.times[0])
         self._start_next()
 
     def settle(self) -> None:

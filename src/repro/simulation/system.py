@@ -103,12 +103,11 @@ _PER_KEY_CHUNK = 2048
 
 def _flush_sojourns(
     recorder: LatencyRecorder,
-    sojourns,
+    sojourns: np.ndarray,
     registry: Optional[MetricsRegistry] = None,
 ) -> None:
-    """Move buffered per-key sojourns (a list, which is cleared, or an
-    array) into ``recorder`` and the registry's ``key.server_sojourn``
-    histogram.
+    """Move buffered per-key sojourns into ``recorder`` and the
+    registry's ``key.server_sojourn`` histogram.
 
     Values that still fit the stored samples go in with one
     ``record_many``. Values past the cap take the scalar reservoir step,
@@ -116,27 +115,26 @@ def _flush_sojourns(
     equals recording each key as it completed; the moments agree up to
     summation order.
     """
-    values = np.asarray(sojourns, dtype=float)
     room = max(_PER_KEY_SAMPLES - recorder.count, 0)
-    recorder.record_many(values[:room])
-    for value in values[room:].tolist():
+    recorder.record_many(sojourns[:room])
+    for value in sojourns[room:].tolist():
         recorder.record(value)
     if registry is not None:
-        registry.histogram("key.server_sojourn").record_many(values)
-    if isinstance(sojourns, list):
-        sojourns.clear()
+        registry.histogram("key.server_sojourn").record_many(sojourns)
 
 
 def _in_completion_order(segments: list) -> np.ndarray:
-    """Sojourns of buffered run keys in completion order.
+    """Sojourns of buffered server keys in completion order.
 
     ``segments`` is flat: each ``times, first, end, arrival`` four holds
-    the keys ``first..end-1`` of one run. Keys complete in ``(finish,
-    run seq, index)`` order, and the buffer holds them in that order
-    except among the keys accounted before one event, which are
-    buffered run by run in seq order. So a stable sort by finish alone
-    restores the order: keys with equal finishes keep their buffered
-    order, which is their seq order, or their index order within a run.
+    the keys ``first..end-1`` of one run; a policy attempt, buffered at
+    its own finish event, is ``((finish,), 0, 1, arrival)``. Keys
+    complete in ``(finish, run seq, index)`` order, and the buffer holds
+    them in that order except among the keys accounted before one event,
+    which are buffered run by run in seq order. So a stable sort by
+    finish alone restores the order: keys with equal finishes keep their
+    buffered order, which is their seq order, or their index order
+    within a run.
     """
     if not segments:
         return np.empty(0)
@@ -530,11 +528,11 @@ class MemcachedSystemSimulator:
         # every per-request view from it.
         self._rows: List[tuple] = []
         self._chunks: List[np.ndarray] = []
-        # Per-key server sojourns, in completion order, flushed into
-        # per_key_server every _PER_KEY_CHUNK keys (checked once per
-        # completed request) and at run end.
+        # Per-key server sojourns, buffered as _run_keys segments and
+        # flushed into per_key_server in completion order every
+        # _PER_KEY_CHUNK keys (checked once per completed request) and at
+        # run end.
         self._per_key_server = LatencyRecorder(max_samples=_PER_KEY_SAMPLES)
-        self._key_sojourns: List[float] = []
 
     # ------------------------------------------------------------------
     # Workload drive.
@@ -912,13 +910,11 @@ class MemcachedSystemSimulator:
                 return
         self._return_hop(request)
 
-    def _flush_key_sojourns(self) -> None:
+    def _flush_run_keys(self) -> None:
         """Move the buffered per-key sojourns into ``per_key_server``."""
-        sojourns = self._key_sojourns
-        if self._run_keys:
-            sojourns = _in_completion_order(self._run_keys)
-            self._run_keys.clear()
-            self._run_key_count = 0
+        sojourns = _in_completion_order(self._run_keys)
+        self._run_keys.clear()
+        self._run_key_count = 0
         _flush_sojourns(self._per_key_server, sojourns, self._registry)
 
     def _on_server_complete(
@@ -930,7 +926,8 @@ class MemcachedSystemSimulator:
             # capacity is spent, but it contributes nothing further.
             return
         context.served = (arrival, start, finish)
-        self._key_sojourns.append(finish - arrival)
+        self._run_keys += ((finish,), 0, 1, arrival)
+        self._run_key_count += 1
         rank = self._keys_processed
         self._keys_processed = rank + 1
         if self._cache is None:
@@ -1084,8 +1081,8 @@ class MemcachedSystemSimulator:
         if len(rows) >= _FLUSH_CHUNK:
             self._chunks.append(_row_matrix(rows, len(RECORD_FIELDS)))
             rows.clear()
-        if len(self._key_sojourns) + self._run_key_count >= _PER_KEY_CHUNK:
-            self._flush_key_sojourns()
+        if self._run_key_count >= _PER_KEY_CHUNK:
+            self._flush_run_keys()
         self._completed_requests += 1
         if self._completed_requests == self._warmup_target:
             self._reset_recorders()
@@ -1123,7 +1120,7 @@ class MemcachedSystemSimulator:
             self._chunks + [_row_matrix(self._rows, len(RECORD_FIELDS))]
         )
         column = dict(zip(RECORD_FIELDS, record.T))
-        self._flush_key_sojourns()
+        self._flush_run_keys()
         registry = self._registry
         if registry is not None:
             for name, field in _REQUEST_HISTOGRAMS:
@@ -1223,7 +1220,6 @@ class MemcachedSystemSimulator:
         self._keys_offset = self._keys_processed
         self._misses_offset = self._misses
         self._per_key_server = LatencyRecorder(max_samples=_PER_KEY_SAMPLES)
-        self._key_sojourns.clear()
         self._run_keys.clear()
         self._run_key_count = 0
         # The queue logs are marked, not cleared: the tracer reads the

@@ -426,7 +426,7 @@ def _served_both_ways(rate_factor=None):
                 readings=readings,
                 utilization=server.utilization_meter.utilization(sim.now),
                 now=sim.now,
-                jobs=list(log.jobs),
+                jobs=log.key_rows(),
                 batches=list(log.batches),
                 metrics=registry.snapshot(),
             )
@@ -435,10 +435,11 @@ def _served_both_ways(rate_factor=None):
 
 
 class TestServerRuns:
-    """Only a simulator that accounts runs makes a batch into one;
-    on a server no simulator owns, a shared-payload batch is served key
-    by key, and every per-key value must equal the per-key-context
-    path's bit for bit."""
+    """Both sides serve runs: only a simulator that accounts runs makes
+    a batch into one, and a server no simulator owns serves every key
+    as a run of one, whether its batch shares a payload or carries
+    per-key contexts. Every per-key value must be the same either way,
+    bit for bit."""
 
     @pytest.mark.parametrize(
         "switching", [False, True], ids=["no-hooks", "rate-switch"]
@@ -505,7 +506,9 @@ class TestServerRuns:
 
     def test_reentrant_offer_from_completion_is_refused(self):
         """A completion callback cannot start this server's next key:
-        the run path refuses it like the key-at-a-time path does."""
+        the server reads idle inside the callback, so a key offered
+        there starts at once, and the start that follows the callback
+        refuses to find a key in service."""
         sim = Simulator()
         server = ServerSim.exponential(
             sim,

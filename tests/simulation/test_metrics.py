@@ -221,13 +221,13 @@ class TestUtilizationMeter:
     def test_full_busy(self):
         meter = UtilizationMeter()
         meter.server_started(0.0)
-        meter.server_stopped(10.0)
+        meter.server_ran([4.0, 10.0], idle=True)
         assert meter.utilization(10.0) == pytest.approx(1.0)
 
     def test_half_busy(self):
         meter = UtilizationMeter()
         meter.server_started(0.0)
-        meter.server_stopped(5.0)
+        meter.server_ran([5.0], idle=True)
         assert meter.utilization(10.0) == pytest.approx(0.5)
 
     def test_ongoing_busy_period_counted(self):
@@ -240,12 +240,13 @@ class TestUtilizationMeter:
 
     def test_stop_without_start_rejected(self):
         with pytest.raises(ValidationError):
-            UtilizationMeter().server_stopped(1.0)
+            UtilizationMeter().server_ran([1.0], idle=True)
 
     def test_multiple_busy_periods(self):
         meter = UtilizationMeter()
         meter.server_started(0.0)
-        meter.server_stopped(2.0)
+        meter.server_ran([2.0], idle=True)
         meter.server_started(4.0)
-        meter.server_stopped(6.0)
+        meter.server_ran([5.0], idle=False)
+        meter.server_ran([6.0], idle=True)
         assert meter.utilization(8.0) == pytest.approx(0.5)
