@@ -17,13 +17,15 @@ Two scheduling shapes exist:
 * :meth:`Simulator.schedule_batch` — a *homogeneous batch*: one
   callback fired once per pre-computed time, in order. The batch holds
   a single scheduler entry that is re-armed as it drains, so a window
-  of (say) pre-drawn arrival times costs one event record and — inside
-  :meth:`run` — consecutive batch events whose times precede every
-  other scheduled event fire back-to-back without touching the
-  scheduler at all. The drain reads the heap head directly after each
-  firing; when that head comes first, one ``heapq.heappushpop``
-  re-arms the batch and hands the head to the loop, in place of a
-  push of the batch and a pop of the head.
+  of (say) pre-drawn arrival times costs one event record, and
+  consecutive batch events that precede every other event fire
+  back-to-back without touching the scheduler at all.
+
+:meth:`~Simulator.run`, :meth:`~Simulator.run_until` and
+:meth:`~Simulator.step` share one event loop, :meth:`Simulator._drive`,
+so the three fire the same events in the same order. An event the loop
+does not fire (due past the end time or the event budget, or after a
+:meth:`~Simulator.stop`) stays scheduled.
 
 Tie order within a batch: every event of a batch carries the ``seq`` of
 the :meth:`~Simulator.schedule_batch` call, so at an equal time it fires
@@ -205,13 +207,15 @@ class Simulator:
         self._profiler = profiler
 
     def stop(self) -> None:
-        """Ask a running :meth:`run` loop to return after the current
-        callback.
+        """Ask the running :meth:`run`, :meth:`run_until` or
+        :meth:`step` call to return after the current callback.
 
         This is how completion-driven simulations (stop after N
         requests) ride the batched hot loop instead of stepping one
-        event at a time. The flag is cleared on :meth:`run` entry, so a
-        stop requested outside a run is discarded.
+        event at a time. The events not fired stay scheduled, and a
+        stopped :meth:`run_until` leaves the clock at the stopping
+        event. The flag is cleared when any of the three starts, so a
+        stop requested outside a call is discarded.
         """
         self._stop = True
 
@@ -302,117 +306,74 @@ class Simulator:
 
     # ------------------------------------------------------------------
 
-    def _fire(self, obj) -> None:
-        """Dispatch one popped entry (clock already advanced)."""
-        profiler = self._profiler
-        if type(obj) is EventHandle:
-            obj.fired = True
-            self._live -= 1
-            if profiler is None:
-                obj.callback()
-            else:
-                started = profiler.clock()
-                obj.callback()
-                profiler.record(
-                    obj.callback,
-                    profiler.clock() - started,
-                    started_at=started,
-                    pending=self._live,
-                )
-        else:  # _Batch
-            index = obj.index
-            obj.index = index + 1
-            obj.queued = False
-            self._live -= 1
-            if profiler is None:
-                obj.callback(index)
-            else:
-                started = profiler.clock()
-                obj.callback(index)
-                profiler.record(
-                    obj.callback,
-                    profiler.clock() - started,
-                    started_at=started,
-                    pending=self._live,
-                )
-            if not obj.cancelled and obj.index < len(obj.times):
-                obj.time = obj.times[obj.index]
-                self._scheduler.push(obj.time, obj.seq, obj)
-                obj.queued = True
-        self._processed += 1
-
     def step(self) -> bool:
         """Process one event; returns False when the queue is empty."""
-        scheduler = self._scheduler
-        while True:
-            entry = scheduler.pop()
-            if entry is None:
-                return False
-            time, seq, obj = entry
-            if time < self._now:  # pragma: no cover - scheduler invariant
-                raise SimulationError(f"time went backwards: {time} < {self._now}")
-            hook = self._before_event
-            if hook is None or not hook(time, seq):
-                break
-            scheduler.push(time, seq, obj)
-        self._now = time
-        self._fire(obj)
-        return True
+        processed = self._processed
+        self._drive(_INF, 1)
+        return self._processed != processed
 
     def run_until(self, end_time: float, *, max_events: Optional[int] = None) -> None:
-        """Process events with time <= ``end_time`` (clock stops there)."""
+        """Process events with time <= ``end_time`` (clock stops there).
+
+        A callback that calls :meth:`stop` ends the call early: the
+        clock then stays at that event's time, not at ``end_time``, and
+        the next call resumes from there.
+        """
         if not end_time >= self._now:  # NaN fails too
             raise ValidationError(
                 f"end_time must not be NaN or before now {self._now}, "
                 f"got {end_time}"
             )
-        budget = max_events
-        scheduler = self._scheduler
-        while True:
-            head = scheduler.peek()
-            if head is None or head[0] > end_time:
-                break
-            if budget is not None:
-                if budget <= 0:
-                    raise SimulationError(
-                        f"event budget exhausted at t={self._now}"
-                    )
-                budget -= 1
-            self.step()
-        self._now = float(end_time)
+        if self._drive(end_time, max_events):
+            raise SimulationError(f"event budget exhausted at t={self._now}")
+        if not self._stop:
+            self._now = float(end_time)
 
     def run(self, *, max_events: Optional[int] = None) -> None:
-        """Process all events until the queue drains.
+        """Process all events until the queue drains (or :meth:`stop`)."""
+        if self._drive(_INF, max_events):
+            raise SimulationError(f"event budget exhausted at t={self._now}")
 
-        This is the engine's hot loop: a popped batch entry drains
-        inline — while the batch's next event beats everything else in
-        the scheduler in ``(time, seq)`` order it fires back-to-back
-        with no scheduler traffic and no per-event allocations. The
-        batch stays *out* of the scheduler while draining. After each
-        firing the drain reads the heap head itself; only when that
-        head comes first does it touch the heap, with one
-        ``heapq.heappushpop`` that re-arms the batch at its next time
-        and hands the head straight to the outer loop. The result is
-        the entry a push followed by a pop would return, since every
-        entry's ``(time, seq)`` key is distinct, so the firing order is
-        unchanged. The pre-event hook runs once an event is known to be
-        next, just before it fires.
+    def _drive(self, until: float, budget: Optional[int]) -> bool:
+        """The event loop: fire events in ``(time, seq)`` order while
+        their time is <= ``until``.
+
+        Returns when none is due, when a callback calls :meth:`stop`,
+        or when ``budget`` events (None: no limit) have fired; returns
+        True when the budget ran out with an event still due. A popped
+        batch entry drains inline: while the batch's next event beats
+        everything else in the scheduler in ``(time, seq)`` order it
+        fires back-to-back with no scheduler traffic and no per-event
+        allocations, the batch *out* of the scheduler. After each
+        firing the drain reads the heap head itself; when that head
+        comes first, one ``heapq.heappushpop`` re-arms the batch at its
+        next time and hands the head straight to the outer loop. The
+        batch is parked with a plain push on a stop, past ``until``,
+        when the budget is spent, or when the pre-event hook, which runs
+        just before an event fires, brings an event forward.
         """
-        budget = max_events
         scheduler = self._scheduler
         hook = self._before_event
+        limit = _INF if budget is None else self._processed + budget
+        bounded = budget is not None or until < _INF  # False under run()
         self._stop = False
         entry = None
         while True:
             if entry is None:
                 if self._stop:
-                    return
+                    return False
+                if bounded and self._processed >= limit:
+                    head = scheduler.peek()
+                    return head is not None and head[0] <= until
                 entry = scheduler.pop()
                 if entry is None:
-                    return
+                    return False
             profiler = self._profiler
             time, seq, obj = entry
             entry = None
+            if time > until:
+                scheduler.push(time, seq, obj)
+                return False
             if time < self._now:  # pragma: no cover - scheduler invariant
                 raise SimulationError(
                     f"time went backwards: {time} < {self._now}"
@@ -421,10 +382,6 @@ class Simulator:
                 # The hook brought an event forward: hold this one back.
                 scheduler.push(time, seq, obj)
                 continue
-            if budget is not None and budget <= 0:
-                raise SimulationError(
-                    f"event budget exhausted at t={self._now}"
-                )
             if type(obj) is EventHandle:
                 self._now = time
                 obj.fired = True
@@ -441,8 +398,6 @@ class Simulator:
                         pending=self._live,
                     )
                 self._processed += 1
-                if budget is not None:
-                    budget -= 1
                 continue
             # Batch entry: fire elements inline. The first one fires at
             # once (it is the queue minimum we just got); later ones
@@ -453,12 +408,6 @@ class Simulator:
             callback = obj.callback
             index = obj.index
             while True:
-                if budget is not None:
-                    if budget <= 0:
-                        raise SimulationError(
-                            f"event budget exhausted at t={self._now}"
-                        )
-                    budget -= 1
                 self._now = times[index]
                 obj.index = index + 1
                 self._live -= 1
@@ -478,35 +427,35 @@ class Simulator:
                 if obj.cancelled or index >= n:
                     break  # exhausted or cancelled mid-drain; not queued
                 t_next = times[index]
-                if self._stop:
-                    # Park the rest of the batch so scheduler state stays
-                    # consistent across the pause, then let the outer
-                    # loop return.
-                    obj.time = t_next
-                    scheduler.push(t_next, seq, obj)
-                    obj.queued = True
-                    break
-                # The callback may have cancelled enough to compact the
-                # heap, which replaces its list: read it afresh.
-                heap = scheduler.heap
-                if heap:
-                    head = heap[0]
-                    if head[2].cancelled:
-                        # Drop cancelled heads as pop would; rare.
-                        head = scheduler.peek()
-                    if head is not None and (
-                        head[0] < t_next or (head[0] == t_next and head[1] < seq)
-                    ):
-                        # Another event fires first: re-arm the batch at
-                        # its next time and take that event in one heap
-                        # step.
-                        obj.time = t_next
-                        obj.queued = True
-                        entry = heapq.heappushpop(heap, (t_next, seq, obj))
-                        break
-                if hook is not None and hook(t_next, seq):
-                    # The hook brought an event forward: park the batch.
-                    obj.time = t_next
-                    scheduler.push(t_next, seq, obj)
-                    obj.queued = True
-                    break
+                if not (
+                    self._stop
+                    or (bounded and (t_next > until or self._processed >= limit))
+                ):
+                    # The callback may have cancelled enough to compact
+                    # the heap, which replaces its list: read it afresh.
+                    heap = scheduler.heap
+                    if heap:
+                        head = heap[0]
+                        if head[2].cancelled:
+                            # Drop cancelled heads as pop would; rare.
+                            head = scheduler.peek()
+                        if head is not None and (
+                            head[0] < t_next
+                            or (head[0] == t_next and head[1] < seq)
+                        ):
+                            # Another event fires first: re-arm the batch
+                            # at its next time and take that event in one
+                            # heap step.
+                            obj.time = t_next
+                            obj.queued = True
+                            entry = heapq.heappushpop(heap, (t_next, seq, obj))
+                            break
+                    if hook is None or not hook(t_next, seq):
+                        continue
+                # Stopped, past ``until``, out of budget, or the hook
+                # brought an event forward: park the rest of the batch
+                # so scheduler state stays consistent across the pause.
+                obj.time = t_next
+                scheduler.push(t_next, seq, obj)
+                obj.queued = True
+                break

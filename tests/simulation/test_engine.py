@@ -193,6 +193,30 @@ class TestRunUntil:
             sim.run_until(1e9, max_events=100)
 
 
+# A drive that runs out of its one-event budget with events still due.
+BUDGET_DRIVES = {
+    "run": lambda sim: sim.run(max_events=1),
+    "run_until": lambda sim: sim.run_until(10.0, max_events=1),
+}
+
+
+class TestBudget:
+    @pytest.mark.parametrize("drive", BUDGET_DRIVES.values(), ids=list(BUDGET_DRIVES))
+    def test_exhausted_budget_keeps_its_event(self, drive):
+        sim = Simulator()
+        fired = []
+        for time in (1.0, 2.0, 3.0):
+            sim.schedule_at(time, lambda: fired.append(sim.now))
+        with pytest.raises(SimulationError):
+            drive(sim)
+        assert fired == [1.0]
+        assert sim.pending_events == 2
+        sim.run()
+        assert fired == [1.0, 2.0, 3.0]
+        assert sim.events_processed == 3
+        assert sim.pending_events == 0
+
+
 class TestIntrospection:
     def test_counts(self):
         sim = Simulator()

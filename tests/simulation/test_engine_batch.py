@@ -1,15 +1,16 @@
 """Tests for batched event dispatch (``Simulator.schedule_batch``).
 
-A batch is one scheduler entry re-armed as it drains; the engine's
-``run`` loop additionally fires consecutive batch elements inline with
-no scheduler traffic. These tests pin the semantics that make that
-optimization invisible: interleaving with single events in exact
-``(time, seq)`` order on both the ``run`` and the ``step`` path,
-cancellation from outside and from inside the batch callback,
-event budgets, and the cooperative ``stop`` used by completion-driven
-runs. ``TestDrainHandoff`` covers the drain's exit: when another
-entry comes first, one ``heappushpop`` re-arms the batch and hands that
-entry to the outer loop.
+A batch is one scheduler entry re-armed as it drains; the engine's one
+event loop, which ``run``, ``run_until`` and ``step`` share, fires
+consecutive batch elements inline with no scheduler traffic. These
+tests pin the semantics that make that optimization invisible:
+interleaving with single events in exact ``(time, seq)`` order under
+every entry point, cancellation from outside and from inside the batch
+callback, event budgets that keep the rest of the batch, and the
+cooperative ``stop`` used by completion-driven runs.
+``TestDrainHandoff`` covers the drain's exit: when another entry comes
+first, one ``heappushpop`` re-arms the batch and hands that entry to
+the outer loop.
 """
 
 import pytest
@@ -17,6 +18,8 @@ import pytest
 from repro.errors import SimulationError, ValidationError
 from repro.simulation import Simulator
 from repro.simulation.scheduler import COMPACT_MIN_DEAD, HeapScheduler
+
+from tests.simulation.test_engine import BUDGET_DRIVES
 
 
 def interleaved_sim():
@@ -160,6 +163,20 @@ class TestBudget:
         with pytest.raises(SimulationError):
             sim.run(max_events=2)
 
+    @pytest.mark.parametrize("drive", BUDGET_DRIVES.values(), ids=list(BUDGET_DRIVES))
+    def test_exhausted_budget_keeps_the_rest_of_the_batch(self, drive):
+        sim = Simulator()
+        fired = []
+        sim.schedule_batch([1.0, 2.0, 3.0], lambda i: fired.append((i, sim.now)))
+        with pytest.raises(SimulationError):
+            drive(sim)
+        assert fired == [(0, 1.0)]
+        assert sim.pending_events == 2
+        sim.run()
+        assert fired == [(0, 1.0), (1, 2.0), (2, 3.0)]
+        assert sim.events_processed == 3
+        assert sim.pending_events == 0
+
 
 class TestStop:
     def test_stop_from_single_event(self):
@@ -188,6 +205,26 @@ class TestStop:
         assert sim.pending_events == 2
         sim.run()
         assert fired == [0, 1, 2, 3]
+        assert sim.pending_events == 0
+
+    def test_stop_inside_run_until_keeps_the_clock_there(self):
+        sim = Simulator()
+        order = []
+
+        def on_batch(i):
+            order.append(f"b{i}")
+            if i == 0:
+                sim.stop()
+
+        sim.schedule_batch([1.0, 2.0, 3.0], on_batch)
+        sim.schedule_at(4.0, lambda: order.append("a"))
+        sim.run_until(10.0)
+        assert order == ["b0"]
+        assert sim.now == 1.0  # the stopping event, not the end time
+        assert sim.pending_events == 3
+        sim.run_until(10.0)  # resumes where it left off
+        assert order == ["b0", "b1", "b2", "a"]
+        assert sim.now == 10.0
         assert sim.pending_events == 0
 
     def test_stop_outside_run_is_discarded(self):
